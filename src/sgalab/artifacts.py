@@ -13,16 +13,21 @@ Layout of an output directory::
     manifest.json        command-level manifest (config echo, hashes)
     predictions.json     large-sample predictions for the configured run
     trace_000.csv        thinned trajectory of replicate 0
-    manifest_000.json    per-replicate manifest (window averages, hashes)
+    manifest_000.json    per-replicate manifest (window average, final
+                         state, hashes)
     acf_000.csv          per-coordinate autocorrelations of replicate 0
     comparison.json      simulation-versus-prediction report
     timings.json         wall-clock timings (excluded from reproducibility)
+
+The simulate command owns the numbered files: before writing it deletes
+those whose index is at or beyond its replicate count.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -98,7 +103,6 @@ def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> N
         "run": record.manifest,
         "config_hash": config_hash,
         "avg_state": None if record.avg_state is None else record.avg_state,
-        "second_moment": None if record.second_moment is None else record.second_moment,
         "final_state": record.final_state,
         "diverged": record.diverged_at is not None,
         "wall_time": record.wall_time,
@@ -137,10 +141,6 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
             None if payload.get("avg_state") is None
             else np.asarray(payload["avg_state"], float)
         ),
-        second_moment=(
-            None if payload.get("second_moment") is None
-            else np.asarray(payload["second_moment"], float)
-        ),
         avg_window=tuple(run["avg_window"]),
         theta_hat=None if theta_hat is None else np.asarray(theta_hat, float),
         local_exponent=float(run["local_exponent"]),
@@ -151,6 +151,21 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
         diverged_at=run.get("diverged_at"),
     )
     return record, payload["config_hash"]
+
+
+_REPLICATE_FILE = re.compile(r"(?:trace|acf)_(\d+)\.csv|manifest_(\d+)\.json")
+
+
+def remove_runs_from(out_dir: str, first: int) -> None:
+    """Delete the trace, run-manifest and ACF files of replicates >= ``first``.
+
+    A re-simulation with fewer replicates calls this so that no file from
+    the earlier, larger run is read as part of the new one.
+    """
+    for name in os.listdir(out_dir):
+        match = _REPLICATE_FILE.fullmatch(name)
+        if match and int(match.group(1) or match.group(2)) >= first:
+            os.remove(os.path.join(out_dir, name))
 
 
 def list_runs(out_dir: str) -> list[int]:

@@ -194,8 +194,9 @@ def cmd_simulate(
 ) -> int:
     setup = resolve_setup(tree)
     out = _out_dir(tree, out_flag)
-    artifacts.write_json(os.path.join(out, "manifest.json"), _command_manifest(setup))
     replicates = setup.replicates
+    artifacts.remove_runs_from(out, replicates)
+    artifacts.write_json(os.path.join(out, "manifest.json"), _command_manifest(setup))
     workers = threads if threads else min(os.cpu_count() or 1, replicates)
     t0 = time.perf_counter()
     results: list[tuple[int, int | None]] = []
@@ -613,6 +614,9 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except SgaLabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

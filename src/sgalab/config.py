@@ -73,6 +73,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .inference import InfoMatrices, empirical_info, fit_mle, info_from_truth
+from .linalg import sym_inv
 from .models import (
     CsvSchema,
     Dataset,
@@ -338,8 +339,7 @@ def _resolve_matrix(
         raise ConfigError(
             f"{what} must be one of {MATRIX_TOKENS}, got {token!r}"
         )
-    inv = np.linalg.solve(base, np.eye(base.shape[0]))
-    return 0.5 * (inv + inv.T)
+    return sym_inv(base)
 
 
 def resolve_setup(tree: dict) -> Setup:

@@ -7,7 +7,7 @@ One engine runs every variant of the update
 where ``grad_estimate`` averages per-record score rows over a uniformly
 sampled minibatch plus the (1/n-scaled) prior gradient, ``xi`` is a standard
 Gaussian vector, and an optional box projection keeps iterates inside a
-coordinate domain.  The momentum variant runs the same recursion on the
+coordinate box.  The momentum variant runs the same recursion on the
 doubled state (parameter, momentum) with the structured preconditioner that
 zeroes the direct parameter/gradient coupling; the control-variate variant
 recenters each minibatch score at an anchor point and adds back the full-data
@@ -63,31 +63,11 @@ def sample_batch(
     return rng.integers(0, n, size=b)
 
 
-def apply_boundary(
-    theta: np.ndarray,
-    delta_prior: np.ndarray,
-    delta_loglik: np.ndarray,
-    delta_innov: np.ndarray,
-    box: tuple[np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
-    """Combine the three update increments and project into the box.
-
-    With no box this is exactly the unconstrained update (the operator is
-    faithful: the identity whenever the result already lies inside).  The
-    box projection moves the point by at most the sum of the increment
-    norms, i.e. the operator is local with constant 1.
-    """
-    proposal = theta + delta_prior + delta_loglik + delta_innov
-    if box is None:
-        return proposal
-    return np.clip(proposal, box[0], box[1])
-
-
 @dataclass
 class RecordingPlan:
     """What a run keeps: thinning stride and the iterate-average window.
 
-    The average (and second moment) cover iterates ``average_start+1`` up to
+    The average covers iterates ``average_start+1`` up to
     ``average_stop`` inclusive, counting from 1; ``average_stop = None``
     means the end of the run.
     """
@@ -110,11 +90,11 @@ class RunRecord:
     """Everything a finished (or diverged) run leaves behind.
 
     ``states`` holds the thinned trajectory: the state after steps
-    ``thin, 2*thin, ...``.  ``avg_state`` and ``second_moment`` are the mean
-    state and mean outer product over the recording window.  When an anchor
-    (``theta_hat``) was supplied, ``rescaled_states`` maps the parameter
-    block through ``n**local_exponent * (theta - theta_hat)``, the
-    coordinates in which the large-sample predictions live.
+    ``thin, 2*thin, ...``.  ``avg_state`` is the mean state over the
+    recording window.  When an anchor (``theta_hat``) was supplied,
+    ``rescaled_states`` maps the parameter block through
+    ``n**local_exponent * (theta - theta_hat)``, the coordinates in which
+    the large-sample predictions live.
     """
 
     manifest: dict
@@ -123,7 +103,6 @@ class RunRecord:
     init_state: np.ndarray
     final_state: np.ndarray
     avg_state: np.ndarray | None
-    second_moment: np.ndarray | None
     avg_window: tuple[int, int]
     theta_hat: np.ndarray | None
     local_exponent: float
@@ -321,38 +300,6 @@ def _make_transition(ctx: _Context) -> Callable:
     return transition
 
 
-def stochastic_gradient(
-    model: ModelSpec,
-    data: Dataset,
-    theta: np.ndarray,
-    batch: np.ndarray,
-    anchor: np.ndarray | None = None,
-    anchor_grads: np.ndarray | None = None,
-) -> np.ndarray:
-    """The drift estimate for one batch: prior term plus batch-mean score.
-
-    Plain form: ``(1/n) grad_prior(theta) + mean_j grad(theta; X[batch_j])``.
-    With an anchor, each batch score is recentered at the anchor and the
-    full-data anchor score is added back, which preserves unbiasedness and
-    makes the estimate exactly constant across batches at ``theta = anchor``.
-    """
-    records = model.check_records(data.records)
-    theta = np.asarray(theta, dtype=float)
-    batch = np.asarray(batch)
-    if batch.ndim != 1 or batch.size == 0:
-        raise DimensionError("batch must be a non-empty 1-d index array")
-    rows = records[np.sort(batch)]
-    g = model.grad(theta, rows)
-    if anchor is not None:
-        if anchor_grads is None:
-            anchor_grads = model.grad(np.asarray(anchor, float), records)
-        g = g - anchor_grads[np.sort(batch)]
-        base = anchor_grads.mean(axis=0)
-    else:
-        base = 0.0
-    return g.mean(axis=0) + base + model.grad_prior(theta) / records.shape[0]
-
-
 def step(
     model: ModelSpec,
     data: Dataset,
@@ -482,7 +429,6 @@ def run(
     n_kept = n_steps // thin
     states = np.empty((n_kept, state_dim))
     avg_sum = np.zeros(state_dim)
-    sm_sum = np.zeros((state_dim, state_dim))
     avg_count = 0
 
     transition = ctx.transition
@@ -561,7 +507,6 @@ def run(
                 if lo < hi:
                     window = block_view[lo:hi]
                     avg_sum += window.sum(axis=0)
-                    sm_sum += window.T @ window
                     avg_count += hi - lo
             step_global = step_global + blk + (1 if diverged_at is not None else 0)
 
@@ -570,7 +515,6 @@ def run(
         states = states[:n_kept_actual]
 
     avg_state = avg_sum / avg_count if avg_count else None
-    second_moment = sm_sum / avg_count if avg_count else None
 
     manifest = {
         "config": cfg.to_dict(),
@@ -597,7 +541,6 @@ def run(
         init_state=init_state,
         final_state=state.copy(),
         avg_state=avg_state,
-        second_moment=second_moment,
         avg_window=(win_lo, win_hi),
         theta_hat=None if theta_hat is None else np.asarray(theta_hat, float).copy(),
         local_exponent=ctx.local_exponent,

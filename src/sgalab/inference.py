@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, NonFiniteError
-from .linalg import sym
+from .linalg import sandwich, sym
 from .models import Dataset, ModelSpec
 
 #: Rows per accumulation block; fixed so reductions are deterministic.
@@ -194,15 +194,12 @@ def empirical_info(model: ModelSpec, data: Dataset, theta: np.ndarray) -> InfoMa
 
     j_mat = 0.5 * (j_mat + j_mat.T)
     i_mat = 0.5 * (i_mat + i_mat.T)
-    half = np.linalg.solve(j_mat, i_mat)
-    sandwich = np.linalg.solve(j_mat, half.T)
-    sandwich = 0.5 * (sandwich + sandwich.T)
     grad_norm = float(np.linalg.norm(_mean_score(model, records, theta)))
     return InfoMatrices(
         theta_hat=theta.copy(),
         j_mat=j_mat,
         i_mat=i_mat,
-        sandwich=sandwich,
+        sandwich=sandwich(j_mat, i_mat),
         grad_norm=grad_norm,
         n=n,
     )
@@ -212,13 +209,11 @@ def info_from_truth(theta_star, j_star, i_star, n: int) -> InfoMatrices:
     """Package exact ground-truth matrices in the same container."""
     j = np.asarray(j_star, dtype=float)
     i = np.asarray(i_star, dtype=float)
-    half = np.linalg.solve(j, i)
-    sandwich = np.linalg.solve(j, half.T)
     return InfoMatrices(
         theta_hat=np.asarray(theta_star, dtype=float).copy(),
         j_mat=j.copy(),
         i_mat=i.copy(),
-        sandwich=0.5 * (sandwich + sandwich.T),
+        sandwich=sandwich(j, i),
         grad_norm=0.0,
         n=n,
         labels={"source": "truth"},

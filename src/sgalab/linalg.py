@@ -2,17 +2,16 @@
 
 Everything here operates on small dense square matrices (tens of rows, not
 thousands): symmetrization, spectra, stability tests, matrix exponentials,
-the continuous-time Lyapunov solve that produces stationary covariances, and
-an adaptive quadrature for matrix-valued integrands.  The Lyapunov solve is
-deliberately the simplest provably-correct method at this scale (Kronecker
-vectorization plus a dense LU solve); the quadrature exists as an independent
-route to the same integrals so the two can be cross-checked.
+symmetric inverses and sandwiches, and the continuous-time Lyapunov solve
+that produces stationary covariances.  The Lyapunov solve is the
+Bartels-Stewart method (Schur decomposition, O(d^3)) from scipy, wrapped
+in stability and residual checks; the independent quadrature routes used
+to cross-check it live with the tests.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +34,22 @@ def sym(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     require_square("sym argument", m)
     return 0.5 * (m + m.T)
+
+
+def sym_inv(m: np.ndarray) -> np.ndarray:
+    """Symmetrized inverse of a symmetric nonsingular matrix (identity solve)."""
+    m = np.asarray(m, dtype=float)
+    return sym(np.linalg.solve(m, np.eye(m.shape[0])))
+
+
+def sandwich(j: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """Symmetrized ``J^-1 I J^-1`` through two linear solves.
+
+    No explicit inverse is formed; the second solve uses the transpose of
+    the first, which equals ``I J^-1`` for symmetric ``J`` and ``I``.
+    """
+    half = np.linalg.solve(j, i)
+    return sym(np.linalg.solve(j, half.T))
 
 
 def eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -104,9 +119,9 @@ def solve_lyapunov(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     ``-B`` must be Hurwitz for a (unique, positive semi-definite) solution
     to exist; otherwise a :class:`StabilityError` is raised.  ``A`` is
     expected symmetric PSD; an asymmetric ``A`` is symmetrized with a
-    warning.  The equation is vectorized as
-    ``(1/2) (I (x) B + B (x) I) vec Q = vec A`` and solved densely, which is
-    exact up to roundoff for the matrix sizes this package targets.
+    warning.  The solve is Bartels-Stewart (``scipy.linalg.
+    solve_continuous_lyapunov`` on ``B/2``), O(d^3) time and O(d^2) memory;
+    its residual is checked before the solution is returned.
     """
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -126,10 +141,7 @@ def solve_lyapunov(b: np.ndarray, a: np.ndarray) -> np.ndarray:
             "no stationary covariance: -B is not Hurwitz "
             f"(min real eigenvalue of B is {min_real_eig(b):.3e})"
         )
-    d = b.shape[0]
-    eye = np.eye(d)
-    coeff = 0.5 * (np.kron(eye, b) + np.kron(b, eye))
-    q = np.linalg.solve(coeff, a.reshape(-1, order="F")).reshape((d, d), order="F")
+    q = scipy.linalg.solve_continuous_lyapunov(0.5 * b, a)
     q = 0.5 * (q + q.T)
     residual = np.linalg.norm(0.5 * (b @ q + q @ b.T) - a)
     if residual > 1e-9 * (1.0 + np.linalg.norm(a)):
@@ -139,74 +151,3 @@ def solve_lyapunov(b: np.ndarray, a: np.ndarray) -> np.ndarray:
             residual=residual,
         )
     return q
-
-
-def integrate_matrix(
-    f: Callable[[float], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_evals: int = 100_000,
-) -> np.ndarray:
-    """Adaptive Simpson quadrature of a matrix-valued integrand on ``[a, b]``.
-
-    The panel-splitting criterion is applied entrywise in the max norm, with
-    the tolerance distributed proportionally to panel width, so the result is
-    accurate to roughly ``tol`` per entry over the whole interval.  If the
-    evaluation budget runs out a :class:`NumericalError` is raised carrying
-    the best estimate assembled so far and the worst outstanding panel error
-    as ``residual``.
-    """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise DimensionError("integration endpoints must be finite")
-    if b <= a:
-        raise DimensionError("integration interval must satisfy a < b")
-
-    evals = 0
-
-    def call(t: float) -> np.ndarray:
-        nonlocal evals
-        evals += 1
-        out = np.asarray(f(t), dtype=float)
-        require_square("integrand value", out)
-        require_finite("integrand value", out)
-        return out
-
-    fa, fm, fb = call(a), call(0.5 * (a + b)), call(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    # Work stack of panels: (left, right, f_left, f_mid, f_right,
-    # simpson_estimate, panel_tolerance).
-    stack = [(a, b, fa, fm, fb, whole, tol * 15.0)]
-    total = np.zeros_like(whole)
-    budget_hit = False
-    worst_pending = 0.0
-
-    while stack:
-        left, right, fl, fm_, fr, s_whole, panel_tol = stack.pop()
-        mid = 0.5 * (left + right)
-        if evals + 2 > max_evals:
-            budget_hit = True
-            total += s_whole
-            worst_pending = max(worst_pending, float(panel_tol))
-            continue
-        flm = call(0.5 * (left + mid))
-        frm = call(0.5 * (mid + right))
-        s_left = (mid - left) / 6.0 * (fl + 4.0 * flm + fm_)
-        s_right = (right - mid) / 6.0 * (fm_ + 4.0 * frm + fr)
-        err = np.max(np.abs(s_left + s_right - s_whole))
-        if err <= panel_tol:
-            # Richardson correction for the final panel value.
-            total += s_left + s_right + (s_left + s_right - s_whole) / 15.0
-        else:
-            half_tol = panel_tol / 2.0
-            stack.append((left, mid, fl, flm, fm_, s_left, half_tol))
-            stack.append((mid, right, fm_, frm, fr, s_right, half_tol))
-
-    if budget_hit:
-        raise NumericalError(
-            f"quadrature budget of {max_evals} evaluations exhausted",
-            best_estimate=total,
-            residual=worst_pending,
-        )
-    return total

@@ -2,8 +2,7 @@
 
 A model is a bundle of vectorized per-record callables: log-likelihood,
 score, and Hessian contributions of each data record at a parameter vector,
-plus an optional log-prior gradient and parameter-domain box.  Three families
-are provided:
+plus an optional log-prior gradient.  Three families are provided:
 
 * weighted Gaussian location: separable quadratic likelihood with per
   coordinate curvature weights, the workhorse for exact sanity checks;
@@ -40,8 +39,7 @@ class ModelSpec:
     per record row.  ``hess_mean`` computes the record-averaged Hessian
     without materializing the per-record stack (the only Hessian form needed
     at scale).  ``grad_prior`` is the gradient of the log-prior, identically
-    zero for the default flat prior.  ``domain`` is an optional coordinate
-    box ``(lo, hi)`` for constrained runs.
+    zero for the default flat prior.
     """
 
     family: str
@@ -52,7 +50,6 @@ class ModelSpec:
     hess_mean: ArrayFun
     grad_prior: Callable[[np.ndarray], np.ndarray]
     validate: Callable[[np.ndarray], None]
-    domain: tuple[np.ndarray, np.ndarray] | None = None
     params: dict = field(default_factory=dict)
 
     def check_records(self, records: np.ndarray) -> np.ndarray:

@@ -10,7 +10,11 @@ information matrices (curvature ``J`` and score covariance ``I``):
 * the limit matrices ``(B, A)``, including the doubled-state momentum lift
   and the control-variate variant whose minibatch noise is always
   lower-order;
-* stationary, time-t, and path-average covariances of the limit process;
+* stationary, time-t, and path-average covariances of the limit process,
+  each computed one way: the stationary covariance by one Lyapunov solve,
+  the time-t covariance from it (or, for a drift with no stationary law,
+  from one block matrix exponential), and every path or iterate average
+  by the one closed-form path-average formula;
 * mixing-time estimates in iterations and epochs;
 * tuning recommendations that achieve a requested stationary covariance,
   with an algebraic closure check.
@@ -264,9 +268,11 @@ def marginal_cov(
     """Covariance of the limit process at time ``t`` from a start covariance.
 
     For a stable drift this is ``Q_inf - E Q_inf E' + E Q0 E'`` with
-    ``E = exp(-t B / 2)``; when ``-B`` is not Hurwitz (so no stationary
-    covariance exists) the defining integral is evaluated by quadrature
-    instead, which stays finite for finite ``t``.
+    ``E = exp(-t B / 2)``.  When ``-B`` is not Hurwitz (so no stationary
+    covariance exists) the defining integral
+    ``int_0^t exp(-sB/2) A exp(-sB'/2) ds`` is read off one matrix
+    exponential of a doubled block matrix (Van Loan 1978), which stays
+    finite for finite ``t``.
     """
     if t < 0.0 or not math.isfinite(t):
         raise DimensionError(f"time must be finite and >= 0, got {t}")
@@ -276,19 +282,21 @@ def marginal_cov(
         raise DimensionError(f"q0 must be {dsize}x{dsize}")
     if t == 0.0:
         return q0_mat.copy()
-    decay = linalg.expm(-0.5 * t * ou.b_mat)
     if linalg.is_hurwitz(-ou.b_mat):
+        decay = linalg.expm(-0.5 * t * ou.b_mat)
         q_inf = stationary_cov(ou)
         out = q_inf - decay @ q_inf @ decay.T + decay @ q0_mat @ decay.T
         return 0.5 * (out + out.T)
-
-    def integrand(s: float) -> np.ndarray:
-        e = linalg.expm(-0.5 * s * ou.b_mat)
-        return e @ ou.a_mat @ e.T
-
-    scale = max(float(np.linalg.norm(ou.a_mat)), 1.0)
-    accumulated = linalg.integrate_matrix(integrand, 0.0, t, tol=1e-12 * scale)
-    out = accumulated + decay @ q0_mat @ decay.T
+    # Van Loan: the top row of exp(t [[-B/2, A], [0, B'/2]]) holds
+    # F11 = exp(-tB/2) and F12 = int_0^t exp(-(t-s)B/2) A exp(sB'/2) ds, so
+    # F12 F11' is the covariance integral started from zero.
+    block = np.zeros((2 * dsize, 2 * dsize))
+    block[:dsize, :dsize] = -0.5 * ou.b_mat
+    block[:dsize, dsize:] = ou.a_mat
+    block[dsize:, dsize:] = 0.5 * ou.b_mat.T
+    f = linalg.expm(t * block)
+    decay = f[:dsize, :dsize]
+    out = f[:dsize, dsize:] @ decay.T + decay @ q0_mat @ decay.T
     return 0.5 * (out + out.T)
 
 
@@ -300,6 +308,7 @@ class AvgCovResult:
     asymptotic estimates together with the time thresholds delimiting
     where each is advertised to apply (small times well below
     ``small_t_threshold``, large times well above ``large_t_threshold``).
+    ``q_inf`` is the stationary covariance the path starts from.
     """
 
     t: float
@@ -308,6 +317,7 @@ class AvgCovResult:
     large_t: np.ndarray
     small_t_threshold: float
     large_t_threshold: float
+    q_inf: np.ndarray
 
 
 def avg_cov_exact(ou: OuParams, t: float) -> AvgCovResult:
@@ -337,6 +347,7 @@ def avg_cov_exact(ou: OuParams, t: float) -> AvgCovResult:
         large_t=first,
         small_t_threshold=7.0 * b_norm**2 * math.sqrt(b2q),
         large_t_threshold=3.0 * math.sqrt(b2q),
+        q_inf=q_inf,
     )
 
 
@@ -384,30 +395,22 @@ def avg_cov_rescaled(ou: OuParams, m: float) -> AvgCovRescaled:
             f" {law.frak_b + law.frak_h} exceeds frak_t = {law.frak_t}"
         )
     cfg = ou.cfg
-    q_inf = stationary_cov(ou)
-    p_mat = ou.gamma @ ou.j_mat
-    eye = np.eye(ou.state_dim)
     c_b, c_h = cfg.c_b, cfg.c_h
-    term1 = (4.0 * c_b / (c_h * m)) * linalg.sym(np.linalg.solve(p_mat, q_inf))
-    decay = linalg.expm(-(m * c_h / (2.0 * c_b)) * p_mat)
-    inner = np.linalg.solve(p_mat, np.linalg.solve(p_mat, (eye - decay) @ q_inf))
-    term2 = (8.0 * c_b**2 / (c_h**2 * m**2)) * linalg.sym(inner)
-    matrix = term1 - term2
+    exact = avg_cov_exact(ou, m / c_b)
 
     simple = None
     remainder = None
     if law.frak_b + law.frak_h == 1.0 and not cfg.has_noise:
-        half = np.linalg.solve(ou.j_mat, ou.i_mat)
-        sandwich = np.linalg.solve(ou.j_mat, half.T)
-        simple = (1.0 / m) * 0.5 * (sandwich + sandwich.T)
-        tail = np.linalg.solve(p_mat, np.linalg.solve(p_mat, q_inf))
+        simple = (1.0 / m) * linalg.sandwich(ou.j_mat, ou.i_mat)
+        p_mat = ou.gamma @ ou.j_mat
+        tail = np.linalg.solve(p_mat, np.linalg.solve(p_mat, exact.q_inf))
         remainder = (8.0 * c_b**2 / (c_h**2 * m**2)) * float(
             np.linalg.norm(tail, 2)
         )
     return AvgCovRescaled(
         m=m,
         limit_time=m / c_b,
-        matrix=0.5 * (matrix + matrix.T),
+        matrix=exact.exact,
         simple=simple,
         remainder_bound=remainder,
         in_stated_regime=law.frak_t <= 1.0,
@@ -470,8 +473,7 @@ def _inv_spd(name: str, m: np.ndarray) -> np.ndarray:
             f"{name} must be positive definite to be inverted as a"
             f" preconditioner (min eigenvalue {vals[0]:.3e})"
         )
-    out = np.linalg.solve(m, np.eye(m.shape[0]))
-    return 0.5 * (out + out.T)
+    return linalg.sym_inv(m)
 
 
 def recommend_tuning(
@@ -509,11 +511,6 @@ def recommend_tuning(
         )
     if frak_b == 1.0 or frak_h <= 0.0:
         raise RecommendationError("unit-work schedules need frak_h = 1 - frak_b > 0")
-
-    def sandwich() -> np.ndarray:
-        half = np.linalg.solve(j_mat, i_mat)
-        s = np.linalg.solve(j_mat, half.T)
-        return 0.5 * (s + s.T)
 
     if target in ("local_fiducial", "sandwich_weighted", "bagged"):
         if target == "local_fiducial":
@@ -558,7 +555,7 @@ def recommend_tuning(
             seed=seed,
             labels={"recommendation": target},
         )
-        target_cov = w1_eff * sandwich() + w2_eff * gamma
+        target_cov = w1_eff * linalg.sandwich(j_mat, i_mat) + w2_eff * gamma
         notes.append(
             f"stationary covariance {w1_eff} * sandwich + {w2_eff} * J^-1"
         )

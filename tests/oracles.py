@@ -2,9 +2,9 @@
 
 Everything here is deliberately slow and simple: characteristic-polynomial
 eigenvalues, Taylor-series matrix exponentials, brute-force quadrature,
-enumerated batch spaces, coordinate-descent fitting.  Production code must
-agree with these within stated tolerances; none of these routines may call
-the routines they are checking.
+enumerated batch spaces, the textbook drift estimate, coordinate-descent
+fitting.  Production code must agree with these within stated tolerances;
+none of these routines may call the routines they are checking.
 """
 
 from __future__ import annotations
@@ -203,6 +203,40 @@ def enumerate_batches(n: int, b: int, policy: str) -> list[tuple[int, ...]]:
     if policy == "with_replacement":
         return list(itertools.product(range(n), repeat=b))
     return list(itertools.combinations(range(n), b))
+
+
+def stochastic_gradient(
+    model,
+    data,
+    theta: np.ndarray,
+    batch: np.ndarray,
+    anchor: np.ndarray | None = None,
+    anchor_grads: np.ndarray | None = None,
+) -> np.ndarray:
+    """The drift estimate for one batch: prior term plus batch-mean score.
+
+    Plain form: ``(1/n) grad_prior(theta) + mean_j grad(theta; X[batch_j])``.
+    With an anchor, each batch score is recentered at the anchor and the
+    full-data anchor score is added back, which preserves unbiasedness and
+    makes the estimate exactly constant across batches at ``theta = anchor``.
+    Written straight from the definition, independently of the engine's
+    compiled transition.
+    """
+    records = model.check_records(data.records)
+    theta = np.asarray(theta, dtype=float)
+    batch = np.asarray(batch)
+    if batch.ndim != 1 or batch.size == 0:
+        raise ValueError("batch must be a non-empty 1-d index array")
+    rows = records[np.sort(batch)]
+    g = model.grad(theta, rows)
+    if anchor is not None:
+        if anchor_grads is None:
+            anchor_grads = model.grad(np.asarray(anchor, float), records)
+        g = g - anchor_grads[np.sort(batch)]
+        base = anchor_grads.mean(axis=0)
+    else:
+        base = 0.0
+    return g.mean(axis=0) + base + model.grad_prior(theta) / records.shape[0]
 
 
 # --------------------------------------------------------------- fitting

@@ -369,13 +369,13 @@ def test_a9_derivative_and_unbiasedness_property_suites(capfd):
         # batch-mean gradient is unbiased for the full-data drift
         model, data, _ = models.generate_gaussian(40, 3, seed=17)
         theta = np.array([0.3, -0.2, 0.5])
-        full = engine.stochastic_gradient(model, data, theta, np.arange(40))
+        full = oracles.stochastic_gradient(model, data, theta, np.arange(40))
         for policy in ("with_replacement", "without_replacement"):
             rng = np.random.default_rng(18)
             draws = np.empty((100_000, 3))
             for k in range(draws.shape[0]):
                 idx = engine.sample_batch(rng, 40, 5, policy)
-                draws[k] = engine.stochastic_gradient(model, data, theta, idx)
+                draws[k] = oracles.stochastic_gradient(model, data, theta, idx)
             se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
             dev = np.abs(draws.mean(axis=0) - full)
             assert np.max(dev / se) <= 5.0, policy

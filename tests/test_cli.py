@@ -113,6 +113,24 @@ def test_config_value_type_errors_name_the_offender(tmp_path):
         config.parse_config(path)
 
 
+def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
+    # separable logistic data: the maximum-likelihood estimate lies at infinity
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((50, 2))
+    rows = np.column_stack([x, (x[:, 0] > 0).astype(float)])
+    data = tmp_path / "separable.csv"
+    models.save_csv(str(data), rows)
+    ini = (
+        f"[model]\nfamily = logistic\nsource = csv\npath = {data}\n"
+        "columns = 3\nd = 2\n\n[execution]\nepochs = 1\n"
+    )
+    cfg = _write(tmp_path, "separable.ini", ini)
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_missing_config_file_is_usage_error(capsys):
     assert cli.main(["predict", "--config", "/nonexistent.ini"]) == 1
     assert "not found" in capsys.readouterr().err
@@ -238,6 +256,24 @@ def test_compare_refuses_mismatched_artifacts(tmp_path, capsys):
     assert "trace" in capsys.readouterr().err
 
 
+def test_resimulate_with_fewer_replicates_clears_stale_traces(tmp_path):
+    three = _write(tmp_path, "three.ini", BASE_INI.replace("replicates = 2", "replicates = 3"))
+    one = _write(tmp_path, "one.ini", BASE_INI.replace("replicates = 2", "replicates = 1"))
+    out = str(tmp_path / "out")
+    assert cli.main(
+        ["simulate", "--config", three, "--out", out, "--threads", "1", "--quiet"]
+    ) == 0
+    assert artifacts.list_runs(out) == [0, 1, 2]
+    assert cli.main(["predict", "--config", one, "--out", out, "--quiet"]) == 0
+    assert cli.main(
+        ["simulate", "--config", one, "--out", out, "--threads", "1", "--quiet"]
+    ) == 0
+    assert artifacts.list_runs(out) == [0]
+    for name in ("manifest_001.json", "manifest_002.json"):
+        assert not os.path.exists(os.path.join(out, name)), name
+    assert cli.main(["compare", "--config", one, "--out", out, "--quiet"]) == 0
+
+
 def test_compare_without_traces_is_mismatch(tmp_path):
     cfg = _write(tmp_path, "run.ini", BASE_INI)
     out = str(tmp_path / "out")
@@ -308,7 +344,6 @@ def test_run_artifacts_round_trip_exactly(tmp_path):
     assert run_hash == "f" * 64
     assert np.array_equal(loaded.states, record.states)
     assert np.array_equal(loaded.avg_state, record.avg_state)
-    assert np.array_equal(loaded.second_moment, record.second_moment)
     assert np.array_equal(loaded.final_state, record.final_state)
     assert loaded.thin == 3
     assert loaded.avg_window == record.avg_window

@@ -41,7 +41,6 @@ def _make_record(
         init_state=states[0].copy(),
         final_state=states[-1].copy(),
         avg_state=None if avg_state is None else np.asarray(avg_state, float),
-        second_moment=None,
         avg_window=(0, states.shape[0]),
         theta_hat=np.asarray(theta_hat, float),
         local_exponent=w,

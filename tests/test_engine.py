@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from sgalab import engine, models
-from sgalab.engine import RecordingPlan, dataset_hash, sample_batch, stochastic_gradient
+from sgalab.engine import RecordingPlan, dataset_hash, sample_batch
 from sgalab.errors import ConfigError, DivergenceError
 from sgalab.tuning import (
     CONTROL_VARIATE,
@@ -83,7 +83,7 @@ def test_stochastic_gradient_unbiased_over_all_batches():
     for policy in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         batches = oracles.enumerate_batches(6, 2, policy)
         mean_est = np.mean(
-            [stochastic_gradient(model, data, theta, np.array(b)) for b in batches],
+            [oracles.stochastic_gradient(model, data, theta, np.array(b)) for b in batches],
             axis=0,
         )
         assert np.linalg.norm(mean_est - full) <= 1e-12
@@ -96,13 +96,13 @@ def test_control_variate_unbiased_and_exact_at_anchor():
     full = model.grad(theta, data.records).mean(axis=0) + model.grad_prior(theta) / 8
     batches = oracles.enumerate_batches(8, 1, WITH_REPLACEMENT)
     ests = [
-        stochastic_gradient(model, data, theta, np.array(b), anchor=anchor)
+        oracles.stochastic_gradient(model, data, theta, np.array(b), anchor=anchor)
         for b in batches
     ]
     assert np.linalg.norm(np.mean(ests, axis=0) - full) <= 1e-12
     # at the anchor itself every batch gives the identical full-data value
     at_anchor = [
-        stochastic_gradient(model, data, anchor, np.array(b), anchor=anchor)
+        oracles.stochastic_gradient(model, data, anchor, np.array(b), anchor=anchor)
         for b in batches
     ]
     spread = np.ptp(np.asarray(at_anchor), axis=0)
@@ -120,13 +120,40 @@ def test_control_variate_variance_decays_quadratically():
         theta = anchor + t * direction
         ests = np.array(
             [
-                stochastic_gradient(model, data, theta, np.array([j]), anchor=anchor)
+                oracles.stochastic_gradient(model, data, theta, np.array([j]), anchor=anchor)
                 for j in range(60)
             ]
         )
         variances.append(np.mean(np.sum((ests - ests.mean(axis=0)) ** 2, axis=1)))
     slope = np.polyfit(np.log(scales), np.log(variances), 1)[0]
     assert abs(slope - 2.0) < 0.2
+
+
+def test_engine_step_drift_matches_oracle_over_all_batches():
+    # a noiseless step moves by exactly (h/2) Gamma times the textbook drift
+    gamma = np.array([[1.5, 0.2], [0.2, 0.8]])
+    cases = [
+        (models.generate_gaussian(6, 2, seed=4), {}, np.array([0.3, -0.2]), None),
+        (
+            models.generate_logistic(6, 2, seed=3),
+            {"variant": CONTROL_VARIATE},
+            np.array([0.9, 0.1]),
+            np.array([0.2, -0.4]),
+        ),
+    ]
+    for (model, data, _), extra, state, anchor in cases:
+        for policy in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
+            cfg = TuningConfig(frak_h=1.0, c_h=0.7, frak_b=0.0, c_b=2.0,
+                               gamma=gamma, policy=policy, **extra)
+            h = cfg.step_size(6)
+            for batch in oracles.enumerate_batches(6, 2, policy):
+                batch = np.array(batch)
+                got = engine.step(model, data, cfg, state, batch, anchor=anchor)
+                drift = oracles.stochastic_gradient(
+                    model, data, state, batch, anchor=anchor
+                )
+                want = state + 0.5 * h * gamma @ drift
+                assert np.max(np.abs(got - want)) <= 1e-12, (extra, policy, batch)
 
 
 # -------------------------------------------------- step/run bit identity
@@ -300,7 +327,6 @@ def test_thinning_and_average_window():
     # the average window covers steps 5..10 regardless of thinning
     window = fine.states[4:10]
     assert np.array_equal(coarse.avg_state, window.sum(axis=0) / 6.0)
-    assert np.array_equal(coarse.second_moment, window.T @ window / 6.0)
     assert coarse.avg_window == (4, 10)
     # an explicit stop caps the window
     stopped = engine.run(
@@ -328,7 +354,6 @@ def test_empty_average_window_yields_none():
         init=np.zeros(2), recording=RecordingPlan(average_start=50),
     )
     assert record.avg_state is None
-    assert record.second_moment is None
 
 
 # ---------------------------------------------------------- initialization

@@ -284,13 +284,19 @@ def test_marginal_cov_matches_quadrature_with_start():
 
 
 def test_marginal_cov_transient_drift_finite_horizon():
-    # no stationary covariance, but the finite-time covariance exists
-    cfg = TuningConfig(frak_h=1.0, c_h=0.5, gamma=-np.eye(2))
-    ou = ou_params(cfg, np.diag([1.0, 2.0]), np.eye(2))
-    t = 1.0
-    got = marginal_cov(ou, t)
-    ref = oracles.quadrature_marginal_cov(ou.b_mat, ou.a_mat, t)
-    assert np.linalg.norm(got - ref) <= 1e-6 * (1.0 + np.linalg.norm(ref))
+    # no stationary covariance, but the finite-time covariance exists; the
+    # second drift is non-normal with one stable and one unstable direction
+    q0 = np.array([[0.5, 0.1], [0.1, 0.3]])
+    for gamma in (-np.eye(2), np.array([[-1.0, 0.8], [0.0, 0.5]])):
+        cfg = TuningConfig(frak_h=1.0, c_h=0.5, gamma=gamma)
+        ou = ou_params(cfg, np.diag([1.0, 2.0]), np.eye(2))
+        for t, start in ((1.0, None), (1.0, q0), (2.5, q0)):
+            got = marginal_cov(ou, t, q0=start)
+            ref = oracles.quadrature_marginal_cov(ou.b_mat, ou.a_mat, t)
+            if start is not None:
+                decay = oracles.taylor_expm(-0.5 * t * ou.b_mat)
+                ref = ref + decay @ start @ decay.T
+            assert np.linalg.norm(got - ref) <= 1e-6 * (1.0 + np.linalg.norm(ref))
 
 
 # ------------------------------------------------------ path averaging
