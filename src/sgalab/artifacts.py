@@ -28,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 
@@ -84,6 +85,13 @@ def _trace_header(dim: int, state_dim: int) -> str:
     return ",".join(["step", "epoch"] + names)
 
 
+def _write_table(path: str, header: str, first: np.ndarray, values: np.ndarray) -> None:
+    """Write ``header``, then rows of the integer ``first[k]`` and ``values[k]``."""
+    fmt = ["%d"] + [FLOAT_FMT] * values.shape[1]
+    np.savetxt(path, np.column_stack([first, values]), fmt=fmt, delimiter=",",
+               header=header, comments="")
+
+
 def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> None:
     """Persist one replicate as a trace CSV plus a manifest JSON.
 
@@ -92,13 +100,12 @@ def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> N
     """
     steps = record.step_numbers()
     steps_per_epoch = record.n / max(int(record.manifest["batch_size"]), 1)
-    header = _trace_header(record.dim, record.state_dim)
-    with open(trace_path(out_dir, index), "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for k in range(record.states.shape[0]):
-            row = ",".join(FLOAT_FMT % v for v in record.states[k])
-            epoch = FLOAT_FMT % (steps[k] / steps_per_epoch)
-            fh.write(f"{steps[k]},{epoch},{row}\n")
+    _write_table(
+        trace_path(out_dir, index),
+        _trace_header(record.dim, record.state_dim),
+        steps,
+        np.column_stack([steps / steps_per_epoch, record.states]),
+    )
     payload = {
         "run": record.manifest,
         "config_hash": config_hash,
@@ -119,7 +126,10 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
     if not os.path.exists(path):
         raise ArtifactMismatchError(f"missing artifact: {path}")
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a run that diverged before its first kept step has no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: cannot parse trace: {exc}") from None
     if table.size == 0:
@@ -183,8 +193,4 @@ def save_acf(out_dir: str, index: int, rhos: np.ndarray) -> None:
     """Write per-coordinate autocorrelations; rows are lags."""
     n_lags, dim = rhos.shape
     header = ",".join(["lag"] + [f"coord_{j}" for j in range(dim)])
-    with open(acf_path(out_dir, index), "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for lag in range(n_lags):
-            row = ",".join(FLOAT_FMT % v for v in rhos[lag])
-            fh.write(f"{lag},{row}\n")
+    _write_table(acf_path(out_dir, index), header, np.arange(n_lags), rhos)

@@ -152,7 +152,7 @@ def _resolve_init(setup: Setup):
     return ("overdispersed", scale)
 
 
-def _run_replicate(setup: Setup, replicate: int) -> engine.RunRecord:
+def _run_replicate(setup: Setup, replicate: int, init) -> engine.RunRecord:
     cfg = setup.cfg.with_seed(setup.cfg.seed + replicate)
     avg_start = (
         setup.cfg.epochs_to_steps(setup.n, setup.average_start_epochs)
@@ -167,7 +167,7 @@ def _run_replicate(setup: Setup, replicate: int) -> engine.RunRecord:
             cfg,
             n_steps=setup.n_steps,
             theta_hat=setup.mle_theta,
-            init=_resolve_init(setup),
+            init=init,
             recording=plan,
         )
     except DivergenceError as exc:
@@ -178,9 +178,10 @@ def _simulate_chunk(payload: str) -> list[tuple[int, int | None]]:
     """Worker entry point: run a block of replicates and persist them."""
     job = json.loads(payload)
     setup = resolve_setup(job["tree"])
+    init = _resolve_init(setup)
     out = []
     for r in job["indices"]:
-        record = _run_replicate(setup, r)
+        record = _run_replicate(setup, r, init)
         artifacts.save_run(job["out"], r, record, setup.hash)
         out.append((r, record.diverged_at))
     return out
@@ -201,8 +202,9 @@ def cmd_simulate(
     t0 = time.perf_counter()
     results: list[tuple[int, int | None]] = []
     if workers <= 1 or replicates == 1:
+        init = _resolve_init(setup)
         for r in range(replicates):
-            record = _run_replicate(setup, r)
+            record = _run_replicate(setup, r, init)
             artifacts.save_run(out, r, record, setup.hash)
             results.append((r, record.diverged_at))
     else:

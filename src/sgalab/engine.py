@@ -21,7 +21,11 @@ sequences, and a run is bit-reproducible from its seed and configuration.
 Minibatch scores are averaged over SORTED index order, so the estimate is
 unchanged in law (it depends only on the index multiset) while full-batch
 sampling reduces in natural data order and degenerates bit-exactly to
-deterministic preconditioned gradient descent.
+deterministic preconditioned gradient descent.  ``run`` works in blocks of
+steps: one :func:`sample_batch` call, one gather of records, one noise draw,
+then the compiled transition step by step.  Every stream is consumed in step
+order, the iterate average is a running sum in step order, and a divergence
+stops at the offending iterate, so block boundaries never affect results.
 """
 
 from __future__ import annotations
@@ -43,24 +47,36 @@ from .tuning import CONTROL_VARIATE, MOMENTUM, PLAIN, WITHOUT_REPLACEMENT, Tunin
 #: A coordinate beyond this magnitude (or any non-finite value) is divergence.
 DIVERGENCE_LIMIT = 1e12
 
-#: Steps per processing block; block boundaries never affect results.
-BLOCK_STEPS = 1024
+#: Records gathered per block: ``BLOCK_ROWS // b`` steps (at least one), or
+#: ``BLOCK_ROWS`` steps when each batch is the whole dataset, viewed in place.
+BLOCK_ROWS = 1024
 
 
 def sample_batch(
-    rng: np.random.Generator, n: int, b: int, policy: str
+    rng: np.random.Generator, n: int, b: int, policy: str, steps: int = 1
 ) -> np.ndarray:
-    """Draw one batch of ``b`` record indices from ``0..n-1``.
+    """Draw ``steps`` batches of ``b`` record indices from ``0..n-1``.
 
-    With replacement: i.i.d. uniform indices.  Without replacement: a
-    uniformly random ordered ``b``-tuple of distinct indices (for ``b = n``
-    this is a uniform permutation).
+    Returns a ``(steps, b)`` integer array whose rows are sorted.  With
+    replacement each row holds i.i.d. uniform indices.  Without replacement
+    each row is a uniformly random ``b``-subset: a single index is drawn as
+    with replacement (the law is the same), and for ``b = n`` every row is
+    ``0..n-1`` surely, so no randomness is consumed and the result is a
+    read-only broadcast view of one ``arange(n)``.
     """
     if not 1 <= b <= n:
         raise ConfigError(f"batch size must satisfy 1 <= b <= n, got b={b}, n={n}")
-    if policy == WITHOUT_REPLACEMENT:
-        return rng.permutation(n)[:b]
-    return rng.integers(0, n, size=b)
+    if policy == WITHOUT_REPLACEMENT and b == n:
+        return np.broadcast_to(np.arange(n), (steps, n))
+    if policy == WITHOUT_REPLACEMENT and b > 1:
+        idx = np.empty((steps, b), dtype=np.int64)
+        # Row by row: each permutation is dropped before the next is drawn.
+        for row in idx:
+            row[:] = rng.permutation(n)[:b]
+    else:
+        idx = rng.integers(0, n, size=(steps, b))
+    idx.sort(axis=1)
+    return idx
 
 
 @dataclass
@@ -426,95 +442,61 @@ def run(
     win_hi = min(win_hi, n_steps)
 
     thin = recording.thin
-    n_kept = n_steps // thin
-    states = np.empty((n_kept, state_dim))
+    states = np.empty((n_steps // thin, state_dim))
     avg_sum = np.zeros(state_dim)
-    avg_count = 0
 
     transition = ctx.transition
-    # Exhaustive batches (b = n without replacement) visit the whole dataset
-    # in natural order every step: the sorted permutation is 0..n-1 surely,
-    # so no batch randomness is consumed at all.
+    # Exhaustive batches (b = n without replacement) are the whole dataset in
+    # natural order every step, so their records are viewed, never gathered.
     exhaustive = b == n and cfg.policy == WITHOUT_REPLACEMENT
-    buf = np.empty((BLOCK_STEPS, state_dim))
+    block_steps = BLOCK_ROWS if exhaustive else max(1, BLOCK_ROWS // b)
+    buf = np.empty((block_steps, state_dim))
     diverged_at: int | None = None
 
-    step_global = 0
+    step_global = 0  # steps completed before the current block
     # Runaway trajectories legitimately produce overflow/nan in the steps
     # just before the divergence scan cuts the block; those transient
     # warnings are noise, the scan is the real detector.
     with np.errstate(over="ignore", invalid="ignore"):
         while step_global < n_steps and diverged_at is None:
-            blk = min(BLOCK_STEPS, n_steps - step_global)
+            blk = min(block_steps, n_steps - step_global)
 
             # Batch indices for the block, consumed from the batch stream only.
+            idx_block = sample_batch(batch_rng, n, b, cfg.policy, blk)
             if exhaustive:
-                idx_block = None  # full natural-order pass every step
-            elif b == 1:
-                idx_flat = batch_rng.integers(0, n, size=blk)
-                rows_block = records[idx_flat]
-                idx_block = idx_flat.reshape(blk, 1)
+                rows_block = np.broadcast_to(records, (blk, *records.shape))
             else:
-                idx_block = np.empty((blk, b), dtype=np.int64)
-                if cfg.policy == WITHOUT_REPLACEMENT:
-                    for i in range(blk):
-                        idx_block[i] = batch_rng.permutation(n)[:b]
-                else:
-                    idx_block = batch_rng.integers(0, n, size=(blk, b))
-                idx_block.sort(axis=1)
-
+                rows_block = records[idx_block]
             noise_block = (
-                noise_rng.standard_normal((blk, d)) if ctx.noise_factor is not None else None
+                noise_rng.standard_normal((blk, d))
+                if ctx.noise_factor is not None
+                else [None] * blk
             )
 
-            if exhaustive:
-                all_idx = np.arange(n)
-                for i in range(blk):
-                    xi = noise_block[i] if noise_block is not None else None
-                    state = transition(state, records, all_idx, xi)
-                    buf[i] = state
-            elif b == 1:
-                for i in range(blk):
-                    xi = noise_block[i] if noise_block is not None else None
-                    state = transition(state, rows_block[i : i + 1], idx_block[i], xi)
-                    buf[i] = state
-            else:
-                for i in range(blk):
-                    xi = noise_block[i] if noise_block is not None else None
-                    idx = idx_block[i]
-                    state = transition(state, records[idx], idx, xi)
-                    buf[i] = state
+            for i, (rows, idx, xi) in enumerate(zip(rows_block, idx_block, noise_block)):
+                state = buf[i] = transition(state, rows, idx, xi)
 
             # Divergence scan before any accumulation uses the block.
-            block_view = buf[:blk]
-            with np.errstate(invalid="ignore"):
-                bad = ~np.all(np.abs(block_view) <= DIVERGENCE_LIMIT, axis=1)
+            bad = ~np.all(np.abs(buf[:blk]) <= DIVERGENCE_LIMIT, axis=1)
             if bad.any():
                 first_bad = int(np.argmax(bad))
                 diverged_at = step_global + first_bad + 1
+                state = buf[first_bad].copy()  # the offending iterate
                 blk = first_bad  # keep only the steps before the divergence
-                block_view = buf[:blk]
 
-            # Thinned trajectory: global steps s0+1 .. s0+blk, keep multiples of thin.
-            if blk:
-                first_kept = thin - (step_global % thin) - 1
-                if first_kept < blk:
-                    kept = block_view[first_kept::thin]
-                    out_lo = (step_global + first_kept + 1) // thin - 1
-                    states[out_lo : out_lo + kept.shape[0]] = kept
-                lo = max(win_lo - step_global, 0)
-                hi = min(win_hi - step_global, blk)
-                if lo < hi:
-                    window = block_view[lo:hi]
-                    avg_sum += window.sum(axis=0)
-                    avg_count += hi - lo
-            step_global = step_global + blk + (1 if diverged_at is not None else 0)
+            # Thinned trajectory: of steps s0+1 .. s0+blk keep multiples of thin.
+            kept = buf[(-step_global - 1) % thin : blk : thin]
+            states[step_global // thin : step_global // thin + len(kept)] = kept
+            lo = max(win_lo - step_global, 0)
+            hi = min(win_hi - step_global, blk)
+            if lo < hi:
+                # One running sum in step order, whatever the block length.
+                avg_sum = np.add.accumulate(np.vstack([avg_sum, buf[lo:hi]]))[-1]
+            step_global += blk
 
-    if diverged_at is not None:
-        n_kept_actual = (diverged_at - 1) // thin
-        states = states[:n_kept_actual]
-
-    avg_state = avg_sum / avg_count if avg_count else None
+    states = states[: step_global // thin]
+    avg_count = min(win_hi, step_global) - win_lo
+    avg_state = avg_sum / avg_count if avg_count > 0 else None
 
     manifest = {
         "config": cfg.to_dict(),

@@ -178,6 +178,7 @@ class OuParams:
     lam: np.ndarray
     j_mat: np.ndarray
     i_mat: np.ndarray
+    _q_inf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def theta_block(self, m: np.ndarray) -> np.ndarray:
         return m[: self.dim, : self.dim]
@@ -258,8 +259,14 @@ def stationary_cov(ou: OuParams) -> np.ndarray:
 
     Exists exactly when ``-B`` is Hurwitz; otherwise a
     :class:`StabilityError` explains that no stationary covariance exists.
+    Solved once per ``OuParams``; every later call returns the same
+    read-only array.
     """
-    return linalg.solve_lyapunov(ou.b_mat, ou.a_mat)
+    if ou._q_inf is None:
+        q_inf = linalg.solve_lyapunov(ou.b_mat, ou.a_mat)
+        q_inf.flags.writeable = False
+        ou._q_inf = q_inf
+    return ou._q_inf
 
 
 def marginal_cov(

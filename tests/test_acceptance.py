@@ -373,9 +373,9 @@ def test_a9_derivative_and_unbiasedness_property_suites(capfd):
         for policy in ("with_replacement", "without_replacement"):
             rng = np.random.default_rng(18)
             draws = np.empty((100_000, 3))
+            batches = engine.sample_batch(rng, 40, 5, policy, draws.shape[0])
             for k in range(draws.shape[0]):
-                idx = engine.sample_batch(rng, 40, 5, policy)
-                draws[k] = oracles.stochastic_gradient(model, data, theta, idx)
+                draws[k] = oracles.stochastic_gradient(model, data, theta, batches[k])
             se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
             dev = np.abs(draws.mean(axis=0) - full)
             assert np.max(dev / se) <= 5.0, policy

@@ -2,12 +2,13 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from sgalab import artifacts, cli, config, engine, models
-from sgalab.errors import ConfigError
+from sgalab import artifacts, cli, config, engine, linalg, models
+from sgalab.errors import ConfigError, DivergenceError
 from sgalab.tuning import TuningConfig
 
 BASE_INI = """
@@ -218,6 +219,26 @@ def test_thread_count_does_not_change_results(tmp_path):
         assert a == b
 
 
+def test_stationary_init_is_solved_once_per_simulate(tmp_path, monkeypatch):
+    five = BASE_INI.replace("replicates = 2", "replicates = 5").replace(
+        "init = mle", "init = stationary"
+    ).replace("epochs = 20", "epochs = 1")
+    cfg = _write(tmp_path, "run.ini", five)
+    calls = []
+    solve = linalg.solve_lyapunov
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "solve_lyapunov", counted)
+    assert cli.main(
+        ["simulate", "--config", cfg, "--out", str(tmp_path / "out"),
+         "--threads", "1", "--quiet"]
+    ) == 0
+    assert len(calls) == 1
+
+
 def test_simulate_overrides_fold_into_hash_and_seeds(tmp_path):
     cfg = _write(tmp_path, "run.ini", BASE_INI)
     out = str(tmp_path / "out")
@@ -349,6 +370,33 @@ def test_run_artifacts_round_trip_exactly(tmp_path):
     assert loaded.avg_window == record.avg_window
     assert loaded.diverged_at is None
     assert loaded.manifest["data_hash"] == record.manifest["data_hash"]
+    # the trace is each value printed with FLOAT_FMT, awkward values included
+    record.states[:3] = [[-0.0, 1e-300], [1.2e16, 5e-324], [np.pi, -1.7976931348623157e308]]
+    artifacts.save_run(str(tmp_path), 1, record, "f" * 64)
+    fmt = artifacts.FLOAT_FMT
+    want = ["step,epoch,theta_1,theta_2"] + [
+        ",".join([str(step), fmt % (step / 50.0)] + [fmt % v for v in row])
+        for step, row in zip(record.step_numbers(), record.states)
+    ]
+    with open(artifacts.trace_path(str(tmp_path), 1), encoding="utf-8") as fh:
+        assert fh.read() == "\n".join(want) + "\n"
+
+
+def test_header_only_trace_loads_without_warning(tmp_path):
+    # a run that diverges before its first kept step leaves no trace rows
+    model, data, _ = models.generate_gaussian(20, 2, seed=17)
+    cfg = TuningConfig(frak_h=0.0, c_h=1e9, frak_b=0.0, c_b=1.0, seed=0)
+    with pytest.raises(DivergenceError) as info:
+        engine.run(model, data, cfg, n_steps=50, init=np.ones(2),
+                   recording=engine.RecordingPlan(thin=5))
+    record = info.value.partial_record
+    assert record.states.shape == (0, 2)
+    artifacts.save_run(str(tmp_path), 0, record, "f" * 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded, _ = artifacts.load_run(str(tmp_path), 0)
+    assert loaded.states.shape == (0, 2)
+    assert loaded.diverged_at == record.diverged_at
 
 
 # -------------------------------------------------------------- experiment

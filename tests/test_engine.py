@@ -38,8 +38,7 @@ def test_sample_batch_uniformity_chi_square():
     for policy in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
         rng = np.random.default_rng(11)
         counts = {}
-        for _ in range(draws):
-            batch = tuple(sorted(sample_batch(rng, n, b, policy)))
+        for batch in map(tuple, sample_batch(rng, n, b, policy, draws).tolist()):
             counts[batch] = counts.get(batch, 0) + 1
         cells = oracles.enumerate_batches(n, b, policy)
         if policy == WITH_REPLACEMENT:
@@ -64,9 +63,13 @@ def test_sample_batch_uniformity_chi_square():
 
 def test_sample_batch_without_replacement_distinct():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        batch = sample_batch(rng, 6, 4, WITHOUT_REPLACEMENT)
-        assert len(set(batch.tolist())) == 4
+    batches = sample_batch(rng, 6, 4, WITHOUT_REPLACEMENT, 200)
+    assert batches.shape == (200, 4)
+    # sorted rows of distinct indices: strictly increasing
+    assert np.all(np.diff(batches, axis=1) > 0)
+    assert np.array_equal(
+        sample_batch(rng, 6, 6, WITHOUT_REPLACEMENT, 3), np.tile(np.arange(6), (3, 1))
+    )
     with pytest.raises(ConfigError):
         sample_batch(rng, 3, 4, WITH_REPLACEMENT)
     with pytest.raises(ConfigError):
@@ -304,6 +307,15 @@ def test_divergence_truncates_and_reports():
     assert rec.states.shape[0] == (rec.diverged_at - 1) // rec.thin
     if rec.states.size:
         assert np.all(np.abs(rec.states) <= engine.DIVERGENCE_LIMIT)
+    # the reported iterate is the offending one: one step from the last kept
+    # state with the batch the engine drew at that step
+    batch_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0).spawn(3)[0]))
+    batch = sample_batch(batch_rng, 20, 1, cfg.policy, rec.diverged_at)[-1]
+    prev = rec.states[-1] if rec.states.size else rec.init_state
+    with np.errstate(over="ignore", invalid="ignore"):
+        offending = engine.step(model, data, cfg, prev, batch)
+    assert np.array_equal(err.last_iterate, offending)
+    assert np.array_equal(rec.final_state, offending)
 
 
 def test_thinning_and_average_window():
@@ -335,6 +347,49 @@ def test_thinning_and_average_window():
         recording=RecordingPlan(thin=1, average_start=4, average_stop=7),
     )
     assert np.array_equal(stopped.avg_state, fine.states[4:7].mean(axis=0))
+
+
+def _block_size_cases():
+    gauss1 = models.generate_gaussian(30, 1, seed=2)
+    gauss4 = models.generate_gaussian(30, 4, seed=3)
+    poisson = models.generate_poisson(200, 3, seed=10)
+    sgld = dict(frak_h=1.0, c_h=2.0, frak_b=0.0, frak_t=1.0, c_beta=2.0)
+    yield "d1_b1_sgld", gauss1, TuningConfig(c_b=1.0, seed=1, **sgld)
+    yield "d1_b3_sgld", gauss1, TuningConfig(c_b=3.0, seed=2, **sgld)
+    yield "d4_b3_noreplace", gauss4, TuningConfig(
+        c_b=3.0, policy=WITHOUT_REPLACEMENT, seed=3, **sgld)
+    yield "d4_bn_sgld", gauss4, TuningConfig(
+        frak_h=1.0, c_h=2.0, frak_b=1.0, c_b=1.0, frak_t=1.0, c_beta=2.0,
+        policy=WITHOUT_REPLACEMENT, seed=4)
+    yield "poisson_b25_diverges", poisson, TuningConfig(
+        frak_h=1.0, c_h=2000.0, frak_b=0.0, c_b=25.0, seed=3)
+
+
+def _run_outputs(model, data, truth, cfg):
+    try:
+        rec = engine.run(
+            model, data, cfg, n_steps=1500, theta_hat=truth.theta_star,
+            recording=RecordingPlan(thin=3, average_start=5),
+        )
+    except DivergenceError as err:
+        rec = err.partial_record
+        assert np.array_equal(err.last_iterate, rec.final_state, equal_nan=True)
+    return rec
+
+
+def test_results_do_not_depend_on_block_size(monkeypatch):
+    for name, (model, data, truth), cfg in _block_size_cases():
+        runs = []
+        for block_rows in (1, 7, 1024):
+            monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+            runs.append(_run_outputs(model, data, truth, cfg))
+        ref = runs[0]
+        assert (ref.diverged_at is not None) == (name == "poisson_b25_diverges"), name
+        for rec in runs[1:]:
+            assert rec.diverged_at == ref.diverged_at, name
+            assert np.array_equal(rec.states, ref.states), name
+            assert np.array_equal(rec.avg_state, ref.avg_state), name
+            assert np.array_equal(rec.final_state, ref.final_state, equal_nan=True), name
 
 
 def test_recording_plan_validation():

@@ -553,6 +553,23 @@ def test_predict_bundle_round_trip():
     assert "1.0" in blob["averages"] and "0.5" in blob["marginals"]
 
 
+def test_predict_solves_the_lyapunov_equation_once(monkeypatch):
+    calls = []
+    solve = linalg.solve_lyapunov
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(linalg, "solve_lyapunov", counted)
+    rng = np.random.default_rng(22)
+    cfg = TuningConfig(frak_h=1.0, frak_b=0.0, frak_t=math.inf, c_h=2.0, c_b=1.0)
+    report = predict(cfg, oracles.random_spd(rng, 3), oracles.random_spd(rng, 3), n=500,
+                     m_values=(1.0, 8.0), t_grid=(0.25, 0.5, 1.0, 2.0))
+    assert set(report.averages) == {1.0, 8.0} and len(report.marginals) == 4
+    assert len(calls) == 1
+
+
 def test_predict_records_per_horizon_failures():
     # cold injected noise: every rescaled-average request is out of regime
     cfg = TuningConfig(frak_h=1.0, frak_b=0.0, frak_t=0.5, c_h=1.0, c_beta=1.0)
