@@ -17,7 +17,8 @@ Layout of an output directory::
                          state, hashes)
     acf_000.csv          per-coordinate autocorrelations of replicate 0
     comparison.json      simulation-versus-prediction report
-    timings.json         wall-clock timings (excluded from reproducibility)
+    timings.json         wall-clock seconds, executed steps and steps/s
+                         (excluded from reproducibility)
 
 The simulate command owns the numbered files: before writing it deletes
 those whose index is at or beyond its replicate count.

@@ -152,39 +152,42 @@ def _resolve_init(setup: Setup):
     return ("overdispersed", scale)
 
 
-def _run_replicate(setup: Setup, replicate: int, init) -> engine.RunRecord:
-    cfg = setup.cfg.with_seed(setup.cfg.seed + replicate)
+def _run_replicates(
+    setup: Setup, start: int, count: int, init
+) -> list[engine.RunRecord]:
+    """Replicates ``start .. start+count-1`` of the command, advanced together."""
     avg_start = (
         setup.cfg.epochs_to_steps(setup.n, setup.average_start_epochs)
         if setup.average_start_epochs > 0
         else 0
     )
-    plan = RecordingPlan(thin=setup.thin, average_start=avg_start)
-    try:
-        return engine.run(
-            setup.model,
-            setup.data,
-            cfg,
-            n_steps=setup.n_steps,
-            theta_hat=setup.mle_theta,
-            init=init,
-            recording=plan,
-        )
-    except DivergenceError as exc:
-        return exc.partial_record
+    return engine.run_replicates(
+        setup.model,
+        setup.data,
+        setup.cfg.with_seed(setup.cfg.seed + start),
+        count,
+        n_steps=setup.n_steps,
+        theta_hat=setup.mle_theta,
+        init=init,
+        recording=RecordingPlan(thin=setup.thin, average_start=avg_start),
+    )
+
+
+def _save_runs(
+    out: str, start: int, records: list[engine.RunRecord], config_hash: str
+) -> list[tuple[int, int | None]]:
+    """Persist replicates ``start, start+1, ...``; returns (index, diverged_at) pairs."""
+    for r, record in enumerate(records, start):
+        artifacts.save_run(out, r, record, config_hash)
+    return [(r, record.diverged_at) for r, record in enumerate(records, start)]
 
 
 def _simulate_chunk(payload: str) -> list[tuple[int, int | None]]:
-    """Worker entry point: run a block of replicates and persist them."""
+    """Worker entry point: run a contiguous range of replicates and persist them."""
     job = json.loads(payload)
     setup = resolve_setup(job["tree"])
-    init = _resolve_init(setup)
-    out = []
-    for r in job["indices"]:
-        record = _run_replicate(setup, r, init)
-        artifacts.save_run(job["out"], r, record, setup.hash)
-        out.append((r, record.diverged_at))
-    return out
+    records = _run_replicates(setup, job["start"], job["count"], _resolve_init(setup))
+    return _save_runs(job["out"], job["start"], records, setup.hash)
 
 
 def cmd_simulate(
@@ -198,29 +201,32 @@ def cmd_simulate(
     replicates = setup.replicates
     artifacts.remove_runs_from(out, replicates)
     artifacts.write_json(os.path.join(out, "manifest.json"), _command_manifest(setup))
-    workers = threads if threads else min(os.cpu_count() or 1, replicates)
+    workers = min(threads if threads else os.cpu_count() or 1, replicates)
     t0 = time.perf_counter()
-    results: list[tuple[int, int | None]] = []
-    if workers <= 1 or replicates == 1:
-        init = _resolve_init(setup)
-        for r in range(replicates):
-            record = _run_replicate(setup, r, init)
-            artifacts.save_run(out, r, record, setup.hash)
-            results.append((r, record.diverged_at))
+    if workers <= 1:
+        records = _run_replicates(setup, 0, replicates, _resolve_init(setup))
+        results = _save_runs(out, 0, records, setup.hash)
     else:
-        chunks = [list(range(replicates))[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
+        # contiguous ranges, as even as possible
+        bounds = [replicates * i // workers for i in range(workers + 1)]
         jobs = [
-            json.dumps({"tree": setup.tree, "indices": chunk, "out": out})
-            for chunk in chunks
+            json.dumps({"tree": setup.tree, "start": lo, "count": hi - lo, "out": out})
+            for lo, hi in zip(bounds, bounds[1:])
         ]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        results = []
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_simulate_chunk, jobs):
                 results.extend(part)
     elapsed = time.perf_counter() - t0
+    steps = sum(setup.n_steps if at is None else at for _, at in results)
     artifacts.write_json(
         os.path.join(out, "timings.json"),
-        {"simulate_seconds": elapsed, "replicates": replicates},
+        {
+            "simulate_seconds": elapsed,
+            "replicates": replicates,
+            "steps": steps,
+            "steps_per_s": steps / elapsed,
+        },
     )
     diverged = sorted(r for r, at in results if at is not None)
     if not quiet:

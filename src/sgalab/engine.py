@@ -13,19 +13,30 @@ zeroes the direct parameter/gradient coupling; the control-variate variant
 recenters each minibatch score at an anchor point and adds back the full-data
 anchor score so the estimate stays unbiased for any anchor.
 
-Randomness discipline: the run seed feeds a counter-based generator through
-two spawned child streams, one consumed exclusively by batch-index sampling
-and one by Gaussian innovations (a third covers randomized initialization).
-Noiseless and noisy runs at the same seed therefore visit identical batch
-sequences, and a run is bit-reproducible from its seed and configuration.
+Randomness discipline: replicate ``r`` of a command runs at seed
+``cfg.seed + r``, which feeds a counter-based generator through two spawned
+child streams, one consumed exclusively by batch-index sampling and one by
+Gaussian innovations (a third covers randomized initialization).  Noiseless
+and noisy runs at the same seed therefore visit identical batch sequences,
+and a replicate is bit-reproducible from its seed and configuration.
 Minibatch scores are averaged over SORTED index order, so the estimate is
 unchanged in law (it depends only on the index multiset) while full-batch
 sampling reduces in natural data order and degenerates bit-exactly to
-deterministic preconditioned gradient descent.  ``run`` works in blocks of
-steps: one :func:`sample_batch` call, one gather of records, one noise draw,
-then the compiled transition step by step.  Every stream is consumed in step
-order, the iterate average is a running sum in step order, and a divergence
-stops at the offending iterate, so block boundaries never affect results.
+deterministic preconditioned gradient descent.
+
+:func:`run_replicates` advances all replicates of a command together, as
+one ``(R, state_dim)`` array, so the per-step interpreter cost is paid once
+per step rather than once per replicate-step; :func:`run` is its
+one-replicate case.  Every replicate keeps its own streams, and every
+product in the update is a per-replicate matrix-vector product, so
+replicate ``r`` equals its solo run bit for bit.  The loop works in blocks
+of steps: per replicate one :func:`sample_batch` call and one noise draw,
+then one gather of records and the compiled transition step by step.  A
+block gathers at most about ``BLOCK_ROWS`` records over all replicates.
+Every stream is consumed in step order, each iterate average is a running
+sum in step order, and each replicate stops at its own first diverging
+iterate, so neither block boundaries nor the grouping of replicates into
+commands affect results.
 """
 
 from __future__ import annotations
@@ -39,17 +50,19 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, RegimeError
-from .linalg import psd_sqrt
-from .models import Dataset, ModelSpec
+from .linalg import matvec, psd_sqrt
+from .models import Dataset, ModelSpec, zero_prior
 from .theory import scaling_law
 from .tuning import CONTROL_VARIATE, MOMENTUM, PLAIN, WITHOUT_REPLACEMENT, TuningConfig
 
 #: A coordinate beyond this magnitude (or any non-finite value) is divergence.
 DIVERGENCE_LIMIT = 1e12
 
-#: Records gathered per block: ``BLOCK_ROWS // b`` steps (at least one), or
-#: ``BLOCK_ROWS`` steps when each batch is the whole dataset, viewed in place.
-BLOCK_ROWS = 1024
+#: Records gathered per block over all R replicates: ``BLOCK_ROWS // (R*b)``
+#: steps (at least one), or ``BLOCK_ROWS // R`` steps when each batch is the
+#: whole dataset, viewed in place.  Larger blocks save little interpreter
+#: time and cost memory in proportion.
+BLOCK_ROWS = 4096
 
 
 def sample_batch(
@@ -110,7 +123,9 @@ class RunRecord:
     recording window.  When an anchor (``theta_hat``) was supplied,
     ``rescaled_states`` maps the parameter block through
     ``n**local_exponent * (theta - theta_hat)``, the coordinates in which
-    the large-sample predictions live.
+    the large-sample predictions live.  ``wall_time`` is this run's share
+    of the batched call that produced it: that call's seconds divided by
+    its number of replicates.
     """
 
     manifest: dict
@@ -256,13 +271,25 @@ def _build_context(
     return ctx
 
 
+def _batch_mean(g: np.ndarray) -> np.ndarray:
+    """Mean over the batch axis of ``g (..., b, dim)``: bitwise ``mean``, cheaper."""
+    return np.add.reduce(g, axis=-2) / g.shape[-2]
+
+
 def _make_transition(ctx: _Context) -> Callable:
-    """Compile the per-step update into a closure with bound constants."""
+    """Compile the per-step update into a closure with bound constants.
+
+    The closure maps ``state (R, state_dim)``, the gathered ``rows
+    (R, b, k)``, their indices ``idx (R, b)`` and ``xi (R, dim)`` (or None)
+    to the next ``(R, state_dim)`` state, one replicate per row.
+    """
     model = ctx.model
     grad_fn = model.grad
     prior_fn = model.grad_prior
     inv_n = 1.0 / ctx.n
-    flat_prior = not np.any(prior_fn(np.zeros(ctx.dim)))
+    # Identity, not a probe: a prior whose gradient vanishes at one point
+    # (any prior centred there) still pulls everywhere else.
+    flat_prior = prior_fn is zero_prior
     half_h_gamma = 0.5 * ctx.h * ctx.gamma
     noise = ctx.noise_factor
     box = ctx.box
@@ -275,20 +302,20 @@ def _make_transition(ctx: _Context) -> Callable:
         half_h = 0.5 * ctx.h
 
         def transition(state, rows, idx, xi):
-            theta = state[:d]
-            psi = state[d:]
-            g_like = grad_fn(theta, rows).mean(axis=0)
-            new_theta = theta + half_h_minv @ psi
+            theta = state[:, :d]
+            psi = state[:, d:]
+            g_like = _batch_mean(grad_fn(theta, rows))
+            new_theta = theta + matvec(half_h_minv, psi)
             if box is not None:
                 new_theta = np.clip(new_theta, box[0], box[1])
-            new_psi = psi + half_h * g_like - half_h_gamma_minv @ psi
+            new_psi = psi + half_h * g_like - matvec(half_h_gamma_minv, psi)
             if not flat_prior:
                 new_psi = new_psi + half_h * (inv_n * prior_fn(theta))
             if noise is not None:
-                new_psi = new_psi + noise @ xi
-            out = np.empty(2 * d)
-            out[:d] = new_theta
-            out[d:] = new_psi
+                new_psi = new_psi + matvec(noise, xi)
+            out = np.empty_like(state)
+            out[:, :d] = new_theta
+            out[:, d:] = new_psi
             return out
 
         return transition
@@ -299,16 +326,17 @@ def _make_transition(ctx: _Context) -> Callable:
 
     def transition(state, rows, idx, xi):
         if control_variate:
-            g_like = (grad_fn(state, rows) - anchor_grads[idx]).mean(axis=0) + anchor_mean
+            g_like = _batch_mean(grad_fn(state, rows) - anchor_grads[idx]) + anchor_mean
         else:
-            g_like = grad_fn(state, rows).mean(axis=0)
-        delta_loglik = half_h_gamma @ g_like
+            g_like = _batch_mean(grad_fn(state, rows))
+        delta_loglik = matvec(half_h_gamma, g_like)
         if flat_prior:
             proposal = state + delta_loglik
         else:
-            proposal = state + delta_loglik + half_h_gamma @ (inv_n * prior_fn(state))
+            prior = matvec(half_h_gamma, inv_n * prior_fn(state))
+            proposal = state + delta_loglik + prior
         if noise is not None:
-            proposal = proposal + noise @ xi
+            proposal = proposal + matvec(noise, xi)
         if box is not None:
             proposal = np.clip(proposal, box[0], box[1])
         return proposal
@@ -344,7 +372,8 @@ def step(
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (ctx.dim,):
             raise DimensionError(f"xi must have shape ({ctx.dim},)")
-    return ctx.transition(state, records[batch], batch, xi)
+        xi = xi[None]
+    return ctx.transition(state[None], records[batch][None], batch[None], xi)[0]
 
 
 def _resolve_init(
@@ -408,9 +437,48 @@ def run(
     default control-variate anchor.  Divergence (a coordinate beyond
     ``DIVERGENCE_LIMIT`` or non-finite) raises :class:`DivergenceError`
     whose ``partial_record`` attribute holds everything recorded up to the
-    offending step.
+    offending step.  This is the one-replicate case of
+    :func:`run_replicates`.
+    """
+    (record,) = run_replicates(
+        model, data, cfg, 1, n_steps=n_steps, epochs=epochs, theta_hat=theta_hat,
+        init=init, recording=recording, anchor=anchor,
+    )
+    if record.diverged_at is not None:
+        err = DivergenceError(
+            f"iterate exceeded {DIVERGENCE_LIMIT:.0e} at step {record.diverged_at}",
+            step=record.diverged_at,
+            last_iterate=record.final_state.copy(),
+        )
+        err.partial_record = record
+        raise err
+    return record
+
+
+def run_replicates(
+    model: ModelSpec,
+    data: Dataset,
+    cfg: TuningConfig,
+    replicates: int,
+    n_steps: int | None = None,
+    epochs: float | None = None,
+    theta_hat: np.ndarray | None = None,
+    init=None,
+    recording: RecordingPlan | None = None,
+    anchor: np.ndarray | None = None,
+) -> list[RunRecord]:
+    """Advance replicates ``r = 0..R-1``, at seeds ``cfg.seed + r``, together.
+
+    The keyword arguments are those of :func:`run`, and replicate ``r``
+    equals ``run(model, data, cfg.with_seed(cfg.seed + r), ...)`` bit for
+    bit.  Divergence is returned, not raised: a replicate that diverges
+    stops at its offending iterate (its ``final_state``), its record has
+    ``diverged_at`` set and keeps what came before, and the other
+    replicates go on.
     """
     t_start = time.perf_counter()
+    if replicates < 1:
+        raise ConfigError("replicates must be >= 1")
     records = model.check_records(data.records)
     n = records.shape[0]
     if (n_steps is None) == (epochs is None):
@@ -426,14 +494,17 @@ def run(
     ctx = _build_context(model, records, cfg, n, anchor)
     d, state_dim, b = ctx.dim, ctx.state_dim, ctx.b
 
-    root = np.random.SeedSequence(cfg.seed)
-    batch_ss, noise_ss, init_ss = root.spawn(3)
-    batch_rng = np.random.Generator(np.random.Philox(batch_ss))
-    noise_rng = np.random.Generator(np.random.Philox(noise_ss))
-    init_rng = np.random.Generator(np.random.Philox(init_ss))
-
-    state = _resolve_init(ctx, init, theta_hat, init_rng)
-    init_state = state.copy()
+    cfgs = [cfg.with_seed(cfg.seed + r) for r in range(replicates)]
+    batch_rngs, noise_rngs, init_states = [], [], []
+    for rep_cfg in cfgs:
+        streams = np.random.SeedSequence(rep_cfg.seed).spawn(3)
+        batch_rng, noise_rng, init_rng = (
+            np.random.Generator(np.random.Philox(ss)) for ss in streams
+        )
+        batch_rngs.append(batch_rng)
+        noise_rngs.append(noise_rng)
+        init_states.append(_resolve_init(ctx, init, theta_hat, init_rng))
+    init_states = np.array(init_states)
 
     win_lo = recording.average_start
     win_hi = recording.average_stop if recording.average_stop is not None else n_steps
@@ -442,118 +513,116 @@ def run(
     win_hi = min(win_hi, n_steps)
 
     thin = recording.thin
-    states = np.empty((n_steps // thin, state_dim))
-    avg_sum = np.zeros(state_dim)
+    states = np.empty((replicates, n_steps // thin, state_dim))
+    avg_sum = np.zeros((replicates, state_dim))
+    final_states = np.empty((replicates, state_dim))
+    steps_done = [n_steps] * replicates  # steps kept before any divergence
+    diverged_at: list[int | None] = [None] * replicates
 
     transition = ctx.transition
     # Exhaustive batches (b = n without replacement) are the whole dataset in
     # natural order every step, so their records are viewed, never gathered.
     exhaustive = b == n and cfg.policy == WITHOUT_REPLACEMENT
-    block_steps = BLOCK_ROWS if exhaustive else max(1, BLOCK_ROWS // b)
-    buf = np.empty((block_steps, state_dim))
-    diverged_at: int | None = None
+    block_steps = max(1, BLOCK_ROWS // (replicates * (1 if exhaustive else b)))
 
+    active = np.arange(replicates)  # replicates still running, one per state row
+    state = init_states.copy()
     step_global = 0  # steps completed before the current block
     # Runaway trajectories legitimately produce overflow/nan in the steps
     # just before the divergence scan cuts the block; those transient
     # warnings are noise, the scan is the real detector.
     with np.errstate(over="ignore", invalid="ignore"):
-        while step_global < n_steps and diverged_at is None:
+        while step_global < n_steps and active.size:
             blk = min(block_steps, n_steps - step_global)
+            live = active.size
 
-            # Batch indices for the block, consumed from the batch stream only.
-            idx_block = sample_batch(batch_rng, n, b, cfg.policy, blk)
+            # Each replicate's draws for the block, from its own streams only.
             if exhaustive:
-                rows_block = np.broadcast_to(records, (blk, *records.shape))
+                idx_block = np.broadcast_to(np.arange(n), (blk, live, n))
+                rows_block = np.broadcast_to(records, (blk, live, *records.shape))
             else:
+                idx_block = np.empty((blk, live, b), dtype=np.int64)
+                for j, r in enumerate(active):
+                    idx_block[:, j] = sample_batch(batch_rngs[r], n, b, cfg.policy, blk)
                 rows_block = records[idx_block]
-            noise_block = (
-                noise_rng.standard_normal((blk, d))
-                if ctx.noise_factor is not None
-                else [None] * blk
-            )
+            if ctx.noise_factor is not None:
+                noise_block = np.empty((blk, live, d))
+                for j, r in enumerate(active):
+                    noise_block[:, j] = noise_rngs[r].standard_normal((blk, d))
+            else:
+                noise_block = [None] * blk
 
+            buf = np.empty((blk, live, state_dim))
             for i, (rows, idx, xi) in enumerate(zip(rows_block, idx_block, noise_block)):
                 state = buf[i] = transition(state, rows, idx, xi)
 
-            # Divergence scan before any accumulation uses the block.
-            bad = ~np.all(np.abs(buf[:blk]) <= DIVERGENCE_LIMIT, axis=1)
-            if bad.any():
-                first_bad = int(np.argmax(bad))
-                diverged_at = step_global + first_bad + 1
-                state = buf[first_bad].copy()  # the offending iterate
-                blk = first_bad  # keep only the steps before the divergence
+            # Divergence scan before any accumulation uses the block: each
+            # replicate keeps only its steps before its first bad iterate.
+            bad = ~np.all(np.abs(buf) <= DIVERGENCE_LIMIT, axis=2)
+            stopped = bad.any(axis=0)
+            cut = np.where(stopped, np.argmax(bad, axis=0), blk)
 
-            # Thinned trajectory: of steps s0+1 .. s0+blk keep multiples of thin.
+            # Thinned trajectory: of steps s0+1 .. s0+blk keep multiples of
+            # thin.  Rows past a replicate's cut are dropped at the end.
             kept = buf[(-step_global - 1) % thin : blk : thin]
-            states[step_global // thin : step_global // thin + len(kept)] = kept
+            row0 = step_global // thin
+            states[active, row0 : row0 + len(kept)] = kept.swapaxes(0, 1)
             lo = max(win_lo - step_global, 0)
             hi = min(win_hi - step_global, blk)
             if lo < hi:
-                # One running sum in step order, whatever the block length.
-                avg_sum = np.add.accumulate(np.vstack([avg_sum, buf[lo:hi]]))[-1]
+                # One running sum in step order, whatever the block length;
+                # a stopped replicate takes its partial sum at its cut.
+                sums = np.add.accumulate(
+                    np.concatenate([avg_sum[active][None], buf[lo:hi]])
+                )
+                taken = np.clip(np.minimum(hi, cut) - lo, 0, None)
+                avg_sum[active] = sums[taken, np.arange(live)]
+
+            for j in np.flatnonzero(stopped):
+                r = active[j]
+                diverged_at[r] = step_global + int(cut[j]) + 1
+                steps_done[r] = step_global + int(cut[j])
+                final_states[r] = buf[cut[j], j]  # the offending iterate
+            active, state = active[~stopped], state[~stopped]
             step_global += blk
+    final_states[active] = state
 
-    states = states[: step_global // thin]
-    avg_count = min(win_hi, step_global) - win_lo
-    avg_state = avg_sum / avg_count if avg_count > 0 else None
-
-    manifest = {
-        "config": cfg.to_dict(),
-        "n": n,
-        "dim": d,
-        "state_dim": state_dim,
-        "n_steps": n_steps,
-        "thin": thin,
-        "avg_window": [win_lo, win_hi],
-        "data_hash": dataset_hash(records),
-        "theta_hat": None if theta_hat is None else np.asarray(theta_hat).tolist(),
-        "local_exponent": ctx.local_exponent,
-        "init_state": init_state.tolist(),
-        "step_size": ctx.h,
-        "batch_size": b,
-        "inverse_temperature": "inf" if math.isinf(ctx.beta) else ctx.beta,
-        "diverged_at": diverged_at,
-    }
-
-    record = RunRecord(
-        manifest=manifest,
-        states=states,
-        thin=thin,
-        init_state=init_state,
-        final_state=state.copy(),
-        avg_state=avg_state,
-        avg_window=(win_lo, win_hi),
-        theta_hat=None if theta_hat is None else np.asarray(theta_hat, float).copy(),
-        local_exponent=ctx.local_exponent,
-        n=n,
-        dim=d,
-        n_steps=n_steps,
-        wall_time=time.perf_counter() - t_start,
-        diverged_at=diverged_at,
-    )
-    if diverged_at is not None:
-        err = DivergenceError(
-            f"iterate exceeded {DIVERGENCE_LIMIT:.0e} at step {diverged_at}",
-            step=diverged_at,
-            last_iterate=state.copy(),
-        )
-        err.partial_record = record
-        raise err
-    return record
-
-
-def run_replicates(
-    model: ModelSpec,
-    data: Dataset,
-    cfg: TuningConfig,
-    replicates: int,
-    **run_kwargs,
-) -> list[RunRecord]:
-    """Sequential replicate runs with seeds ``cfg.seed + r`` for ``r = 0..R-1``."""
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    return [
-        run(model, data, cfg.with_seed(cfg.seed + r), **run_kwargs)
-        for r in range(replicates)
-    ]
+    wall_share = (time.perf_counter() - t_start) / replicates
+    data_hash = dataset_hash(records)
+    out = []
+    for r, rep_cfg in enumerate(cfgs):
+        avg_count = min(win_hi, steps_done[r]) - win_lo
+        manifest = {
+            "config": rep_cfg.to_dict(),
+            "n": n,
+            "dim": d,
+            "state_dim": state_dim,
+            "n_steps": n_steps,
+            "thin": thin,
+            "avg_window": [win_lo, win_hi],
+            "data_hash": data_hash,
+            "theta_hat": None if theta_hat is None else np.asarray(theta_hat).tolist(),
+            "local_exponent": ctx.local_exponent,
+            "init_state": init_states[r].tolist(),
+            "step_size": ctx.h,
+            "batch_size": b,
+            "inverse_temperature": "inf" if math.isinf(ctx.beta) else ctx.beta,
+            "diverged_at": diverged_at[r],
+        }
+        out.append(RunRecord(
+            manifest=manifest,
+            states=states[r, : steps_done[r] // thin],
+            thin=thin,
+            init_state=init_states[r],
+            final_state=final_states[r],
+            avg_state=avg_sum[r] / avg_count if avg_count > 0 else None,
+            avg_window=(win_lo, win_hi),
+            theta_hat=None if theta_hat is None else np.asarray(theta_hat, float).copy(),
+            local_exponent=ctx.local_exponent,
+            n=n,
+            dim=d,
+            n_steps=n_steps,
+            wall_time=wall_share,
+            diverged_at=diverged_at[r],
+        ))
+    return out

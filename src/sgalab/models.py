@@ -1,8 +1,9 @@
 """Statistical models, synthetic data generators, and CSV ingestion.
 
-A model is a bundle of vectorized per-record callables: log-likelihood,
-score, and Hessian contributions of each data record at a parameter vector,
-plus an optional log-prior gradient.  Three families are provided:
+A model is a bundle of vectorized callables: log-likelihood and score
+contributions of each data record at a parameter vector, the
+record-averaged Hessian, and an optional log-prior gradient.  Three
+families are provided:
 
 * weighted Gaussian location: separable quadratic likelihood with per
   coordinate curvature weights, the workhorse for exact sanity checks;
@@ -24,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, DimensionError
+from .linalg import matvec
 
 DEFAULT_GAUSSIAN_DIM = 10
 
@@ -34,19 +36,21 @@ ArrayFun = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class ModelSpec:
     """A statistical model exposed through vectorized per-record callables.
 
-    ``loglik(theta, records) -> (m,)``, ``grad(theta, records) -> (m, dim)``
-    and ``hess(theta, records) -> (m, dim, dim)`` evaluate one contribution
-    per record row.  ``hess_mean`` computes the record-averaged Hessian
-    without materializing the per-record stack (the only Hessian form needed
-    at scale).  ``grad_prior`` is the gradient of the log-prior, identically
-    zero for the default flat prior.
+    ``loglik(theta, records) -> (m,)`` and ``grad(theta, records) -> (m, dim)``
+    evaluate one contribution per record row.  ``grad`` also takes leading
+    axes, one parameter per stack of records:
+    ``grad(theta (..., dim), records (..., m, k)) -> (..., m, dim)``, and each
+    slice equals the unstacked call bit for bit, so the engine can advance
+    many replicates at once.  ``hess_mean(theta, records) -> (dim, dim)`` is
+    the record-averaged Hessian, computed without a per-record stack.
+    ``grad_prior(theta (..., dim)) -> (..., dim)`` is the gradient of the
+    log-prior, :func:`zero_prior` for the default flat prior.
     """
 
     family: str
     dim: int
     loglik: ArrayFun
     grad: ArrayFun
-    hess: ArrayFun
     hess_mean: ArrayFun
     grad_prior: Callable[[np.ndarray], np.ndarray]
     validate: Callable[[np.ndarray], None]
@@ -98,11 +102,9 @@ class TruthSpec:
     available: bool = False
 
 
-def _zero_prior(dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    def grad_prior(theta: np.ndarray) -> np.ndarray:
-        return np.zeros(dim)
-
-    return grad_prior
+def zero_prior(theta: np.ndarray) -> np.ndarray:
+    """Gradient of the flat log-prior; the engine skips the prior term for it."""
+    return np.zeros(np.shape(theta))
 
 
 def default_location_weights(d: int) -> np.ndarray:
@@ -133,10 +135,7 @@ def gaussian_location_model(
         return -0.5 * (resid * resid) @ w
 
     def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        return (records - theta) * w
-
-    def hess(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(neg_diag, (records.shape[0], d, d))
+        return (records - theta[..., None, :]) * w
 
     def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         return neg_diag.copy()
@@ -154,16 +153,15 @@ def gaussian_location_model(
         dim=d,
         loglik=loglik,
         grad=grad,
-        hess=hess,
         hess_mean=hess_mean,
-        grad_prior=_zero_prior(d),
+        grad_prior=zero_prior,
         validate=validate,
         params={"weights": w},
     )
 
 
 def _split_xy(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return records[:, :-1], records[:, -1]
+    return records[..., :-1], records[..., -1]
 
 
 def logistic_model(p: int) -> ModelSpec:
@@ -186,13 +184,7 @@ def logistic_model(p: int) -> ModelSpec:
 
     def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, y = _split_xy(records)
-        return (y - _sigmoid(x @ theta))[:, None] * x
-
-    def hess(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        x, _ = _split_xy(records)
-        s = _sigmoid(x @ theta)
-        v = s * (1.0 - s)
-        return -v[:, None, None] * (x[:, :, None] * x[:, None, :])
+        return (y - _sigmoid(matvec(x, theta)))[..., None] * x
 
     def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, _ = _split_xy(records)
@@ -221,9 +213,8 @@ def logistic_model(p: int) -> ModelSpec:
         dim=p,
         loglik=loglik,
         grad=grad,
-        hess=hess,
         hess_mean=hess_mean,
-        grad_prior=_zero_prior(p),
+        grad_prior=zero_prior,
         validate=validate,
         params={"p": p},
     )
@@ -249,14 +240,8 @@ def poisson_model(p: int) -> ModelSpec:
     def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, y = _split_xy(records)
         with np.errstate(over="ignore"):
-            mu = np.exp(x @ theta)
-        return (y - mu)[:, None] * x
-
-    def hess(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        x, _ = _split_xy(records)
-        with np.errstate(over="ignore"):
-            mu = np.exp(x @ theta)
-        return -mu[:, None, None] * (x[:, :, None] * x[:, None, :])
+            mu = np.exp(matvec(x, theta))
+        return (y - mu)[..., None] * x
 
     def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, _ = _split_xy(records)
@@ -285,9 +270,8 @@ def poisson_model(p: int) -> ModelSpec:
         dim=p,
         loglik=loglik,
         grad=grad,
-        hess=hess,
         hess_mean=hess_mean,
-        grad_prior=_zero_prior(p),
+        grad_prior=zero_prior,
         validate=validate,
         params={"p": p},
     )

@@ -195,6 +195,29 @@ def fd_jacobian(vec_fun, theta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     return out
 
 
+def per_record_hess(model, theta: np.ndarray, records: np.ndarray) -> np.ndarray:
+    """Per-record Hessian stack ``(m, dim, dim)`` from each family's formula.
+
+    The package only needs the record average (``ModelSpec.hess_mean``);
+    this stack is the reference that average and the score are checked
+    against.
+    """
+    m, d = records.shape[0], model.dim
+    if model.family == "gaussian_location":
+        return np.broadcast_to(-np.diag(model.params["weights"]), (m, d, d))
+    x = records[:, :-1]
+    z = x @ theta
+    if model.family == "logistic":
+        s = np.exp(-np.logaddexp(0.0, -z))
+        v = s * (1.0 - s)
+    elif model.family == "poisson":
+        with np.errstate(over="ignore"):
+            v = np.exp(z)
+    else:
+        raise ValueError(f"no Hessian formula for family {model.family!r}")
+    return -v[:, None, None] * (x[:, :, None] * x[:, None, :])
+
+
 # ---------------------------------------------------------- batch spaces
 
 

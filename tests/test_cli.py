@@ -157,6 +157,9 @@ def test_predict_simulate_compare_roundtrip(tmp_path, capsys):
     for name in ("trace_000.csv", "trace_001.csv", "manifest_000.json",
                  "manifest_001.json", "timings.json"):
         assert os.path.exists(os.path.join(out, name)), name
+    timings = _read_json(os.path.join(out, "timings.json"))
+    assert timings["steps"] == 2 * 4000  # 20 epochs of n / b = 200 steps each
+    assert timings["steps_per_s"] > 0
 
     assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == 0
     comparison = _read_json(os.path.join(out, "comparison.json"))
@@ -325,6 +328,10 @@ def test_simulate_divergence_exit_code_and_partial_trace(tmp_path, capsys):
     run0 = _read_json(os.path.join(out, "manifest_000.json"))
     assert run0["diverged"] is True
     assert run0["run"]["diverged_at"] >= 1
+    # executed steps: a diverged replicate counts up to its divergence step
+    timings = _read_json(os.path.join(out, "timings.json"))
+    assert timings["steps"] == run0["run"]["diverged_at"]
+    assert timings["steps_per_s"] > 0
 
 
 def test_tune_writes_recommendation(tmp_path):

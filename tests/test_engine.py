@@ -6,6 +6,7 @@ configuration must degenerate to textbook preconditioned gradient descent
 with no randomness consumed.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -179,7 +180,10 @@ def _manual_replay(model, data, cfg, n_steps, init_state):
     elif cfg.policy == WITHOUT_REPLACEMENT and b == n:
         idx_block = np.tile(np.arange(n), (n_steps, 1))
     elif cfg.policy == WITHOUT_REPLACEMENT:
-        idx_block = np.stack([batch_rng.permutation(n)[:b] for _ in range(n_steps)])
+        # row by row, so no permutation outlives its row
+        idx_block = np.empty((n_steps, b), dtype=np.int64)
+        for row in idx_block:
+            row[:] = batch_rng.permutation(n)[:b]
     else:
         idx_block = batch_rng.integers(0, n, size=(n_steps, b))
     noise_block = noise_rng.standard_normal((n_steps, d)) if cfg.has_noise else None
@@ -390,6 +394,132 @@ def test_results_do_not_depend_on_block_size(monkeypatch):
             assert np.array_equal(rec.states, ref.states), name
             assert np.array_equal(rec.avg_state, ref.avg_state), name
             assert np.array_equal(rec.final_state, ref.final_state, equal_nan=True), name
+
+
+# ------------------------------------------------------ replicate batching
+
+
+def _prior_model(model):
+    """``model`` with a Gaussian log-prior, so the prior term is not zero."""
+    return dataclasses.replace(model, grad_prior=lambda th: -th / 4.0)
+
+
+def _batched_cases():
+    """(name, (model, data, truth), cfg, n_steps, replicates) for run_replicates."""
+    gauss = models.generate_gaussian(30, 3, seed=2)
+    gauss1 = models.generate_gaussian(30, 1, seed=3)
+    # dense preconditioners: with diagonal ones a gemm would also match gemv
+    dense = np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.25], [-0.2, 0.25, 0.6]])
+    sgld = dict(frak_h=1.0, c_h=2.0, frak_b=0.0, frak_t=1.0, c_beta=2.0,
+                gamma=dense, lam=dense)
+    yield "plain_b1", gauss, TuningConfig(frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=1.0,
+                                          gamma=dense, seed=1), 300, 4
+    yield "sgld_b3", gauss, TuningConfig(c_b=3.0, seed=2, **sgld), 300, 4
+    yield "sgld_d1_b20", gauss1, TuningConfig(
+        frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=20.0, frak_t=1.0, c_beta=2.0, seed=2), 200, 3
+    yield "noreplace_b4", gauss, TuningConfig(
+        c_b=4.0, policy=WITHOUT_REPLACEMENT, seed=3, **sgld), 300, 4
+    yield "bn_sgld", gauss, TuningConfig(
+        frak_h=1.0, c_h=2.0, frak_b=1.0, c_b=1.0, frak_t=1.0, c_beta=2.0,
+        gamma=dense, lam=dense, policy=WITHOUT_REPLACEMENT, seed=4), 200, 3
+    yield "bn_sgld_d1", gauss1, TuningConfig(
+        frak_h=1.0, c_h=2.0, frak_b=1.0, c_b=1.0, frak_t=1.0, c_beta=2.0,
+        policy=WITHOUT_REPLACEMENT, seed=4), 200, 3
+    box = (np.array([-0.2, -0.2, -0.2]), np.array([0.2, 0.2, 0.05]))
+    yield "box_clipped", gauss, TuningConfig(c_b=2.0, boundary=box, seed=5, **sgld), 300, 4
+    dense4 = np.eye(4) + 0.2 * np.ones((4, 4))
+    yield "control_variate_logistic", models.generate_logistic(60, 4, seed=6), TuningConfig(
+        frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=5.0, frak_t=1.0, c_beta=1.0,
+        gamma=dense4, lam=dense4, variant=CONTROL_VARIATE, seed=6), 300, 4
+    momentum = dict(frak_h=1.0, c_h=1.0, frak_b=0.0, c_b=2.0, frak_t=1.0, c_beta=2.0,
+                    gamma=dense, mass=np.diag([1.0, 2.0, 0.5]) + 0.1, variant=MOMENTUM)
+    yield "momentum", gauss, TuningConfig(seed=7, **momentum), 300, 4
+    model, data, truth = gauss
+    yield "prior_plain", (_prior_model(model), data, truth), TuningConfig(
+        c_b=2.0, seed=8, **sgld), 300, 3
+    yield "prior_momentum", (_prior_model(model), data, truth), TuningConfig(
+        seed=9, **momentum), 300, 3
+    # replicates 2 and 4 diverge (at steps 22 and 149), the others survive
+    yield "poisson_some_diverge", models.generate_poisson(200, 3, seed=10), TuningConfig(
+        frak_h=1.0, c_h=1000.0, frak_b=0.0, c_b=25.0, seed=0), 400, 6
+
+
+def _replicates(model, data, truth, cfg, n_steps, replicates):
+    return engine.run_replicates(
+        model, data, cfg, replicates, n_steps=n_steps, theta_hat=truth.theta_star,
+        recording=RecordingPlan(thin=3, average_start=5),
+    )
+
+
+def _assert_same_run(got, want, tag):
+    assert got.diverged_at == want.diverged_at, tag
+    assert got.manifest == want.manifest, tag
+    assert np.array_equal(got.states, want.states), tag
+    assert np.array_equal(got.init_state, want.init_state), tag
+    assert np.array_equal(got.final_state, want.final_state, equal_nan=True), tag
+    if want.avg_state is None:
+        assert got.avg_state is None, tag
+    else:
+        assert np.array_equal(got.avg_state, want.avg_state), tag
+
+
+def test_batched_replicates_equal_solo_runs_bitwise():
+    for name, (model, data, truth), cfg, n_steps, reps in _batched_cases():
+        batched = _replicates(model, data, truth, cfg, n_steps, reps)
+        assert len(batched) == reps
+        diverged = [rec.diverged_at is not None for rec in batched]
+        assert any(diverged) == (name == "poisson_some_diverge"), name
+        assert not all(diverged), name
+        for r, rec in enumerate(batched):
+            try:
+                solo = engine.run(
+                    model, data, cfg.with_seed(cfg.seed + r), n_steps=n_steps,
+                    theta_hat=truth.theta_star,
+                    recording=RecordingPlan(thin=3, average_start=5),
+                )
+            except DivergenceError as err:
+                solo = err.partial_record
+            _assert_same_run(rec, solo, (name, r))
+
+
+def test_replicate_results_do_not_depend_on_grouping_or_block_size(monkeypatch):
+    cases = {name: case for name, *case in _batched_cases()}
+    for name in ("sgld_b3", "noreplace_b4", "bn_sgld", "momentum", "poisson_some_diverge"):
+        (model, data, truth), cfg, n_steps, _ = cases[name]
+        runs = []
+        for block_rows in (1, 7, 4096):
+            monkeypatch.setattr(engine, "BLOCK_ROWS", block_rows)
+            runs.append(_replicates(model, data, truth, cfg, n_steps, 5))
+            split = (_replicates(model, data, truth, cfg, n_steps, 2)
+                     + _replicates(model, data, truth, cfg.with_seed(cfg.seed + 2), n_steps, 3))
+            for r, (got, want) in enumerate(zip(split, runs[-1])):
+                _assert_same_run(got, want, (name, block_rows, r))
+        for other in runs[1:]:
+            for r, (got, want) in enumerate(zip(other, runs[0])):
+                _assert_same_run(got, want, (name, r))
+
+
+def test_non_flat_prior_enters_the_drift():
+    # a noiseless step moves by (h/2) times the textbook drift, prior included
+    model, data, _ = models.generate_gaussian(6, 2, seed=4)
+    model = _prior_model(model)
+    gamma = np.array([[1.5, 0.2], [0.2, 0.8]])
+    theta, psi = np.array([0.3, -0.2]), np.array([0.5, 0.1])
+    base = dict(frak_h=1.0, c_h=0.7, frak_b=0.0, c_b=2.0, gamma=gamma)
+    plain = TuningConfig(**base)
+    momentum = TuningConfig(variant=MOMENTUM, **base)
+    h = plain.step_size(6)
+    assert np.any(model.grad_prior(theta))
+    for batch in oracles.enumerate_batches(6, 2, WITH_REPLACEMENT):
+        batch = np.array(batch)
+        drift = oracles.stochastic_gradient(model, data, theta, batch)
+        got = engine.step(model, data, plain, theta, batch)
+        assert np.max(np.abs(got - (theta + 0.5 * h * gamma @ drift))) <= 1e-12
+        got = engine.step(model, data, momentum, np.concatenate([theta, psi]), batch)
+        want = np.concatenate(
+            [theta + 0.5 * h * psi, psi + 0.5 * h * drift - 0.5 * h * gamma @ psi]
+        )
+        assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_recording_plan_validation():

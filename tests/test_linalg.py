@@ -81,6 +81,21 @@ def test_sym():
     assert np.allclose(linalg.sym(m), [[1.0, 1.0], [1.0, 3.0]])
 
 
+def test_matvec_slices_equal_unstacked_products_bitwise():
+    rng = np.random.default_rng(25)
+    for d in (1, 3, 10, 25):
+        shared = rng.standard_normal((d, d))
+        stacked = rng.standard_normal((4, 6, d))
+        vecs = rng.standard_normal((4, d))
+        got = linalg.matvec(shared, vecs)
+        assert got.shape == (4, d)
+        got_stacked = linalg.matvec(stacked, vecs)
+        assert got_stacked.shape == (4, 6)
+        for r in range(4):
+            assert np.array_equal(got[r], shared @ vecs[r]), d
+            assert np.array_equal(got_stacked[r], stacked[r] @ vecs[r]), d
+
+
 def test_solve_lyapunov_residual_small():
     rng = np.random.default_rng(24)
     cases = []

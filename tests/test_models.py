@@ -32,13 +32,32 @@ def test_gradients_match_finite_differences():
         assert np.max(np.abs(got - want)) / scale < 1e-6, model.family
 
 
+def test_grad_with_leading_axes_equals_stacked_solo_calls():
+    # the engine advances replicates as stacks; each slice must be the solo call
+    rng = np.random.default_rng(45)
+    gens = (models.generate_gaussian, models.generate_logistic, models.generate_poisson)
+    for gen in gens:
+        for p in (1, 4, 25):
+            model, data, _ = gen(60, p, seed=p)
+            for lead in ((1,), (3,), (2, 3)):
+                for m in (1, 20):
+                    thetas = rng.normal(scale=0.2, size=(*lead, p))
+                    rows = data.records[rng.integers(0, 60, size=(*lead, m))]
+                    got = model.grad(thetas, rows)
+                    assert got.shape == (*lead, m, p)
+                    for k in np.ndindex(*lead):
+                        want = model.grad(thetas[k], rows[k])
+                        assert np.array_equal(got[k], want), (model.family, p, lead, m)
+                    assert model.grad_prior(thetas).shape == thetas.shape
+
+
 def test_hessians_match_finite_differences():
     rng = np.random.default_rng(41)
     for model, records, theta in _family_cases(rng):
         want = oracles.fd_jacobian(
             lambda th: model.grad(th, records).sum(axis=0), theta
         )
-        got = model.hess(theta, records).sum(axis=0)
+        got = oracles.per_record_hess(model, theta, records).sum(axis=0)
         scale = 1.0 + np.abs(want).max()
         assert np.max(np.abs(got - want)) / scale < 1e-6, model.family
 
@@ -46,7 +65,7 @@ def test_hessians_match_finite_differences():
 def test_hess_mean_equals_mean_of_per_record_hessians():
     rng = np.random.default_rng(42)
     for model, records, theta in _family_cases(rng):
-        want = model.hess(theta, records).mean(axis=0)
+        want = oracles.per_record_hess(model, theta, records).mean(axis=0)
         got = model.hess_mean(theta, records)
         assert np.allclose(got, want, atol=1e-12), model.family
 
