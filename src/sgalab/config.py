@@ -444,10 +444,6 @@ def resolve_setup(tree: dict) -> Setup:
     )
 
 
-def load_setup(path: str) -> Setup:
-    return resolve_setup(parse_config(path))
-
-
 def recommend_kwargs(tree: dict) -> dict:
     """Translate the [recommend] section into recommend_tuning arguments."""
     r = dict(tree.get("recommend", {}))

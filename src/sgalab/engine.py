@@ -29,14 +29,18 @@ one ``(R, state_dim)`` array, so the per-step interpreter cost is paid once
 per step rather than once per replicate-step; :func:`run` is its
 one-replicate case.  Every replicate keeps its own streams, and every
 product in the update is a per-replicate matrix-vector product, so
-replicate ``r`` equals its solo run bit for bit.  The loop works in blocks
-of steps: per replicate one :func:`sample_batch` call and one noise draw,
-then one gather of records and the compiled transition step by step.  A
-block gathers at most about ``BLOCK_ROWS`` records over all replicates.
-Every stream is consumed in step order, each iterate average is a running
-sum in step order, and each replicate stops at its own first diverging
-iterate, so neither block boundaries nor the grouping of replicates into
-commands affect results.
+replicate ``r`` equals its solo run bit for bit.  The loop works at two
+block sizes.  A draw block gives each replicate one :func:`sample_batch`
+call and one noise draw covering up to ``_DRAW_STEPS`` steps.  Gather
+blocks split it so that each gathers at most about ``BLOCK_ROWS`` records
+over all replicates; per gather block the records, the control-variate
+anchor scores of the same indices and the noise term ``L xi`` are
+computed once, stacked over steps and replicates, and the compiled
+transition then runs step by step, adding them.  Every stream is consumed
+in step order, each iterate average is a running sum in step order, and
+each replicate stops at its own first diverging iterate (dropping the rest
+of its draws), so neither block boundaries nor the grouping of replicates
+into commands affect results.
 """
 
 from __future__ import annotations
@@ -58,11 +62,20 @@ from .tuning import CONTROL_VARIATE, MOMENTUM, PLAIN, WITHOUT_REPLACEMENT, Tunin
 #: A coordinate beyond this magnitude (or any non-finite value) is divergence.
 DIVERGENCE_LIMIT = 1e12
 
-#: Records gathered per block over all R replicates: ``BLOCK_ROWS // (R*b)``
-#: steps (at least one), or ``BLOCK_ROWS // R`` steps when each batch is the
-#: whole dataset, viewed in place.  Larger blocks save little interpreter
-#: time and cost memory in proportion.
+#: Records gathered per gather block over all R replicates: ``BLOCK_ROWS //
+#: (R*b)`` steps (at least one), or ``BLOCK_ROWS // R`` steps when each batch
+#: is the whole dataset, viewed in place.  A gather block never crosses the
+#: end of a draw block.  Larger blocks save little interpreter time and cost
+#: memory in proportion.
 BLOCK_ROWS = 4096
+
+#: Steps per draw block, rounded up to whole gather blocks: each replicate
+#: draws its batch indices and its noise for the block in one call each, so
+#: at large R, where a gather block is a step or two, the per-replicate
+#: generator calls are not paid at every step.  Where the draw buffers would
+#: pass ``_DRAW_STEPS * BLOCK_ROWS`` values (2**20) over all replicates, a
+#: draw block covers fewer steps (at least one gather block).
+_DRAW_STEPS = 256
 
 
 def sample_batch(
@@ -272,16 +285,27 @@ def _build_context(
 
 
 def _batch_mean(g: np.ndarray) -> np.ndarray:
-    """Mean over the batch axis of ``g (..., b, dim)``: bitwise ``mean``, cheaper."""
-    return np.add.reduce(g, axis=-2) / g.shape[-2]
+    """Mean over the batch axis of ``g (..., b, dim)``: bitwise ``mean``, cheaper.
+
+    For ``b = 1`` the sum is the single row plus the reduction's starting
+    ``+0.0`` (so ``-0.0`` becomes ``+0.0``, as ``mean`` gives), and dividing
+    by one is exact.
+    """
+    b = g.shape[-2]
+    if b == 1:
+        return g[..., 0, :] + 0.0
+    return np.add.reduce(g, axis=-2) / b
 
 
 def _make_transition(ctx: _Context) -> Callable:
     """Compile the per-step update into a closure with bound constants.
 
     The closure maps ``state (R, state_dim)``, the gathered ``rows
-    (R, b, k)``, their indices ``idx (R, b)`` and ``xi (R, dim)`` (or None)
-    to the next ``(R, state_dim)`` state, one replicate per row.
+    (R, b, k)``, their anchor scores ``anchor_rows (R, b, dim)`` (or None
+    outside the control-variate variant) and the noise term
+    ``noise_factor @ xi`` as ``noise_term (R, dim)`` (or None when the
+    configuration is noiseless) to the next ``(R, state_dim)`` state, one
+    replicate per row.
     """
     model = ctx.model
     grad_fn = model.grad
@@ -291,7 +315,6 @@ def _make_transition(ctx: _Context) -> Callable:
     # (any prior centred there) still pulls everywhere else.
     flat_prior = prior_fn is zero_prior
     half_h_gamma = 0.5 * ctx.h * ctx.gamma
-    noise = ctx.noise_factor
     box = ctx.box
     d = ctx.dim
 
@@ -301,7 +324,7 @@ def _make_transition(ctx: _Context) -> Callable:
         half_h_gamma_minv = 0.5 * ctx.h * (ctx.gamma @ mass_inv)
         half_h = 0.5 * ctx.h
 
-        def transition(state, rows, idx, xi):
+        def transition(state, rows, anchor_rows, noise_term):
             theta = state[:, :d]
             psi = state[:, d:]
             g_like = _batch_mean(grad_fn(theta, rows))
@@ -311,22 +334,18 @@ def _make_transition(ctx: _Context) -> Callable:
             new_psi = psi + half_h * g_like - matvec(half_h_gamma_minv, psi)
             if not flat_prior:
                 new_psi = new_psi + half_h * (inv_n * prior_fn(theta))
-            if noise is not None:
-                new_psi = new_psi + matvec(noise, xi)
-            out = np.empty_like(state)
-            out[:, :d] = new_theta
-            out[:, d:] = new_psi
-            return out
+            if noise_term is not None:
+                new_psi = new_psi + noise_term
+            return np.concatenate((new_theta, new_psi), axis=1)
 
         return transition
 
-    anchor_grads = ctx.anchor_grads
     anchor_mean = ctx.anchor_mean
     control_variate = ctx.cfg.variant == CONTROL_VARIATE
 
-    def transition(state, rows, idx, xi):
+    def transition(state, rows, anchor_rows, noise_term):
         if control_variate:
-            g_like = _batch_mean(grad_fn(state, rows) - anchor_grads[idx]) + anchor_mean
+            g_like = _batch_mean(grad_fn(state, rows) - anchor_rows) + anchor_mean
         else:
             g_like = _batch_mean(grad_fn(state, rows))
         delta_loglik = matvec(half_h_gamma, g_like)
@@ -335,8 +354,8 @@ def _make_transition(ctx: _Context) -> Callable:
         else:
             prior = matvec(half_h_gamma, inv_n * prior_fn(state))
             proposal = state + delta_loglik + prior
-        if noise is not None:
-            proposal = proposal + matvec(noise, xi)
+        if noise_term is not None:
+            proposal = proposal + noise_term
         if box is not None:
             proposal = np.clip(proposal, box[0], box[1])
         return proposal
@@ -365,29 +384,36 @@ def step(
     state = np.asarray(state, dtype=float)
     if state.shape != (ctx.state_dim,):
         raise DimensionError(f"state must have shape ({ctx.state_dim},)")
-    batch = np.sort(np.asarray(batch))
+    batch = np.sort(np.asarray(batch))[None]
+    anchor_rows = None if ctx.anchor_grads is None else ctx.anchor_grads[batch]
+    noise_term = None
     if ctx.noise_factor is not None:
         if xi is None:
             raise ConfigError("this configuration has Gaussian noise; xi is required")
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (ctx.dim,):
             raise DimensionError(f"xi must have shape ({ctx.dim},)")
-        xi = xi[None]
-    return ctx.transition(state[None], records[batch][None], batch[None], xi)[0]
+        noise_term = matvec(ctx.noise_factor, xi[None])
+    return ctx.transition(state[None], records[batch], anchor_rows, noise_term)[0]
 
 
-def _resolve_init(
+def _init_states(
     ctx: _Context,
     init,
     theta_hat: np.ndarray | None,
-    rng: np.random.Generator,
+    rngs: list[np.random.Generator],
 ) -> np.ndarray:
+    """Initial ``(R, state_dim)`` states, row ``r`` drawing from ``rngs[r]``.
+
+    The init spec is checked, and a stationary covariance factored, once
+    for all replicates.
+    """
     d, state_dim = ctx.dim, ctx.state_dim
-    state = np.zeros(state_dim)
+    states = np.zeros((len(rngs), state_dim))
     if init is None:
         if theta_hat is not None:
-            state[:d] = theta_hat
-        return state
+            states[:, :d] = theta_hat
+        return states
     if isinstance(init, tuple) and len(init) == 2 and isinstance(init[0], str):
         kind, arg = init
         if theta_hat is None:
@@ -402,18 +428,22 @@ def _resolve_init(
             cov = np.asarray(arg, dtype=float)
             if cov.shape != (d, d):
                 raise ConfigError(f"stationary init covariance must be {d}x{d}")
-            state[:d] = theta_hat + scale * (psd_sqrt(cov) @ rng.standard_normal(d))
-            return state
+            root = psd_sqrt(cov)
+            for state, rng in zip(states, rngs):
+                state[:d] = theta_hat + scale * (root @ rng.standard_normal(d))
+            return states
         if kind == "overdispersed":
-            state[:d] = theta_hat + float(arg) * scale * rng.standard_normal(d)
-            return state
+            for state, rng in zip(states, rngs):
+                state[:d] = theta_hat + float(arg) * scale * rng.standard_normal(d)
+            return states
         raise ConfigError(f"unknown init mode {kind!r}")
     arr = np.asarray(init, dtype=float)
     if arr.shape == (state_dim,):
-        return arr.copy()
+        states[:] = arr
+        return states
     if arr.shape == (d,):
-        state[:d] = arr
-        return state
+        states[:, :d] = arr
+        return states
     raise ConfigError(
         f"init must have shape ({d},) or ({state_dim},), got {arr.shape}"
     )
@@ -475,6 +505,16 @@ def run_replicates(
     stops at its offending iterate (its ``final_state``), its record has
     ``diverged_at`` set and keeps what came before, and the other
     replicates go on.
+
+    Work is blocked twice.  Per draw block (about ``_DRAW_STEPS`` steps,
+    fewer when many replicates would make the buffers large) each live
+    replicate makes one :func:`sample_batch` call and one noise draw.  Per
+    gather block (about ``BLOCK_ROWS`` records over all replicates, never
+    crossing a draw block) the records, the control-variate anchor scores
+    of the same indices and the noise term ``noise_factor @ xi`` are
+    computed once for all its steps, so each step runs only the
+    state-dependent part of the update.  A replicate that stops leaves the
+    rest of its draws unused.
     """
     t_start = time.perf_counter()
     if replicates < 1:
@@ -495,7 +535,7 @@ def run_replicates(
     d, state_dim, b = ctx.dim, ctx.state_dim, ctx.b
 
     cfgs = [cfg.with_seed(cfg.seed + r) for r in range(replicates)]
-    batch_rngs, noise_rngs, init_states = [], [], []
+    batch_rngs, noise_rngs, init_rngs = [], [], []
     for rep_cfg in cfgs:
         streams = np.random.SeedSequence(rep_cfg.seed).spawn(3)
         batch_rng, noise_rng, init_rng = (
@@ -503,8 +543,8 @@ def run_replicates(
         )
         batch_rngs.append(batch_rng)
         noise_rngs.append(noise_rng)
-        init_states.append(_resolve_init(ctx, init, theta_hat, init_rng))
-    init_states = np.array(init_states)
+        init_rngs.append(init_rng)
+    init_states = _init_states(ctx, init, theta_hat, init_rngs)
 
     win_lo = recording.average_start
     win_hi = recording.average_stop if recording.average_stop is not None else n_steps
@@ -520,41 +560,56 @@ def run_replicates(
     diverged_at: list[int | None] = [None] * replicates
 
     transition = ctx.transition
+    noise, anchor_grads = ctx.noise_factor, ctx.anchor_grads
     # Exhaustive batches (b = n without replacement) are the whole dataset in
     # natural order every step, so their records are viewed, never gathered.
     exhaustive = b == n and cfg.policy == WITHOUT_REPLACEMENT
     block_steps = max(1, BLOCK_ROWS // (replicates * (1 if exhaustive else b)))
+    # A draw block is a whole number of gather blocks, at least one.
+    drawn_per_step = replicates * ((0 if exhaustive else b) + (0 if noise is None else d))
+    wanted = min(_DRAW_STEPS, _DRAW_STEPS * BLOCK_ROWS // max(drawn_per_step, 1))
+    draw_steps = block_steps * max(1, -(-wanted // block_steps))
 
     active = np.arange(replicates)  # replicates still running, one per state row
     state = init_states.copy()
-    step_global = 0  # steps completed before the current block
+    step_global = 0  # steps completed before the current gather block
+    draw_pos = draw_len = 0  # steps of the current draw block used, and drawn
     # Runaway trajectories legitimately produce overflow/nan in the steps
     # just before the divergence scan cuts the block; those transient
     # warnings are noise, the scan is the real detector.
     with np.errstate(over="ignore", invalid="ignore"):
         while step_global < n_steps and active.size:
-            blk = min(block_steps, n_steps - step_global)
             live = active.size
+            if draw_pos == draw_len:
+                # Each replicate's draws for the next steps, from its own
+                # streams only.
+                draw_pos, draw_len = 0, min(draw_steps, n_steps - step_global)
+                if not exhaustive:
+                    idx_draw = np.empty((draw_len, live, b), dtype=np.int64)
+                    for j, r in enumerate(active):
+                        idx_draw[:, j] = sample_batch(
+                            batch_rngs[r], n, b, cfg.policy, draw_len
+                        )
+                if noise is not None:
+                    xi_draw = np.empty((draw_len, live, d))
+                    for j, r in enumerate(active):
+                        xi_draw[:, j] = noise_rngs[r].standard_normal((draw_len, d))
+            blk = min(block_steps, draw_len - draw_pos)
+            now = slice(draw_pos, draw_pos + blk)
 
-            # Each replicate's draws for the block, from its own streams only.
-            if exhaustive:
-                idx_block = np.broadcast_to(np.arange(n), (blk, live, n))
-                rows_block = np.broadcast_to(records, (blk, live, *records.shape))
-            else:
-                idx_block = np.empty((blk, live, b), dtype=np.int64)
-                for j, r in enumerate(active):
-                    idx_block[:, j] = sample_batch(batch_rngs[r], n, b, cfg.policy, blk)
-                rows_block = records[idx_block]
-            if ctx.noise_factor is not None:
-                noise_block = np.empty((blk, live, d))
-                for j, r in enumerate(active):
-                    noise_block[:, j] = noise_rngs[r].standard_normal((blk, d))
-            else:
-                noise_block = [None] * blk
+            def gather(table):
+                if exhaustive:
+                    return np.broadcast_to(table, (blk, live, *table.shape))
+                return table[idx_draw[now]]
+
+            # State-independent terms of the whole block, stacked over steps.
+            rows_block = gather(records)
+            anchor_block = [None] * blk if anchor_grads is None else gather(anchor_grads)
+            noise_block = [None] * blk if noise is None else matvec(noise, xi_draw[now])
 
             buf = np.empty((blk, live, state_dim))
-            for i, (rows, idx, xi) in enumerate(zip(rows_block, idx_block, noise_block)):
-                state = buf[i] = transition(state, rows, idx, xi)
+            for i, terms in enumerate(zip(rows_block, anchor_block, noise_block)):
+                state = buf[i] = transition(state, *terms)
 
             # Divergence scan before any accumulation uses the block: each
             # replicate keeps only its steps before its first bad iterate.
@@ -583,8 +638,16 @@ def run_replicates(
                 diverged_at[r] = step_global + int(cut[j]) + 1
                 steps_done[r] = step_global + int(cut[j])
                 final_states[r] = buf[cut[j], j]  # the offending iterate
-            active, state = active[~stopped], state[~stopped]
             step_global += blk
+            draw_pos += blk
+            if stopped.any():
+                # A stopped replicate's remaining draws are dropped with it.
+                going = ~stopped
+                active, state = active[going], state[going]
+                if not exhaustive:
+                    idx_draw = idx_draw[:, going]
+                if noise is not None:
+                    xi_draw = xi_draw[:, going]
     final_states[active] = state
 
     wall_share = (time.perf_counter() - t_start) / replicates

@@ -499,6 +499,81 @@ def test_replicate_results_do_not_depend_on_grouping_or_block_size(monkeypatch):
                 _assert_same_run(got, want, (name, r))
 
 
+def test_results_do_not_depend_on_draw_length(monkeypatch):
+    # draw blocks of one step, of a few steps and of many gather blocks; a
+    # replicate stopping mid-draw must drop its own draws, not a neighbour's
+    cases = {name: case for name, *case in _batched_cases()}
+    draw_lengths = set()
+    real_sample_batch = engine.sample_batch
+
+    def recording_sample_batch(rng, n, b, policy, steps=1):
+        draw_lengths.add(steps)
+        return real_sample_batch(rng, n, b, policy, steps)
+
+    # with noise too: replicates 0 and 3 diverge (at steps 191 and 87)
+    poisson, cfg, n_steps, _ = cases["poisson_some_diverge"]
+    cases["poisson_sgld_some_diverge"] = (
+        poisson, dataclasses.replace(cfg, frak_t=1.0, c_beta=0.5), n_steps, 5)
+    monkeypatch.setattr(engine, "sample_batch", recording_sample_batch)
+    for name in ("sgld_b3", "control_variate_logistic", "noreplace_b4", "bn_sgld",
+                 "poisson_some_diverge", "poisson_sgld_some_diverge"):
+        (model, data, truth), cfg, n_steps, _ = cases[name]
+        runs = []
+        for block_rows in (7, 200, engine.BLOCK_ROWS):
+            for draw_steps in (1, 3, engine._DRAW_STEPS):
+                with monkeypatch.context() as patch:
+                    patch.setattr(engine, "BLOCK_ROWS", block_rows)
+                    patch.setattr(engine, "_DRAW_STEPS", draw_steps)
+                    runs.append(_replicates(model, data, truth, cfg, n_steps, 5))
+        diverged = [rec.diverged_at for rec in runs[0]]
+        assert any(diverged) == name.startswith("poisson"), name
+        assert not all(diverged), name
+        for other in runs[1:]:
+            for r, (got, want) in enumerate(zip(other, runs[0])):
+                _assert_same_run(got, want, (name, r))
+    # one-step draws, three-step draws and draws of many steps all happened
+    assert {1, 3} <= draw_lengths and max(draw_lengths) >= engine._DRAW_STEPS
+
+
+def test_batch_mean_is_bitwise_the_reduced_mean():
+    awkward = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1.5, 2.0])
+    rng = np.random.default_rng(3)
+    for b in (1, 3):
+        g = rng.choice(awkward, size=(4, 7, b, 5))
+        with np.errstate(invalid="ignore"):  # inf - inf
+            want = np.add.reduce(g, axis=-2) / b
+            got = engine._batch_mean(g)
+        assert got.shape == want.shape
+        assert np.array_equal(np.signbit(got), np.signbit(want)), b
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), b
+
+
+def test_stationary_init_factors_its_covariance_once(monkeypatch):
+    model, data, truth = models.generate_gaussian(30, 3, seed=2)
+    cfg = TuningConfig(frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=1.0, frak_t=1.0,
+                       c_beta=2.0, seed=40)
+    cov = np.array([[1.0, 0.3, 0.0], [0.3, 0.5, 0.1], [0.0, 0.1, 0.8]])
+    factored = []
+    real_psd_sqrt = engine.psd_sqrt
+
+    def counting_psd_sqrt(m, *args, **kwargs):
+        if np.array_equal(m, cov):
+            factored.append(m)
+        return real_psd_sqrt(m, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "psd_sqrt", counting_psd_sqrt)
+    recs = engine.run_replicates(model, data, cfg, 5, n_steps=3,
+                                 theta_hat=truth.theta_star, init=("stationary", cov))
+    assert len(factored) == 1
+    # each replicate still draws its start from its own init stream
+    scale = 30.0 ** -recs[0].local_exponent
+    for r, rec in enumerate(recs):
+        init_ss = np.random.SeedSequence(cfg.seed + r).spawn(3)[2]
+        z = np.random.Generator(np.random.Philox(init_ss)).standard_normal(3)
+        want = truth.theta_star + scale * (real_psd_sqrt(cov) @ z)
+        assert np.array_equal(rec.init_state, want), r
+
+
 def test_non_flat_prior_enters_the_drift():
     # a noiseless step moves by (h/2) times the textbook drift, prior included
     model, data, _ = models.generate_gaussian(6, 2, seed=4)
