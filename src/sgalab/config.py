@@ -381,19 +381,16 @@ def resolve_setup(tree: dict) -> Setup:
             np.asarray(t["boundary_hi"], float),
         )
     e = tree.get("execution", {})
+    # pass only the keys the tree sets: TuningConfig owns every default
+    keys = ("frak_h", "frak_b", "frak_t", "c_h", "c_b", "c_beta", "policy", "variant")
+    scalars = {k: t[k] for k in keys if k in t}
+    if "seed" in e:
+        scalars["seed"] = e["seed"]
     cfg = TuningConfig(
-        frak_h=t.get("frak_h", 1.0),
-        frak_b=t.get("frak_b", 0.0),
-        frak_t=t.get("frak_t", math.inf),
-        c_h=t.get("c_h", 1.0),
-        c_b=t.get("c_b", 1.0),
-        c_beta=t.get("c_beta", 1.0),
+        **scalars,
         gamma=gamma,
         lam=lam,
-        policy=t.get("policy", "with_replacement"),
-        variant=t.get("variant", "plain"),
         boundary=boundary,
-        seed=e.get("seed", 0),
         labels={"gamma": t.get("gamma", "identity"), "lambda": t.get("lambda", "identity")},
     )
 

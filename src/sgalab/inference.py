@@ -11,6 +11,7 @@ order so results are bit-reproducible regardless of dataset size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -22,23 +23,27 @@ from .models import Dataset, ModelSpec
 BLOCK_ROWS = 8192
 
 
+def _block_sum(
+    records: np.ndarray, term: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Sum of ``term(block)`` over ``BLOCK_ROWS``-row blocks in data order."""
+    total = 0.0
+    for start in range(0, records.shape[0], BLOCK_ROWS):
+        total = total + term(records[start : start + BLOCK_ROWS])
+    return total
+
+
 def _mean_score(model: ModelSpec, records: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """(1/n) * (prior gradient + sum of per-record score rows), blockwise."""
-    n = records.shape[0]
-    total = np.zeros(model.dim)
-    for start in range(0, n, BLOCK_ROWS):
-        block = records[start : start + BLOCK_ROWS]
-        total += model.grad(theta, block).sum(axis=0)
-    return (total + model.grad_prior(theta)) / n
+    total = _block_sum(records, lambda block: model.grad(theta, block).sum(axis=0))
+    return (total + model.grad_prior(theta)) / records.shape[0]
 
 
 def _mean_hessian(model: ModelSpec, records: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    n = records.shape[0]
-    total = np.zeros((model.dim, model.dim))
-    for start in range(0, n, BLOCK_ROWS):
-        block = records[start : start + BLOCK_ROWS]
-        total += model.hess_mean(theta, block) * block.shape[0]
-    return total / n
+    total = _block_sum(
+        records, lambda block: model.hess_mean(theta, block) * block.shape[0]
+    )
+    return total / records.shape[0]
 
 
 @dataclass
@@ -48,7 +53,6 @@ class MleResult:
     theta_hat: np.ndarray
     grad_norm: float
     iterations: int
-    damped_steps: int
     tol: float
 
 
@@ -88,13 +92,12 @@ def fit_mle(
     if tol is None:
         tol = 1e-10 * (1.0 + norm0)
     norm = norm0
-    damped = 0
 
     curv_scale = float(
         np.linalg.eigvalsh(sym(-_mean_hessian(model, records, theta)))[-1]
     )
 
-    def _accept(theta, norm, iterations, damped):
+    def _accept(theta, norm, iterations):
         curvature = -_mean_hessian(model, records, theta)
         spectrum = np.linalg.eigvalsh(sym(curvature))
         lam_min, lam_max = float(spectrum[0]), float(spectrum[-1])
@@ -107,11 +110,11 @@ def fit_mle(
                 last_iterate=theta,
                 grad_norm=norm,
             )
-        return MleResult(theta, norm, iterations, damped, tol)
+        return MleResult(theta, norm, iterations, tol)
 
     for iteration in range(1, max_iter + 1):
         if norm <= tol:
-            return _accept(theta, norm, iteration - 1, damped)
+            return _accept(theta, norm, iteration - 1)
         curvature = -_mean_hessian(model, records, theta)
         try:
             direction = np.linalg.solve(curvature, score)
@@ -133,12 +136,10 @@ def fit_mle(
                     last_iterate=theta,
                     grad_norm=norm,
                 )
-        if step < 1.0:
-            damped += 1
         theta, score, norm = candidate, cand_score, cand_norm
 
     if norm <= tol:
-        return _accept(theta, norm, max_iter, damped)
+        return _accept(theta, norm, max_iter)
     raise NonConvergenceError(
         f"mean-score solver did not reach tolerance {tol:.3e} in {max_iter}"
         f" iterations (score norm {norm:.3e}); the estimate may lie at"
@@ -186,11 +187,12 @@ def empirical_info(model: ModelSpec, data: Dataset, theta: np.ndarray) -> InfoMa
     n = records.shape[0]
 
     j_mat = -_mean_hessian(model, records, theta)
-    outer = np.zeros((model.dim, model.dim))
-    for start in range(0, n, BLOCK_ROWS):
-        g = model.grad(theta, records[start : start + BLOCK_ROWS])
-        outer += g.T @ g
-    i_mat = outer / n
+
+    def outer(block: np.ndarray) -> np.ndarray:
+        g = model.grad(theta, block)
+        return g.T @ g
+
+    i_mat = _block_sum(records, outer) / n
 
     j_mat = 0.5 * (j_mat + j_mat.T)
     i_mat = 0.5 * (i_mat + i_mat.T)

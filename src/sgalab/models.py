@@ -1,9 +1,10 @@
 """Statistical models, synthetic data generators, and CSV ingestion.
 
-A model is a bundle of vectorized callables: log-likelihood and score
-contributions of each data record at a parameter vector, the
-record-averaged Hessian, and an optional log-prior gradient.  Three
-families are provided:
+A model is a bundle of vectorized callables: the score contribution of
+each data record at a parameter vector, the record-averaged Hessian, and
+an optional log-prior gradient.  Each family's docstring states the
+log-likelihood its score differentiates; nothing in the package evaluates
+the log-likelihood itself.  Three families are provided:
 
 * weighted Gaussian location: separable quadratic likelihood with per
   coordinate curvature weights, the workhorse for exact sanity checks;
@@ -36,9 +37,9 @@ ArrayFun = Callable[[np.ndarray, np.ndarray], np.ndarray]
 class ModelSpec:
     """A statistical model exposed through vectorized per-record callables.
 
-    ``loglik(theta, records) -> (m,)`` and ``grad(theta, records) -> (m, dim)``
-    evaluate one contribution per record row.  ``grad`` also takes leading
-    axes, one parameter per stack of records:
+    ``grad(theta, records) -> (m, dim)`` evaluates the score (gradient of
+    the log-likelihood) contribution of each record row.  It also takes
+    leading axes, one parameter per stack of records:
     ``grad(theta (..., dim), records (..., m, k)) -> (..., m, dim)``, and each
     slice equals the unstacked call bit for bit, so the engine can advance
     many replicates at once.  ``hess_mean(theta, records) -> (dim, dim)`` is
@@ -49,7 +50,6 @@ class ModelSpec:
 
     family: str
     dim: int
-    loglik: ArrayFun
     grad: ArrayFun
     hess_mean: ArrayFun
     grad_prior: Callable[[np.ndarray], np.ndarray]
@@ -130,10 +130,6 @@ def gaussian_location_model(
         raise DataError("location weights must be strictly positive")
     neg_diag = -np.diag(w)
 
-    def loglik(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        resid = records - theta
-        return -0.5 * (resid * resid) @ w
-
     def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         return (records - theta[..., None, :]) * w
 
@@ -151,7 +147,6 @@ def gaussian_location_model(
     return ModelSpec(
         family="gaussian_location",
         dim=d,
-        loglik=loglik,
         grad=grad,
         hess_mean=hess_mean,
         grad_prior=zero_prior,
@@ -167,16 +162,12 @@ def _split_xy(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def logistic_model(p: int) -> ModelSpec:
     """Logistic regression: records ``(x_1..x_p, y)`` with ``y in {0, 1}``.
 
-    Log-likelihood ``y * x.theta - log(1 + exp(x.theta))``, evaluated with
-    log-sum-exp so large linear predictors never overflow.
+    Log-likelihood ``y * x.theta - log(1 + exp(x.theta))``; the score's
+    sigmoid is evaluated with log-sum-exp so large linear predictors never
+    overflow.
     """
     if p < 1:
         raise DimensionError("logistic model needs p >= 1 covariates")
-
-    def loglik(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        x, y = _split_xy(records)
-        z = x @ theta
-        return y * z - np.logaddexp(0.0, z)
 
     def _sigmoid(z: np.ndarray) -> np.ndarray:
         # Branchless stable sigmoid through the tails.
@@ -211,7 +202,6 @@ def logistic_model(p: int) -> ModelSpec:
     return ModelSpec(
         family="logistic",
         dim=p,
-        loglik=loglik,
         grad=grad,
         hess_mean=hess_mean,
         grad_prior=zero_prior,
@@ -230,12 +220,6 @@ def poisson_model(p: int) -> ModelSpec:
     """
     if p < 1:
         raise DimensionError("poisson model needs p >= 1 covariates")
-
-    def loglik(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        x, y = _split_xy(records)
-        z = x @ theta
-        with np.errstate(over="ignore"):
-            return y * z - np.exp(z)
 
     def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, y = _split_xy(records)
@@ -268,7 +252,6 @@ def poisson_model(p: int) -> ModelSpec:
     return ModelSpec(
         family="poisson",
         dim=p,
-        loglik=loglik,
         grad=grad,
         hess_mean=hess_mean,
         grad_prior=zero_prior,
@@ -427,6 +410,10 @@ def generate(
         raise DataError(
             f"unknown model family {family!r}; expected one of {sorted(generators)}"
         )
+    if n < 1:
+        raise DataError(f"sample size n must be at least 1, got {n}")
+    if seed < 0:
+        raise DataError(f"data seed must be a nonnegative integer, got {seed}")
     return generators[family](n, seed=seed, **params)
 
 
@@ -477,13 +464,3 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
         raise DataError(f"{path}: no data rows")
     return Dataset(np.array(rows, dtype=float), provenance={"path": path})
 
-
-def save_csv(path: str, records: np.ndarray, header: list[str] | None = None) -> None:
-    """Write records with 17 significant digits so reads round-trip exactly."""
-    records = np.asarray(records, dtype=float)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
-        for row in records:
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -14,10 +14,12 @@ information matrices (curvature ``J`` and score covariance ``I``):
   each computed one way: the stationary covariance by one Lyapunov solve,
   the time-t covariance from it (or, for a drift with no stationary law,
   from one block matrix exponential), and every path or iterate average
-  by the one closed-form path-average formula;
+  by the one closed-form path-average formula (its small-t and large-t
+  asymptotic forms are test oracles, not a second route);
 * mixing-time estimates in iterations and epochs;
-* tuning recommendations that achieve a requested stationary covariance,
-  with an algebraic closure check.
+* tuning recommendations that achieve a requested stationary covariance:
+  each target route picks its constants and builds one tuning, which is
+  closure-checked and given its predicted mixing time.
 
 Everything here is plain matrix algebra; nothing simulates.
 """
@@ -164,8 +166,8 @@ class OuParams:
     ``b_mat`` is the drift factor (the limit process has drift
     ``-b_mat/2``), ``a_mat`` the diffusion matrix.  For the momentum
     variant these live on the doubled state and ``dim`` stays the
-    parameter dimension; ``theta_block`` extracts the parameter marginal
-    of doubled-state matrices.
+    parameter dimension: the parameter marginal of a doubled-state matrix
+    is its leading ``dim x dim`` block.
     """
 
     b_mat: np.ndarray
@@ -179,9 +181,6 @@ class OuParams:
     j_mat: np.ndarray
     i_mat: np.ndarray
     _q_inf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    def theta_block(self, m: np.ndarray) -> np.ndarray:
-        return m[: self.dim, : self.dim]
 
 
 def _as_square(name: str, m: np.ndarray, d: int) -> np.ndarray:
@@ -307,31 +306,13 @@ def marginal_cov(
     return 0.5 * (out + out.T)
 
 
-@dataclass
-class AvgCovResult:
+def avg_cov_exact(ou: OuParams, t: float) -> np.ndarray:
     """Covariance of the stationary path average over ``[0, t]``.
 
-    ``exact`` is the closed form; ``small_t`` and ``large_t`` are the two
-    asymptotic estimates together with the time thresholds delimiting
-    where each is advertised to apply (small times well below
-    ``small_t_threshold``, large times well above ``large_t_threshold``).
-    ``q_inf`` is the stationary covariance the path starts from.
-    """
-
-    t: float
-    exact: np.ndarray
-    small_t: np.ndarray
-    large_t: np.ndarray
-    small_t_threshold: float
-    large_t_threshold: float
-    q_inf: np.ndarray
-
-
-def avg_cov_exact(ou: OuParams, t: float) -> AvgCovResult:
-    """Exact covariance of the time average of the stationary limit process.
-
-    ``Cov = (4/t) B^-1 A B^-T - (8/t^2) Sym(B^-2 (I - exp(-tB/2)) Q_inf)``.
-    Requires ``t > 0`` and a stable drift.
+    ``Cov = (4/t) B^-1 A B^-T - (8/t^2) Sym(B^-2 (I - exp(-tB/2)) Q_inf)``,
+    returned as a symmetric matrix.  Requires ``t > 0`` and a stable drift.
+    Its small-t form ``Q_inf - (t/6) A`` and large-t form
+    ``(4/t) B^-1 A B^-T`` are test oracles, not package routes.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise DimensionError(f"averaging horizon must be finite and > 0, got {t}")
@@ -345,17 +326,7 @@ def avg_cov_exact(ou: OuParams, t: float) -> AvgCovResult:
     inner = b_inv @ b_inv @ (eye - decay) @ q_inf
     second = (8.0 / t**2) * linalg.sym(inner)
     exact = first - second
-    b2q = float(np.linalg.norm(b_inv @ b_inv @ q_inf, 2))
-    b_norm = float(np.linalg.norm(ou.b_mat, 2))
-    return AvgCovResult(
-        t=t,
-        exact=0.5 * (exact + exact.T),
-        small_t=q_inf - (t / 6.0) * ou.a_mat,
-        large_t=first,
-        small_t_threshold=7.0 * b_norm**2 * math.sqrt(b2q),
-        large_t_threshold=3.0 * math.sqrt(b2q),
-        q_inf=q_inf,
-    )
+    return 0.5 * (exact + exact.T)
 
 
 @dataclass
@@ -403,21 +374,21 @@ def avg_cov_rescaled(ou: OuParams, m: float) -> AvgCovRescaled:
         )
     cfg = ou.cfg
     c_b, c_h = cfg.c_b, cfg.c_h
-    exact = avg_cov_exact(ou, m / c_b)
+    matrix = avg_cov_exact(ou, m / c_b)
 
     simple = None
     remainder = None
     if law.frak_b + law.frak_h == 1.0 and not cfg.has_noise:
         simple = (1.0 / m) * linalg.sandwich(ou.j_mat, ou.i_mat)
         p_mat = ou.gamma @ ou.j_mat
-        tail = np.linalg.solve(p_mat, np.linalg.solve(p_mat, exact.q_inf))
+        tail = np.linalg.solve(p_mat, np.linalg.solve(p_mat, stationary_cov(ou)))
         remainder = (8.0 * c_b**2 / (c_h**2 * m**2)) * float(
             np.linalg.norm(tail, 2)
         )
     return AvgCovRescaled(
         m=m,
         limit_time=m / c_b,
-        matrix=exact.exact,
+        matrix=matrix,
         simple=simple,
         remainder_bound=remainder,
         in_stated_regime=law.frak_t <= 1.0,
@@ -510,14 +481,10 @@ def recommend_tuning(
     from it must reproduce the target covariance to 1e-9.
     """
     j_mat, i_mat = info.j_mat, info.i_mat
-    notes: list[str] = []
-    frak_h = 1.0 - frak_b
     if not 0.0 <= frak_b < 1.0:
         raise RecommendationError(
             f"frak_b preference must lie in [0, 1) at unit work, got {frak_b}"
         )
-    if frak_b == 1.0 or frak_h <= 0.0:
-        raise RecommendationError("unit-work schedules need frak_h = 1 - frak_b > 0")
 
     if target in ("local_fiducial", "sandwich_weighted", "bagged"):
         if target == "local_fiducial":
@@ -549,66 +516,23 @@ def recommend_tuning(
                 " drop the w2 weight or allow injected noise"
             )
         gamma = _inv_spd("curvature matrix", j_mat)
-        cfg = TuningConfig(
-            frak_h=frak_h,
-            frak_b=frak_b,
-            frak_t=1.0 if w2_eff > 0.0 else math.inf,
-            c_h=4.0 * w1_eff * c_b,
-            c_b=c_b,
-            c_beta=(1.0 / w2_eff) if w2_eff > 0.0 else math.inf,
-            gamma=gamma,
-            lam=gamma,
-            policy=policy,
-            seed=seed,
-            labels={"recommendation": target},
-        )
+        frak_t, c_beta = (1.0, 1.0 / w2_eff) if w2_eff > 0.0 else (math.inf, math.inf)
+        c_h, variant = 4.0 * w1_eff * c_b, PLAIN
         target_cov = w1_eff * linalg.sandwich(j_mat, i_mat) + w2_eff * gamma
-        notes.append(
-            f"stationary covariance {w1_eff} * sandwich + {w2_eff} * J^-1"
-        )
-
+        note = f"stationary covariance {w1_eff} * sandwich + {w2_eff} * J^-1"
     elif target == "posterior":
         fam = "sgld_fp" if family is None else family
         if fam == "sgld_fp":
             gamma = _inv_spd("curvature matrix", j_mat)
-            cfg = TuningConfig(
-                frak_h=frak_h,
-                frak_b=frak_b,
-                frak_t=1.0,
-                c_h=4.0 * c_b,
-                c_b=c_b,
-                c_beta=1.0,
-                gamma=gamma,
-                lam=gamma,
-                policy=policy,
-                variant=CONTROL_VARIATE,
-                seed=seed,
-                labels={"recommendation": target},
-            )
-            notes.append(
+            frak_t, c_h, c_beta, variant = 1.0, 4.0 * c_b, 1.0, CONTROL_VARIATE
+            note = (
                 "anchored control-variate loop: injected noise dominates,"
                 " stationary covariance J^-1 at unit temperature scale"
             )
         elif fam == "sgd":
-            if policy == WITHOUT_REPLACEMENT and frak_b == 1.0:
-                raise RecommendationError(
-                    "full-batch sampling kills the minibatch noise this"
-                    " recommendation relies on"
-                )
             gamma = _inv_spd("score covariance", i_mat)
-            cfg = TuningConfig(
-                frak_h=frak_h,
-                frak_b=frak_b,
-                frak_t=math.inf,
-                c_h=4.0 * c_b,
-                c_b=c_b,
-                policy=policy,
-                gamma=gamma,
-                lam=gamma,
-                seed=seed,
-                labels={"recommendation": target},
-            )
-            notes.append(
+            frak_t, c_h, c_beta, variant = math.inf, 4.0 * c_b, 1.0, PLAIN
+            note = (
                 "noiseless loop preconditioned by the inverse score"
                 " covariance; minibatch noise alone reproduces J^-1"
             )
@@ -618,13 +542,29 @@ def recommend_tuning(
                 " plain injected-noise loops only match J^-1 when the score"
                 " covariance equals the curvature; use 'sgld_fp' or 'sgd'"
             )
-        target_cov = _inv_spd("curvature matrix", j_mat)
     else:
         raise RecommendationError(
             f"unknown target {target!r}; expected local_fiducial,"
             " sandwich_weighted, bagged, or posterior"
         )
 
+    cfg = TuningConfig(
+        frak_h=1.0 - frak_b,
+        frak_b=frak_b,
+        frak_t=frak_t,
+        c_h=c_h,
+        c_b=c_b,
+        c_beta=c_beta,
+        gamma=gamma,
+        lam=gamma,
+        policy=policy,
+        variant=variant,
+        seed=seed,
+        labels={"recommendation": target},
+    )
+    if target == "posterior":
+        # checked after the tuning, so a bad constant is reported first
+        target_cov = _inv_spd("curvature matrix", j_mat)
     ou = ou_params(cfg, j_mat, i_mat)
     achieved = stationary_cov(ou)
     residual = float(
@@ -636,16 +576,14 @@ def recommend_tuning(
             f"closure check failed: achieved covariance misses the target"
             f" by relative residual {residual:.3e}"
         )
-    rate = linalg.min_real_eig(ou.b_mat)
-    mixing_epochs = 4.0 * cfg.c_b / rate  # n-free at unit work
     return Recommendation(
         target=target,
         cfg=cfg,
         target_cov=target_cov,
         achieved_cov=achieved,
         closure_residual=residual,
-        mixing_epochs=mixing_epochs,
-        notes=notes,
+        mixing_epochs=mixing_time(ou, 1).epochs_iact,  # n-free at unit work
+        notes=[note],
     )
 
 

@@ -72,8 +72,8 @@ class TuningConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        if math.isnan(self.frak_t):
-            raise ConfigError("frak_t must be a real number or +inf")
+        if math.isnan(self.frak_t) or self.frak_t == -math.inf:
+            raise ConfigError(f"frak_t must be a real number or +inf, got {self.frak_t}")
         for name in ("c_h", "c_b"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
@@ -142,6 +142,9 @@ class TuningConfig:
         return n / self.batch_size(n)
 
     def epochs_to_steps(self, n: int, epochs: float) -> int:
+        """Steps in ``epochs`` epochs, rounded, and at least one."""
+        if not (math.isfinite(epochs) and epochs > 0.0):
+            raise ConfigError(f"epochs must be finite and > 0, got {epochs}")
         return max(1, int(round(epochs * self.steps_per_epoch(n))))
 
     def with_seed(self, seed: int) -> "TuningConfig":
@@ -203,8 +206,3 @@ class TuningConfig:
         )
         return cls(**kwargs)
 
-
-def sgd_tuning(**kwargs) -> TuningConfig:
-    """Convenience constructor for noiseless runs (infinite temperature)."""
-    kwargs.setdefault("frak_t", math.inf)
-    return TuningConfig(**kwargs)

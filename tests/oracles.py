@@ -1,14 +1,17 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately slow and simple: characteristic-polynomial
-eigenvalues, Taylor-series matrix exponentials, brute-force quadrature,
-enumerated batch spaces, the textbook drift estimate, coordinate-descent
-fitting.  Production code must agree with these within stated tolerances;
-none of these routines may call the routines they are checking.
+eigenvalues, Taylor-series matrix exponentials, brute-force quadrature and
+the asymptotic path-average forms, per-family log-likelihoods, enumerated
+batch spaces, the textbook drift estimate, coordinate-descent fitting.
+Production code must agree with these within stated tolerances; none of
+these routines may call the routines they are checking.  ``save_csv``
+writes the CSV inputs some tests feed to the loader.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -165,6 +168,50 @@ def quadrature_avg_cov(
     return total * (h / 3.0) / t**2
 
 
+def small_t_avg_cov(a_mat: np.ndarray, q_inf: np.ndarray, t: float) -> np.ndarray:
+    """Path-average covariance for ``t`` well below the relaxation time.
+
+    ``Q_inf - (t/6) A``: the stationary covariance less the first-order
+    loss of variance from averaging over a short window.
+    """
+    return q_inf - (t / 6.0) * a_mat
+
+
+def large_t_avg_cov(b_mat: np.ndarray, a_mat: np.ndarray, t: float) -> np.ndarray:
+    """Path-average covariance for ``t`` well above the relaxation time.
+
+    ``(4/t) B^-1 A B^-T``: the long-run variance of the limit process
+    divided by the window length.
+    """
+    b_inv = np.linalg.inv(b_mat)
+    out = (4.0 / t) * (b_inv @ a_mat @ b_inv.T)
+    return 0.5 * (out + out.T)
+
+
+# ------------------------------------------------------ log-likelihoods
+
+
+def loglik(model, theta: np.ndarray, records: np.ndarray) -> np.ndarray:
+    """Per-record log-likelihood ``(m,)`` from each family's stated formula.
+
+    The package evaluates only scores; these are the functions the scores
+    must be gradients of.  Additive terms that depend on the data alone
+    (the Gaussian constant, Poisson's ``-log(y!)``) are dropped.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if model.family == "gaussian_location":
+        resid = records - theta
+        return -0.5 * (resid * resid) @ model.params["weights"]
+    x, y = records[:, :-1], records[:, -1]
+    z = x @ theta
+    if model.family == "logistic":
+        return y * z - np.logaddexp(0.0, z)
+    if model.family == "poisson":
+        with np.errstate(over="ignore"):
+            return y * z - np.exp(z)
+    raise ValueError(f"no log-likelihood for family {model.family!r}")
+
+
 # ------------------------------------------------------- finite differences
 
 
@@ -279,11 +326,11 @@ def coordinate_descent_mle(
             step = g / (-h)
             # damped one-dimensional Newton on coordinate j
             factor = 1.0
-            base = model.loglik(theta, records).mean()
+            base = loglik(model, theta, records).mean()
             for _ in range(60):
                 cand = theta.copy()
                 cand[j] += factor * step
-                if model.loglik(cand, records).mean() >= base - 1e-18:
+                if loglik(model, cand, records).mean() >= base - 1e-18:
                     theta = cand
                     moved = max(moved, abs(factor * step))
                     break
@@ -321,3 +368,17 @@ def direct_gradient_descent(
         theta = theta + half_h_gamma @ g
         path[k] = theta
     return path
+
+
+# ------------------------------------------------------------------ files
+
+
+def save_csv(path, records: np.ndarray, header: list[str] | None = None) -> None:
+    """Write records with 17 significant digits so reads round-trip exactly."""
+    records = np.asarray(records, dtype=float)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        for row in records:
+            writer.writerow([f"{v:.17g}" for v in row])

@@ -345,7 +345,7 @@ def test_a9_derivative_and_unbiasedness_property_suites(capfd):
                 theta = rng.normal(scale=scale, size=3)
                 row = data.records[int(rng.integers(0, 200))][None, :]
                 want_g = oracles.fd_gradient(
-                    lambda th: model.loglik(th, row)[0], theta
+                    lambda th: oracles.loglik(model, th, row)[0], theta
                 )
                 got_g = model.grad(theta, row)[0]
                 denom = 1.0 + np.abs(want_g).max()

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from sgalab import artifacts, cli, config, engine, linalg, models
 from sgalab.errors import ConfigError, DivergenceError
 from sgalab.tuning import TuningConfig
@@ -120,7 +121,7 @@ def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
     x = rng.standard_normal((50, 2))
     rows = np.column_stack([x, (x[:, 0] > 0).astype(float)])
     data = tmp_path / "separable.csv"
-    models.save_csv(str(data), rows)
+    oracles.save_csv(str(data), rows)
     ini = (
         f"[model]\nfamily = logistic\nsource = csv\npath = {data}\n"
         "columns = 3\nd = 2\n\n[execution]\nepochs = 1\n"
@@ -130,6 +131,35 @@ def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
     assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "old, new, command, named",
+    [
+        ("epochs = 20", "epochs = nan", "predict", "epochs"),
+        ("epochs = 20", "epochs = inf", "predict", "epochs"),
+        ("epochs = 20", "epochs = 0", "predict", "epochs"),
+        ("epochs = 20", "epochs = -5", "simulate", "epochs"),
+        ("n = 200", "n = -5", "predict", "sample size n"),
+        ("data_seed = 5", "data_seed = -1", "predict", "data seed"),
+        ("frak_h = 1.0", "frak_h = 1.0\nfrak_t = -inf", "simulate", "frak_t"),
+        ("frak_h = 1.0", "frak_h = 1.0\nfrak_t = -inf", "predict", "frak_t"),
+    ],
+    ids=[
+        "epochs-nan", "epochs-inf", "epochs-zero", "epochs-negative",
+        "n-negative", "data_seed-negative", "frak_t-minus-inf-simulate",
+        "frak_t-minus-inf-predict",
+    ],
+)
+def test_out_of_range_config_value_is_usage_error(tmp_path, capsys, old, new, command, named):
+    assert BASE_INI.count(old) == 1
+    cfg = _write(tmp_path, "bad.ini", BASE_INI.replace(old, new))
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    if command == "simulate":
+        argv += ["--threads", "1"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_missing_config_file_is_usage_error(capsys):
@@ -172,7 +202,7 @@ def test_predict_simulate_compare_roundtrip(tmp_path, capsys):
 
 
 def test_artifacts_are_byte_identical_across_reruns(tmp_path):
-    cfg = _write(tmp_path, "run.ini", BASE_INI)
+    cfg = _write(tmp_path, "run.ini", BASE_INI + "\n[recommend]\ntarget = bagged\n")
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
     for out in (out_a, out_b):
@@ -181,6 +211,7 @@ def test_artifacts_are_byte_identical_across_reruns(tmp_path):
             ["simulate", "--config", cfg, "--out", out, "--threads", "1", "--quiet"]
         ) == 0
         assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == 0
+        assert cli.main(["tune", "--config", cfg, "--out", out, "--quiet"]) == 0
 
     fixed = [
         "predictions.json",
@@ -189,6 +220,7 @@ def test_artifacts_are_byte_identical_across_reruns(tmp_path):
         "comparison.json",
         "acf_000.csv",
         "manifest.json",
+        "recommendation.json",
     ]
     for name in fixed:
         a = open(os.path.join(out_a, name), "rb").read()

@@ -309,7 +309,7 @@ def test_avg_cov_exact_against_quadrature():
         margin = float(np.min(np.linalg.eigvals(ou.b_mat).real))
         q_ref = oracles.quadrature_station_cov(ou.b_mat, ou.a_mat, margin)
         ref = oracles.quadrature_avg_cov(ou.b_mat, q_ref, t)
-        got = avg_cov_exact(ou, t).exact
+        got = avg_cov_exact(ou, t)
         assert np.linalg.norm(got - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
 
 
@@ -317,23 +317,13 @@ def test_avg_cov_exact_asymptotic_forms():
     rng = np.random.default_rng(13)
     ou = _random_instance(rng, d=3, noisy=True)
     q_inf = stationary_cov(ou)
-    res = avg_cov_exact(ou, 2.0)
-    # the stored forms are exactly the stated expressions
-    assert np.allclose(res.small_t, q_inf - (2.0 / 6.0) * ou.a_mat, atol=1e-12)
-    b_inv = np.linalg.solve(ou.b_mat, np.eye(3))
-    large = (4.0 / 2.0) * b_inv @ ou.a_mat @ b_inv.T
-    assert np.allclose(res.large_t, 0.5 * (large + large.T), atol=1e-12)
-    b2q = np.linalg.norm(b_inv @ b_inv @ q_inf, 2)
-    b_norm = np.linalg.norm(ou.b_mat, 2)
-    assert res.small_t_threshold == pytest.approx(7.0 * b_norm**2 * math.sqrt(b2q))
-    assert res.large_t_threshold == pytest.approx(3.0 * math.sqrt(b2q))
-    # and they approximate the exact value in their own regimes
-    tiny = avg_cov_exact(ou, 1e-3)
-    gap_small = np.linalg.norm(tiny.exact - tiny.small_t)
+    # the closed form approaches each asymptotic form in its own regime
+    small = oracles.small_t_avg_cov(ou.a_mat, q_inf, 1e-3)
+    gap_small = np.linalg.norm(avg_cov_exact(ou, 1e-3) - small)
     assert gap_small <= 1e-4 * np.linalg.norm(q_inf)
-    wide = avg_cov_exact(ou, 1e4)
-    gap_large = np.linalg.norm(wide.exact - wide.large_t)
-    assert gap_large <= 1e-3 * np.linalg.norm(wide.large_t)
+    large = oracles.large_t_avg_cov(ou.b_mat, ou.a_mat, 1e4)
+    gap_large = np.linalg.norm(avg_cov_exact(ou, 1e4) - large)
+    assert gap_large <= 1e-3 * np.linalg.norm(large)
     with pytest.raises(DimensionError):
         avg_cov_exact(ou, 0.0)
 
@@ -347,7 +337,7 @@ def test_avg_cov_rescaled_matches_exact_route():
         )
         m = float(rng.uniform(0.5, 20.0))
         via_epochs = avg_cov_rescaled(ou, m).matrix
-        via_time = avg_cov_exact(ou, m / ou.cfg.c_b).exact
+        via_time = avg_cov_exact(ou, m / ou.cfg.c_b)
         scale = 1.0 + np.linalg.norm(via_time)
         assert np.linalg.norm(via_epochs - via_time) <= 1e-10 * scale
 
@@ -532,6 +522,25 @@ def test_recommend_rejections():
     bad = _info(np.diag([1.0, -1.0]), np.eye(2))
     with pytest.raises(RecommendationError, match="positive definite"):
         recommend_tuning("local_fiducial", bad)
+
+
+def test_recommendation_mixing_epochs_is_the_mixing_time_at_any_n():
+    # at unit work the predicted mixing time in epochs does not depend on n
+    info = _random_info(21)
+    routes = (
+        {"target": "local_fiducial"},
+        {"target": "sandwich_weighted", "w1": 0.3, "w2": 0.7},
+        {"target": "bagged"},
+        {"target": "posterior"},
+        {"target": "posterior", "family": "sgd"},
+    )
+    for route in routes:
+        for frak_b, c_b in ((0.0, 1.0), (0.5, 2.0)):
+            rec = recommend_tuning(info=info, frak_b=frak_b, c_b=c_b, **route)
+            ou = ou_params(rec.cfg, info.j_mat, info.i_mat)
+            for n in (10, 10_000):
+                want = mixing_time(ou, n).epochs_iact
+                assert rec.mixing_epochs == pytest.approx(want, rel=1e-12), route
 
 
 # ------------------------------------------------------- prediction bundle

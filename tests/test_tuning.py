@@ -124,8 +124,3 @@ def test_with_seed_only_changes_seed():
     assert other.c_h == 3.0
     assert np.array_equal(other.gamma, cfg.gamma)
 
-
-def test_sgd_tuning_defaults_to_noiseless():
-    cfg = tuning.sgd_tuning(c_h=2.0)
-    assert not cfg.has_noise
-    assert cfg.c_h == 2.0
