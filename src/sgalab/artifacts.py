@@ -20,6 +20,13 @@ Layout of an output directory::
     timings.json         wall-clock seconds, executed steps and steps/s
                          (excluded from reproducibility)
 
+Trace and ACF files share one table format: a header line of
+comma-separated column names, then one line per row holding the integer
+first column (``step`` or ``lag``) printed with ``%d`` and every other value
+printed with ``%.17g`` (``FLOAT_FMT``), comma-separated, each line ended by
+a single line feed.  ``%.17g`` round-trips every double, so ``load_run`` reads back the
+exact states; non-finite values appear as ``nan``, ``inf`` and ``-inf``.
+
 The simulate command owns the numbered files: before writing it deletes
 those whose index is at or beyond its replicate count.
 """
@@ -27,6 +34,7 @@ those whose index is at or beyond its replicate count.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import warnings
@@ -38,6 +46,10 @@ from .errors import ArtifactMismatchError, DataError
 
 FLOAT_FMT = "%.17g"
 
+#: Table rows formatted per write: enough to amortise the ``%`` call, few
+#: enough that a long trace never builds its whole text in memory.
+_CHUNK_ROWS = 256
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -47,9 +59,9 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and not np.isfinite(obj):
-        if np.isnan(obj):
+        return _jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
             return "nan"
         return "inf" if obj > 0 else "-inf"
     return obj
@@ -88,9 +100,13 @@ def _trace_header(dim: int, state_dim: int) -> str:
 
 def _write_table(path: str, header: str, first: np.ndarray, values: np.ndarray) -> None:
     """Write ``header``, then rows of the integer ``first[k]`` and ``values[k]``."""
-    fmt = ["%d"] + [FLOAT_FMT] * values.shape[1]
-    np.savetxt(path, np.column_stack([first, values]), fmt=fmt, delimiter=",",
-               header=header, comments="")
+    row = ",".join(["%d"] + [FLOAT_FMT] * values.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(first), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            part = np.column_stack([first[start:stop], values[start:stop]])
+            fh.write(row * len(part) % tuple(part.ravel().tolist()))
 
 
 def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> None:

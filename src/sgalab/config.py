@@ -413,6 +413,9 @@ def resolve_setup(tree: dict) -> Setup:
     burnin = e.get("burnin_fraction", 0.1)
     if not 0.0 <= burnin < 1.0:
         raise ConfigError("[execution] burnin_fraction must be in [0, 1)")
+    average_start = e.get("average_start_epochs", 0.0)
+    if not (math.isfinite(average_start) and average_start >= 0.0):
+        raise ConfigError("[execution] average_start_epochs must be finite and >= 0")
 
     replicates = e.get("replicates", 1)
     if replicates < 1:
@@ -433,7 +436,7 @@ def resolve_setup(tree: dict) -> Setup:
         replicates=replicates,
         thin=thin,
         init_token=init_token,
-        average_start_epochs=e.get("average_start_epochs", 0.0),
+        average_start_epochs=average_start,
         burnin_fraction=burnin,
         m_values=[float(v) for v in p.get("m_values", [1.0, 8.0])],
         t_grid=[float(v) for v in p.get("t_grid", [])],

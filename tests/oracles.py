@@ -6,7 +6,8 @@ the asymptotic path-average forms, per-family log-likelihoods, enumerated
 batch spaces, the textbook drift estimate, coordinate-descent fitting.
 Production code must agree with these within stated tolerances; none of
 these routines may call the routines they are checking.  ``save_csv``
-writes the CSV inputs some tests feed to the loader.
+writes the CSV inputs some tests feed to the loader; ``savetxt_table`` is
+the ``np.savetxt`` route that trace and ACF tables must match byte for byte.
 """
 
 from __future__ import annotations
@@ -382,3 +383,10 @@ def save_csv(path, records: np.ndarray, header: list[str] | None = None) -> None
             writer.writerow(header)
         for row in records:
             writer.writerow([f"{v:.17g}" for v in row])
+
+
+def savetxt_table(path, header: str, first: np.ndarray, values: np.ndarray) -> None:
+    """``header``, then ``%d`` of ``first[k]`` and ``%.17g`` of ``values[k]``, via savetxt."""
+    fmt = ["%d"] + ["%.17g"] * values.shape[1]
+    np.savetxt(path, np.column_stack([first, values]), fmt=fmt, delimiter=",",
+               header=header, comments="")

@@ -1,5 +1,6 @@
 """Command-line workflows: configs, artifacts, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import os
 import warnings
@@ -10,7 +11,7 @@ import pytest
 import oracles
 from sgalab import artifacts, cli, config, engine, linalg, models
 from sgalab.errors import ConfigError, DivergenceError
-from sgalab.tuning import TuningConfig
+from sgalab.tuning import MOMENTUM, TuningConfig
 
 BASE_INI = """
 [model]
@@ -144,11 +145,16 @@ def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
         ("data_seed = 5", "data_seed = -1", "predict", "data seed"),
         ("frak_h = 1.0", "frak_h = 1.0\nfrak_t = -inf", "simulate", "frak_t"),
         ("frak_h = 1.0", "frak_h = 1.0\nfrak_t = -inf", "predict", "frak_t"),
+        ("seed = 9", "seed = 9\naverage_start_epochs = nan", "simulate",
+         "average_start_epochs"),
+        ("seed = 9", "seed = 9\naverage_start_epochs = -3", "simulate",
+         "average_start_epochs"),
     ],
     ids=[
         "epochs-nan", "epochs-inf", "epochs-zero", "epochs-negative",
         "n-negative", "data_seed-negative", "frak_t-minus-inf-simulate",
-        "frak_t-minus-inf-predict",
+        "frak_t-minus-inf-predict", "average_start_epochs-nan",
+        "average_start_epochs-negative",
     ],
 )
 def test_out_of_range_config_value_is_usage_error(tmp_path, capsys, old, new, command, named):
@@ -410,15 +416,83 @@ def test_run_artifacts_round_trip_exactly(tmp_path):
     assert loaded.diverged_at is None
     assert loaded.manifest["data_hash"] == record.manifest["data_hash"]
     # the trace is each value printed with FLOAT_FMT, awkward values included
-    record.states[:3] = [[-0.0, 1e-300], [1.2e16, 5e-324], [np.pi, -1.7976931348623157e308]]
+    record.states[:5] = [[-0.0, 1e-300], [1.2e16, 5e-324], [np.pi, -1.7976931348623157e308],
+                         [np.nan, np.inf], [-np.inf, 1.7976931348623157e308]]
     artifacts.save_run(str(tmp_path), 1, record, "f" * 64)
     fmt = artifacts.FLOAT_FMT
     want = ["step,epoch,theta_1,theta_2"] + [
         ",".join([str(step), fmt % (step / 50.0)] + [fmt % v for v in row])
         for step, row in zip(record.step_numbers(), record.states)
     ]
-    with open(artifacts.trace_path(str(tmp_path), 1), encoding="utf-8") as fh:
+    with open(artifacts.trace_path(str(tmp_path), 1), encoding="utf-8", newline="") as fh:
         assert fh.read() == "\n".join(want) + "\n"
+    reloaded, _ = artifacts.load_run(str(tmp_path), 1)
+    assert np.array_equal(reloaded.states, record.states, equal_nan=True)
+    assert np.array_equal(np.signbit(reloaded.states), np.signbit(record.states))
+
+
+AWKWARD = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
+           -1.7976931348623157e308, 0.1]
+
+
+def _table_rows(kind: str, width: int) -> np.ndarray:
+    if kind == "empty":
+        return np.empty((0, width))
+    if kind == "one-row":
+        return np.array([AWKWARD[:width]])
+    # more rows than several write chunks, magnitudes across the double range
+    rng = np.random.default_rng(4)
+    shape = (3 * 256 + 17, width)
+    rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    rows[:len(AWKWARD)] = np.resize(AWKWARD, (len(AWKWARD), width))
+    return rows
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("kind", ["empty", "one-row", "several-chunks"])
+@pytest.mark.parametrize("momentum", [False, True], ids=["plain", "momentum"])
+def test_trace_and_acf_bytes_match_savetxt(tmp_path, kind, momentum):
+    model, data, _ = models.generate_gaussian(50, 2, seed=3)
+    variant = {"variant": MOMENTUM, "frak_t": np.inf} if momentum else {}
+    cfg = TuningConfig(frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=1.0, seed=5, **variant)
+    base = engine.run(model, data, cfg, n_steps=6, theta_hat=np.zeros(2),
+                      recording=engine.RecordingPlan(thin=3))
+    record = dataclasses.replace(base, states=_table_rows(kind, base.state_dim))
+    out = str(tmp_path)
+    artifacts.save_run(out, 0, record, "f" * 64)
+    steps = record.step_numbers()
+    names = ["theta_1", "theta_2"] + (["mom_1", "mom_2"] if momentum else [])
+    oracles.savetxt_table(
+        str(tmp_path / "want_trace.csv"), ",".join(["step", "epoch"] + names), steps,
+        np.column_stack([steps / (record.n / record.manifest["batch_size"]), record.states]),
+    )
+    assert _read_bytes(artifacts.trace_path(out, 0)) == _read_bytes(str(tmp_path / "want_trace.csv"))
+
+    rhos = _table_rows(kind, 3)
+    artifacts.save_acf(out, 0, rhos)
+    oracles.savetxt_table(str(tmp_path / "want_acf.csv"), "lag,coord_0,coord_1,coord_2",
+                          np.arange(len(rhos)), rhos)
+    assert _read_bytes(artifacts.acf_path(out, 0)) == _read_bytes(str(tmp_path / "want_acf.csv"))
+
+
+def test_non_finite_numbers_map_to_strings_on_every_route(tmp_path):
+    for value, text in [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")]:
+        routes = [value, np.float64(value), np.float32(value)]
+        assert [artifacts._jsonable(v) for v in routes] == [text] * len(routes)
+        assert artifacts._jsonable(np.array([value, 1.5])) == [text, 1.5]
+    path = str(tmp_path / "m.json")
+    artifacts.write_json(path, {"a": np.float64(np.nan), "b": [np.float32(-np.inf)],
+                                "c": np.int64(3), "d": np.float64(0.25)})
+
+    def reject(token):
+        raise AssertionError(f"bare {token} in JSON")
+
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh, parse_constant=reject) == {"a": "nan", "b": ["-inf"], "c": 3, "d": 0.25}
 
 
 def test_header_only_trace_loads_without_warning(tmp_path):
