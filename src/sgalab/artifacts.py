@@ -29,6 +29,11 @@ exact states; non-finite values appear as ``nan``, ``inf`` and ``-inf``.
 
 The simulate command owns the numbered files: before writing it deletes
 those whose index is at or beyond its replicate count.
+
+``_jsonable`` (through ``write_json``) is the only code that maps values to
+JSON: numpy arrays and scalars to lists and numbers, non-finite floats to
+``"nan"``, ``"inf"`` and ``"-inf"``, and dict keys to strings.  Report
+classes hand it their raw fields.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> N
     payload = {
         "run": record.manifest,
         "config_hash": config_hash,
-        "avg_state": None if record.avg_state is None else record.avg_state,
+        "avg_state": record.avg_state,
         "final_state": record.final_state,
         "diverged": record.diverged_at is not None,
         "wall_time": record.wall_time,

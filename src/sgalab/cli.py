@@ -12,8 +12,6 @@ violation (including unreachable tuning targets); 3 no stationary law
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
 import time
@@ -148,8 +146,7 @@ def _resolve_init(setup: Setup):
         ou = theory.ou_params(setup.cfg, info.j_mat, info.i_mat)
         q_inf = theory.stationary_cov(ou)
         return ("stationary", q_inf[: setup.model.dim, : setup.model.dim])
-    scale = float(token.split(":", 1)[1])
-    return ("overdispersed", scale)
+    return token  # ("overdispersed", scale), parsed by resolve_setup
 
 
 def _run_replicates(
@@ -182,12 +179,13 @@ def _save_runs(
     return [(r, record.diverged_at) for r, record in enumerate(records, start)]
 
 
-def _simulate_chunk(payload: str) -> list[tuple[int, int | None]]:
+def _simulate_chunk(
+    tree: dict, start: int, count: int, out: str
+) -> list[tuple[int, int | None]]:
     """Worker entry point: run a contiguous range of replicates and persist them."""
-    job = json.loads(payload)
-    setup = resolve_setup(job["tree"])
-    records = _run_replicates(setup, job["start"], job["count"], _resolve_init(setup))
-    return _save_runs(job["out"], job["start"], records, setup.hash)
+    setup = resolve_setup(tree)
+    records = _run_replicates(setup, start, count, _resolve_init(setup))
+    return _save_runs(out, start, records, setup.hash)
 
 
 def cmd_simulate(
@@ -209,14 +207,12 @@ def cmd_simulate(
     else:
         # contiguous ranges, as even as possible
         bounds = [replicates * i // workers for i in range(workers + 1)]
-        jobs = [
-            json.dumps({"tree": setup.tree, "start": lo, "count": hi - lo, "out": out})
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        results = []
+        counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_simulate_chunk, jobs):
-                results.extend(part)
+            parts = pool.map(
+                _simulate_chunk, [setup.tree] * workers, bounds[:-1], counts, [out] * workers
+            )
+            results = [pair for part in parts for pair in part]
     elapsed = time.perf_counter() - t0
     steps = sum(setup.n_steps if at is None else at for _, at in results)
     artifacts.write_json(
@@ -245,7 +241,8 @@ def cmd_simulate(
 # ---------------------------------------------------------------- compare
 
 
-def _usable_runs(out: str, setup: Setup) -> tuple[list, list[int]]:
+def _usable_runs(out: str, setup: Setup) -> tuple[list, list]:
+    """The replicates in ``out`` that ran to the end, and those that diverged."""
     indices = artifacts.list_runs(out)
     if not indices:
         raise ArtifactMismatchError(
@@ -266,8 +263,7 @@ def _usable_runs(out: str, setup: Setup) -> tuple[list, list[int]]:
             )
         records.append(record)
     alive = [r for r in records if r.diverged_at is None]
-    dead = [r.manifest["diverged_at"] for r in records if r.diverged_at is not None]
-    return (alive, dead) if alive else (records, dead)
+    return alive, [r for r in records if r.diverged_at is not None]
 
 
 def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) -> int:
@@ -280,12 +276,12 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
             f" {pred_payload['config_hash'][:12]}.., current config hashes to"
             f" {setup.hash[:12]}.."
         )
-    alive, diverged_steps = _usable_runs(out, setup)
-    if not any(r.diverged_at is None for r in alive):
+    alive, diverged = _usable_runs(out, setup)
+    if not alive:
         raise DivergenceError(
             "all replicates diverged; nothing to compare",
-            step=diverged_steps[0] if diverged_steps else 0,
-            last_iterate=alive[0].final_state,
+            step=diverged[0].diverged_at,
+            last_iterate=diverged[0].final_state,
         )
 
     report = _prediction_report(setup)
@@ -333,7 +329,7 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
         "config_hash": setup.hash,
         "data_hash": dataset_hash(setup.data.records),
         "replicates_used": len(alive),
-        "diverged_replicates": len(diverged_steps),
+        "diverged_replicates": len(diverged),
         "stationary": None if stationary is None else stationary.to_json_dict(),
         "empirical_cov": emp_cov,
         "predicted_cov": q_theta,
@@ -389,8 +385,8 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
                 )
             else:
                 print(f"  iterate-average cov (m={key}): {block['error']}")
-        if diverged_steps:
-            print(f"  note: {len(diverged_steps)} replicate(s) diverged and were excluded")
+        if diverged:
+            print(f"  note: {len(diverged)} replicate(s) diverged and were excluded")
         print(f"  wrote {out}/comparison.json")
     return EXIT_OK
 
@@ -409,11 +405,7 @@ def cmd_tune(tree: dict, out_flag: str | None = None, quiet: bool = False) -> in
         "recommended_config": rec.cfg.to_dict(),
         "step_size": rec.cfg.step_size(setup.n),
         "batch_size": rec.cfg.batch_size(setup.n),
-        "inverse_temperature": (
-            "inf"
-            if math.isinf(rec.cfg.inverse_temperature(setup.n))
-            else rec.cfg.inverse_temperature(setup.n)
-        ),
+        "inverse_temperature": rec.cfg.inverse_temperature(setup.n),
         "target_cov": rec.target_cov,
         "achieved_cov": rec.achieved_cov,
         "closure_residual": rec.closure_residual,

@@ -67,7 +67,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,22 +246,20 @@ class Setup:
     tree: dict
     model: ModelSpec
     data: Dataset
-    truth: TruthSpec | None
     mle_theta: np.ndarray
     info: InfoMatrices
     prediction_info: InfoMatrices
     cfg: TuningConfig
     n_steps: int
-    epochs: float | None
     replicates: int
     thin: int
-    init_token: str
+    #: ``mle``, ``zero``, ``stationary``, or ``("overdispersed", scale)``
+    init_token: str | tuple[str, float]
     average_start_epochs: float
     burnin_fraction: float
     m_values: list[float]
     t_grid: list[float]
     hash: str = ""
-    notes: list[str] = field(default_factory=list)
 
     @property
     def n(self) -> int:
@@ -294,8 +292,7 @@ def _build_model_data(tree: dict) -> tuple[ModelSpec, Dataset, TruthSpec | None]
             raise ConfigError(f"unknown model family {family!r}")
         if "theta_star" in m:
             kwargs["theta_star"] = np.asarray(m["theta_star"], float)
-        model, data, truth = generate(family, m["n"], seed=m.get("data_seed", 0), **kwargs)
-        return model, data, truth
+        return generate(family, m["n"], seed=m.get("data_seed", 0), **kwargs)
     if source == "csv":
         for required in ("path", "columns"):
             if required not in m:
@@ -396,16 +393,18 @@ def resolve_setup(tree: dict) -> Setup:
 
     if ("epochs" in e) == ("steps" in e):
         raise ConfigError("[execution] must set exactly one of epochs or steps")
-    epochs = e.get("epochs")
-    n_steps = e["steps"] if "steps" in e else cfg.epochs_to_steps(data.n, epochs)
+    n_steps = e["steps"] if "steps" in e else cfg.epochs_to_steps(data.n, e["epochs"])
     if n_steps < 1:
         raise ConfigError("[execution] run length must be at least one step")
 
     init_token = e.get("init", "mle")
-    if not (
-        init_token in ("mle", "zero", "stationary")
-        or init_token.startswith("overdispersed:")
-    ):
+    kind, colon, arg = init_token.partition(":")
+    if kind == "overdispersed" and colon:
+        scale = _coerce("execution", "init", "float", arg)
+        if not (math.isfinite(scale) and scale > 0.0):
+            raise ConfigError("[execution] init overdispersion scale must be finite and > 0")
+        init_token = (kind, scale)
+    elif init_token not in ("mle", "zero", "stationary"):
         raise ConfigError(
             "[execution] init must be mle, zero, stationary, or"
             f" overdispersed:<scale>, got {init_token!r}"
@@ -426,13 +425,11 @@ def resolve_setup(tree: dict) -> Setup:
         tree=tree,
         model=model,
         data=data,
-        truth=truth,
         mle_theta=mle.theta_hat,
         info=info,
         prediction_info=prediction_info,
         cfg=cfg,
         n_steps=n_steps,
-        epochs=epochs,
         replicates=replicates,
         thin=thin,
         init_token=init_token,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -218,17 +218,10 @@ class ComparisonReport:
     labels: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        out = {
-            "empirical": self.empirical.tolist(),
-            "predicted": self.predicted.tolist(),
-            "frobenius_error": self.frobenius_error,
-            "rel_frobenius_error": self.rel_frobenius_error,
-            "max_abs_error": self.max_abs_error,
-            "labels": dict(self.labels),
-        }
-        if self.z_scores is not None:
-            out["z_scores"] = self.z_scores.tolist()
-            out["max_abs_z"] = self.max_abs_z
+        """The report's fields, raw, without the z-scores when none were given."""
+        out = asdict(self)
+        if self.z_scores is None:
+            del out["z_scores"], out["max_abs_z"]
         return out
 
 

@@ -196,7 +196,6 @@ class _Context:
     """Resolved per-run constants shared by ``step`` and ``run``."""
 
     model: ModelSpec
-    records: np.ndarray
     cfg: TuningConfig
     n: int
     dim: int
@@ -208,7 +207,6 @@ class _Context:
     noise_factor: np.ndarray | None
     box: tuple[np.ndarray, np.ndarray] | None
     local_exponent: float
-    anchor: np.ndarray | None = None
     anchor_grads: np.ndarray | None = None
     anchor_mean: np.ndarray | None = None
     mass_inv: np.ndarray | None = None
@@ -251,7 +249,6 @@ def _build_context(
 
     ctx = _Context(
         model=model,
-        records=records,
         cfg=cfg,
         n=n,
         dim=d,
@@ -271,7 +268,6 @@ def _build_context(
         anchor = np.asarray(anchor, dtype=float)
         if anchor.shape != (d,):
             raise ConfigError(f"anchor must have shape ({d},)")
-        ctx.anchor = anchor
         ctx.anchor_grads = model.grad(anchor, records)
         ctx.anchor_mean = ctx.anchor_grads.mean(axis=0)
     if cfg.variant == MOMENTUM:
@@ -458,13 +454,12 @@ def run(
     theta_hat: np.ndarray | None = None,
     init=None,
     recording: RecordingPlan | None = None,
-    anchor: np.ndarray | None = None,
 ) -> RunRecord:
     """Execute the configured loop for ``n_steps`` (or ``epochs``) steps.
 
     One epoch is ``n / b`` iterations.  ``theta_hat`` (if given) anchors the
     rescaled trajectory, serves as the default initial point, and is the
-    default control-variate anchor.  Divergence (a coordinate beyond
+    control-variate anchor.  Divergence (a coordinate beyond
     ``DIVERGENCE_LIMIT`` or non-finite) raises :class:`DivergenceError`
     whose ``partial_record`` attribute holds everything recorded up to the
     offending step.  This is the one-replicate case of
@@ -472,7 +467,7 @@ def run(
     """
     (record,) = run_replicates(
         model, data, cfg, 1, n_steps=n_steps, epochs=epochs, theta_hat=theta_hat,
-        init=init, recording=recording, anchor=anchor,
+        init=init, recording=recording,
     )
     if record.diverged_at is not None:
         err = DivergenceError(
@@ -495,7 +490,6 @@ def run_replicates(
     theta_hat: np.ndarray | None = None,
     init=None,
     recording: RecordingPlan | None = None,
-    anchor: np.ndarray | None = None,
 ) -> list[RunRecord]:
     """Advance replicates ``r = 0..R-1``, at seeds ``cfg.seed + r``, together.
 
@@ -529,9 +523,7 @@ def run_replicates(
         raise ConfigError("n_steps must be >= 1")
     recording = recording or RecordingPlan()
 
-    if anchor is None and cfg.variant == CONTROL_VARIATE:
-        anchor = theta_hat
-    ctx = _build_context(model, records, cfg, n, anchor)
+    ctx = _build_context(model, records, cfg, n, theta_hat)
     d, state_dim, b = ctx.dim, ctx.state_dim, ctx.b
 
     cfgs = [cfg.with_seed(cfg.seed + r) for r in range(replicates)]

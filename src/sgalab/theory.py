@@ -27,7 +27,7 @@ Everything here is plain matrix algebra; nothing simulates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -601,51 +601,22 @@ class PredictionReport:
     average_errors: dict[float, str]
 
     def to_json_dict(self) -> dict:
-        def num(v: float):
-            return "inf" if math.isinf(v) else v
-
-        law = self.law
-        out = {
+        """The report's fields, raw: ``artifacts.write_json`` encodes them."""
+        return {
             "n": self.n,
             "config": self.ou.cfg.to_dict(),
-            "law": {
-                "frak_h": num(law.frak_h),
-                "frak_b": num(law.frak_b),
-                "frak_t": num(law.frak_t),
-                "local_exponent": law.local_exponent,
-                "slowdown": law.slowdown,
-                "drift_active": law.drift_active,
-                "gaussian_active": law.gaussian_active,
-                "minibatch_active": law.minibatch_active,
-                "c_drift": law.c_drift,
-                "c_gauss": law.c_gauss,
-                "c_minibatch": law.c_minibatch,
-                "batch_correction": law.batch_correction,
-                "variant": law.variant,
-            },
-            "b_mat": self.ou.b_mat.tolist(),
-            "a_mat": self.ou.a_mat.tolist(),
-            "q_inf": self.q_inf.tolist(),
-            "mixing": {
-                "epochs_iact": self.mixing.epochs_iact,
-                "epochs_gap": self.mixing.epochs_gap,
-                "iterations": self.mixing.iterations,
-                "rate": self.mixing.rate,
-            },
-            "marginals": {str(t): m.tolist() for t, m in self.marginals.items()},
+            "law": asdict(self.law),
+            "b_mat": self.ou.b_mat,
+            "a_mat": self.ou.a_mat,
+            "q_inf": self.q_inf,
+            "mixing": asdict(self.mixing),
+            "marginals": {str(t): m for t, m in self.marginals.items()},
             "averages": {
-                str(m): {
-                    "matrix": a.matrix.tolist(),
-                    "simple": None if a.simple is None else a.simple.tolist(),
-                    "remainder_bound": a.remainder_bound,
-                    "limit_time": a.limit_time,
-                    "in_stated_regime": a.in_stated_regime,
-                }
+                str(m): {k: v for k, v in asdict(a).items() if k != "m"}
                 for m, a in self.averages.items()
             },
-            "average_errors": dict(self.average_errors),
+            "average_errors": self.average_errors,
         }
-        return out
 
 
 def predict(

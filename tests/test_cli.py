@@ -149,12 +149,17 @@ def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
          "average_start_epochs"),
         ("seed = 9", "seed = 9\naverage_start_epochs = -3", "simulate",
          "average_start_epochs"),
+    ] + [
+        ("init = mle", f"init = overdispersed:{scale}", "simulate", "[execution] init")
+        for scale in ("abc", "", "nan", "inf", "1e400", "-2", "0")
     ],
     ids=[
         "epochs-nan", "epochs-inf", "epochs-zero", "epochs-negative",
         "n-negative", "data_seed-negative", "frak_t-minus-inf-simulate",
         "frak_t-minus-inf-predict", "average_start_epochs-nan",
-        "average_start_epochs-negative",
+        "average_start_epochs-negative", "init-scale-abc", "init-scale-empty",
+        "init-scale-nan", "init-scale-inf", "init-scale-1e400", "init-scale-negative",
+        "init-scale-zero",
     ],
 )
 def test_out_of_range_config_value_is_usage_error(tmp_path, capsys, old, new, command, named):

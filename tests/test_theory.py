@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sgalab import inference, linalg, theory
+from sgalab import artifacts, inference, linalg, theory
 from sgalab.errors import (
     DimensionError,
     RecommendationError,
@@ -557,7 +557,7 @@ def test_predict_bundle_round_trip():
     assert report.average_errors == {}
     assert np.allclose(report.q_inf, stationary_cov(report.ou), atol=1e-14)
     blob = report.to_json_dict()
-    assert blob["law"]["frak_t"] == "inf"
+    assert artifacts._jsonable(blob)["law"]["frak_t"] == "inf"
     assert blob["n"] == 500
     assert "1.0" in blob["averages"] and "0.5" in blob["marginals"]
 
