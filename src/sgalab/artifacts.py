@@ -1,7 +1,7 @@
 """On-disk artifacts: canonical JSON, trace files, and run reloading.
 
-Every writer here is deterministic: keys are sorted and floats are printed
-with 17 significant digits, so re-running a command with the same
+Every writer here is deterministic: keys are sorted and every float is
+printed so that it reads back exactly, so re-running a command with the same
 configuration reproduces each artifact byte for byte.  The only exceptions
 are the explicit wall-clock fields: ``wall_time`` inside a run manifest and
 the separate ``timings.json``.  The compare command relies on the embedded
@@ -27,13 +27,25 @@ printed with ``%.17g`` (``FLOAT_FMT``), comma-separated, each line ended by
 a single line feed.  ``%.17g`` round-trips every double, so ``load_run`` reads back the
 exact states; non-finite values appear as ``nan``, ``inf`` and ``-inf``.
 
+JSON files share one text format: dict keys converted with ``str`` and
+sorted; a two-space indent, items separated by a comma and a line feed plus
+the indent, keys by ``": "``, an empty container written ``{}`` or ``[]``;
+finite floats written with ``float.__repr__``, non-finite ones as the
+strings ``"nan"``, ``"inf"`` and ``"-inf"``; ints in decimal, ``true``,
+``false`` and ``null``; strings escaped to ASCII by
+``json.encoder.encode_basestring_ascii``; tuples as lists, numpy arrays and
+scalars through ``.tolist()`` and ``.item()``; and a final line feed.  Any other type is a ``TypeError``.  ``json_text``
+(through ``write_json``) is the only code that turns values into this text;
+report classes hand it their raw fields.
+
+Reading refuses a cut artifact with ``DataError``: a JSON file that does not
+parse, a trace that does not end in a line feed, or a trace whose row count
+is not the one its manifest implies (``n_steps // thin``, or
+``(diverged_at - 1) // thin`` for a diverged run).  A missing file is an
+``ArtifactMismatchError``.
+
 The simulate command owns the numbered files: before writing it deletes
 those whose index is at or beyond its replicate count.
-
-``_jsonable`` (through ``write_json``) is the only code that maps values to
-JSON: numpy arrays and scalars to lists and numbers, non-finite floats to
-``"nan"``, ``"inf"`` and ``"-inf"``, and dict keys to strings.  Report
-classes hand it their raw fields.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ import math
 import os
 import re
 import warnings
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -56,33 +69,83 @@ FLOAT_FMT = "%.17g"
 _CHUNK_ROWS = 256
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, np.integer)):
-        return _jsonable(obj.item())
-    if isinstance(obj, float) and not math.isfinite(obj):
-        if math.isnan(obj):
-            return "nan"
-        return "inf" if obj > 0 else "-inf"
-    return obj
+def json_text(obj) -> str:
+    """The artifact text of ``obj``: the JSON format stated in the module docstring."""
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    if math.isnan(x):
+        return '"nan"'
+    return '"inf"' if x > 0 else '"-inf"'
+
+
+def _emit(obj, nl: str, out: list[str]) -> None:
+    """Append the text of ``obj`` to ``out``; ``nl`` starts a line at its depth."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in sorted({str(k): v for k, v in obj.items()}.items()):
+            out.append(sep + _quote(key) + ": ")
+            _emit(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            # a row of finite floats, the bulk of every matrix: one join
+            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _emit(value, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), nl, out)
+    elif isinstance(obj, (np.floating, np.integer)):
+        _emit(obj.item(), nl, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_json(path: str, payload: dict) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(json_text(payload))
 
 
 def read_json(path: str) -> dict:
     if not os.path.exists(path):
         raise ArtifactMismatchError(f"missing artifact: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot parse JSON: {exc}") from None
 
 
 def trace_path(out_dir: str, index: int) -> str:
@@ -147,13 +210,19 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
     path = trace_path(out_dir, index)
     if not os.path.exists(path):
         raise ArtifactMismatchError(f"missing artifact: {path}")
-    try:
-        with warnings.catch_warnings():
-            # a run that diverged before its first kept step has no rows
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: cannot parse trace: {exc}") from None
+    with open(path, "rb") as fh:
+        # every complete table ends in a line feed; a cut one need not
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        if fh.read(1) != b"\n":
+            raise DataError(f"{path}: trace does not end in a line feed; cut short?")
+        fh.seek(0)
+        try:
+            with warnings.catch_warnings():
+                # a run that diverged before its first kept step has no rows
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise DataError(f"{path}: cannot parse trace: {exc}") from None
     if table.size == 0:
         states = np.empty((0, state_dim))
     else:
@@ -162,11 +231,15 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
                 f"{path}: expected {state_dim + 2} columns, found {table.shape[1]}"
             )
         states = np.ascontiguousarray(table[:, 2:])
+    thin, diverged_at = int(run["thin"]), run.get("diverged_at")
+    rows = (int(run["n_steps"]) if diverged_at is None else diverged_at - 1) // thin
+    if len(states) != rows:
+        raise DataError(f"{path}: {len(states)} rows, but its manifest implies {rows}")
     theta_hat = run.get("theta_hat")
     record = RunRecord(
         manifest=run,
         states=states,
-        thin=int(run["thin"]),
+        thin=thin,
         init_state=np.asarray(run["init_state"], float),
         final_state=np.asarray(payload["final_state"], float),
         avg_state=(
@@ -180,7 +253,7 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
         dim=int(run["dim"]),
         n_steps=int(run["n_steps"]),
         wall_time=float(payload.get("wall_time", 0.0)),
-        diverged_at=run.get("diverged_at"),
+        diverged_at=diverged_at,
     )
     return record, payload["config_hash"]
 

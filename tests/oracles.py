@@ -7,13 +7,15 @@ batch spaces, the textbook drift estimate, coordinate-descent fitting.
 Production code must agree with these within stated tolerances; none of
 these routines may call the routines they are checking.  ``save_csv``
 writes the CSV inputs some tests feed to the loader; ``savetxt_table`` is
-the ``np.savetxt`` route that trace and ACF tables must match byte for byte.
+the ``np.savetxt`` route that trace and ACF tables must match byte for byte,
+and ``json_dumps_artifact`` the ``json.dumps`` route JSON artifacts must match.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 
 import numpy as np
@@ -390,3 +392,24 @@ def savetxt_table(path, header: str, first: np.ndarray, values: np.ndarray) -> N
     fmt = ["%d"] + ["%.17g"] * values.shape[1]
     np.savetxt(path, np.column_stack([first, values]), fmt=fmt, delimiter=",",
                header=header, comments="")
+
+
+def _jsonable(obj):
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        return _jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        if math.isnan(obj):
+            return "nan"
+        return "inf" if obj > 0 else "-inf"
+    return obj
+
+
+def json_dumps_artifact(obj) -> str:
+    """A copy mapped to JSON types (non-finite floats to strings), then ``json.dumps``."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"

@@ -348,6 +348,39 @@ def test_compare_without_traces_is_mismatch(tmp_path):
     assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == 4
 
 
+def _cut_bytes(path, keep):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:keep(data)])
+
+
+@pytest.mark.parametrize("name, keep, code", [
+    ("predictions.json", lambda data: 100, 1),
+    ("manifest_001.json", lambda data: 100, 1),
+    # whole lines: 20 rows of the 800 the manifest implies
+    ("trace_000.csv", lambda data: len(b"".join(data.splitlines(True)[:21])), 1),
+    # every row kept, the last value cut mid-digit
+    ("trace_000.csv", lambda data: len(data) - 4, 1),
+    ("manifest_001.json", None, 4),
+], ids=["predictions-json", "run-manifest", "trace-rows", "trace-last-value", "missing-manifest"])
+def test_cut_artifact_fails_compare_naming_the_file(tmp_path, capsys, name, keep, code):
+    cfg = _write(tmp_path, "run.ini", BASE_INI)
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert cli.main(
+        ["simulate", "--config", cfg, "--out", out, "--threads", "1", "--quiet"]
+    ) == 0
+    path = os.path.join(out, name)
+    if keep is None:
+        os.remove(path)
+    else:
+        _cut_bytes(path, keep)
+    capsys.readouterr()
+    assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == code
+    assert path in capsys.readouterr().err
+
+
 def test_predict_out_of_regime_average_request(tmp_path, capsys):
     cold = BASE_INI.replace(
         "frak_h = 1.0", "frak_h = 1.0\nfrak_t = 0.5\nc_beta = 1.0"
@@ -485,19 +518,83 @@ def test_trace_and_acf_bytes_match_savetxt(tmp_path, kind, momentum):
 
 
 def test_non_finite_numbers_map_to_strings_on_every_route(tmp_path):
-    for value, text in [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")]:
-        routes = [value, np.float64(value), np.float32(value)]
-        assert [artifacts._jsonable(v) for v in routes] == [text] * len(routes)
-        assert artifacts._jsonable(np.array([value, 1.5])) == [text, 1.5]
-    path = str(tmp_path / "m.json")
-    artifacts.write_json(path, {"a": np.float64(np.nan), "b": [np.float32(-np.inf)],
-                                "c": np.int64(3), "d": np.float64(0.25)})
-
     def reject(token):
         raise AssertionError(f"bare {token} in JSON")
 
+    def decoded(value):
+        return json.loads(artifacts.json_text(value), parse_constant=reject)
+
+    for value, text in [(np.nan, "nan"), (np.inf, "inf"), (-np.inf, "-inf")]:
+        routes = [value, np.float64(value), np.float32(value)]
+        assert [decoded(v) for v in routes] == [text] * len(routes)
+        assert decoded(np.array([value, 1.5])) == [text, 1.5]
+    path = str(tmp_path / "m.json")
+    artifacts.write_json(path, {"a": np.float64(np.nan), "b": [np.float32(-np.inf)],
+                                "c": np.int64(3), "d": np.float64(0.25)})
     with open(path, encoding="utf-8") as fh:
         assert json.load(fh, parse_constant=reject) == {"a": "nan", "b": ["-inf"], "c": 3, "d": 0.25}
+
+
+@pytest.fixture(scope="module")
+def command_payloads(tmp_path_factory):
+    """Every payload predict, simulate, compare and tune hand to ``write_json``."""
+    tmp = tmp_path_factory.mktemp("payloads")
+    cfg = _write(tmp, "run.ini", BASE_INI + "\n[recommend]\ntarget = bagged\n")
+    out = str(tmp / "out")
+    seen, write = {}, artifacts.write_json
+
+    def capture(path, payload):
+        seen.setdefault(os.path.basename(path), payload)
+        write(path, payload)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(artifacts, "write_json", capture)
+        for command in ("predict", "simulate", "compare", "tune"):
+            assert cli.main([command, "--config", cfg, "--out", out, "--quiet",
+                             *(["--threads", "1"] if command == "simulate" else [])]) == 0
+    return seen
+
+
+ENCODER_CASES = {
+    "empty-containers": {"a": {}, "b": [], "c": (), "d": [{}, [], ()]},
+    "nested-tuples": ((1, 2.5), (("x", None), ()), [(True, False)]),
+    "array-0d": np.array(2.5),
+    "array-2d": np.arange(6.0).reshape(2, 3) / 7.0,
+    "array-3d": np.arange(24, dtype=np.int64).reshape(2, 3, 4),
+    "array-non-finite": np.array([[np.nan, 1.0], [np.inf, -np.inf]]),
+    "array-float32": np.array([0.1, -np.inf], dtype=np.float32),
+    "array-bool": np.array([[True, False]]),
+    "numpy-scalars": [np.float32(0.1), np.float64(-2.5), np.int64(-7), np.float64(np.nan),
+                      np.float32(np.inf)],
+    "bools-and-null": {"t": True, "f": False, "n": None, "rows": [True, 1, 1.0]},
+    "awkward-floats": [-0.0, 5e-324, 1e16, 1.7976931348623157e308,
+                       -1.7976931348623157e308, 0.1, 1e-7, 123456789.0],
+    "float-rows-beside-others": [[0.5, 1.5], [0.5, "x"], [0.5, np.float64(1.5)], [1, 2.0]],
+    "non-ascii": {"θ₁ naïve": ["Ωμέγα", "tab\tquote\"back\\slash", "\u2028", "😀\x00"]},
+    "int-and-float-keys": {1: "one", 2.5: [1.0], -0.0: {}, 10: 3, "b": None, "1": "last"},
+    "scalar": 3.25,
+}
+
+
+PAYLOADS = ["predictions.json", "manifest_000.json", "comparison.json", "recommendation.json"]
+
+
+@pytest.mark.parametrize("case", sorted(ENCODER_CASES) + PAYLOADS)
+def test_json_text_matches_json_dumps_route(request, case):
+    if case in ENCODER_CASES:
+        value = ENCODER_CASES[case]
+    else:
+        value = request.getfixturevalue("command_payloads")[case]
+    assert artifacts.json_text(value) == oracles.json_dumps_artifact(value)
+
+
+@pytest.mark.parametrize("value", [np.bool_(True), {1, 2}, 1j, object(), {"k": [b"x"]}],
+                         ids=["np-bool", "set", "complex", "object", "nested-bytes"])
+def test_json_text_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        oracles.json_dumps_artifact(value)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        artifacts.json_text(value)
 
 
 def test_header_only_trace_loads_without_warning(tmp_path):

@@ -6,6 +6,7 @@ the epoch-parameterized iterate-average prediction and the generic
 limit-time path-average formula.
 """
 
+import json
 import math
 
 import numpy as np
@@ -557,7 +558,7 @@ def test_predict_bundle_round_trip():
     assert report.average_errors == {}
     assert np.allclose(report.q_inf, stationary_cov(report.ou), atol=1e-14)
     blob = report.to_json_dict()
-    assert artifacts._jsonable(blob)["law"]["frak_t"] == "inf"
+    assert json.loads(artifacts.json_text(blob))["law"]["frak_t"] == "inf"
     assert blob["n"] == 500
     assert "1.0" in blob["averages"] and "0.5" in blob["marginals"]
 
