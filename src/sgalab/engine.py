@@ -31,9 +31,10 @@ one-replicate case.  Every replicate keeps its own streams, and every
 product in the update is a per-replicate matrix-vector product, so
 replicate ``r`` equals its solo run bit for bit.  The loop works at two
 block sizes.  A draw block gives each replicate one :func:`sample_batch`
-call and one noise draw covering up to ``_DRAW_STEPS`` steps.  Gather
-blocks split it so that each gathers at most about ``BLOCK_ROWS`` records
-over all replicates; per gather block the records, the control-variate
+call (O(b) per batch row, or O(n) in numpy's tail-shuffle branch) and one
+noise draw covering up to ``_DRAW_STEPS`` steps.  Gather blocks split it
+so that each gathers at most about ``BLOCK_ROWS`` records over all
+replicates; per gather block the records, the control-variate
 anchor scores of the same indices and the noise term ``L xi`` are
 computed once, stacked over steps and replicates, and the compiled
 transition then runs step by step, adding them.  Every stream is consumed
@@ -54,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DivergenceError, RegimeError
-from .linalg import matvec, psd_sqrt
+from .linalg import psd_sqrt
 from .models import Dataset, ModelSpec, zero_prior
 from .theory import scaling_law
 from .tuning import CONTROL_VARIATE, MOMENTUM, PLAIN, WITHOUT_REPLACEMENT, TuningConfig
@@ -88,7 +89,10 @@ def sample_batch(
     each row is a uniformly random ``b``-subset: a single index is drawn as
     with replacement (the law is the same), and for ``b = n`` every row is
     ``0..n-1`` surely, so no randomness is consumed and the result is a
-    read-only broadcast view of one ``arange(n)``.
+    read-only broadcast view of one ``arange(n)``.  For ``1 < b < n`` a row
+    is numpy's ``choice(n, b, replace=False, shuffle=False)``: O(b) time and
+    memory (Floyd's algorithm), or O(n) (a tail shuffle) if ``n > 10000``
+    and ``b > n // 50``.
     """
     if not 1 <= b <= n:
         raise ConfigError(f"batch size must satisfy 1 <= b <= n, got b={b}, n={n}")
@@ -96,9 +100,8 @@ def sample_batch(
         return np.broadcast_to(np.arange(n), (steps, n))
     if policy == WITHOUT_REPLACEMENT and b > 1:
         idx = np.empty((steps, b), dtype=np.int64)
-        # Row by row: each permutation is dropped before the next is drawn.
         for row in idx:
-            row[:] = rng.permutation(n)[:b]
+            row[:] = rng.choice(n, b, replace=False, shuffle=False)
     else:
         idx = rng.integers(0, n, size=(steps, b))
     idx.sort(axis=1)
@@ -324,10 +327,12 @@ def _make_transition(ctx: _Context) -> Callable:
             theta = state[:, :d]
             psi = state[:, d:]
             g_like = _batch_mean(grad_fn(theta, rows))
-            new_theta = theta + matvec(half_h_minv, psi)
+            # np.matvec runs one gemv per row, as an unstacked ``a @ v`` does, so
+            # rows equal solo runs bitwise; a gemm or einsum would round otherwise.
+            new_theta = theta + np.matvec(half_h_minv, psi)
             if box is not None:
                 new_theta = np.clip(new_theta, box[0], box[1])
-            new_psi = psi + half_h * g_like - matvec(half_h_gamma_minv, psi)
+            new_psi = psi + half_h * g_like - np.matvec(half_h_gamma_minv, psi)
             if not flat_prior:
                 new_psi = new_psi + half_h * (inv_n * prior_fn(theta))
             if noise_term is not None:
@@ -344,11 +349,11 @@ def _make_transition(ctx: _Context) -> Callable:
             g_like = _batch_mean(grad_fn(state, rows) - anchor_rows) + anchor_mean
         else:
             g_like = _batch_mean(grad_fn(state, rows))
-        delta_loglik = matvec(half_h_gamma, g_like)
+        delta_loglik = np.matvec(half_h_gamma, g_like)
         if flat_prior:
             proposal = state + delta_loglik
         else:
-            prior = matvec(half_h_gamma, inv_n * prior_fn(state))
+            prior = np.matvec(half_h_gamma, inv_n * prior_fn(state))
             proposal = state + delta_loglik + prior
         if noise_term is not None:
             proposal = proposal + noise_term
@@ -389,7 +394,7 @@ def step(
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (ctx.dim,):
             raise DimensionError(f"xi must have shape ({ctx.dim},)")
-        noise_term = matvec(ctx.noise_factor, xi[None])
+        noise_term = np.matvec(ctx.noise_factor, xi[None])
     return ctx.transition(state[None], records[batch], anchor_rows, noise_term)[0]
 
 
@@ -597,7 +602,7 @@ def run_replicates(
             # State-independent terms of the whole block, stacked over steps.
             rows_block = gather(records)
             anchor_block = [None] * blk if anchor_grads is None else gather(anchor_grads)
-            noise_block = [None] * blk if noise is None else matvec(noise, xi_draw[now])
+            noise_block = [None] * blk if noise is None else np.matvec(noise, xi_draw[now])
 
             buf = np.empty((blk, live, state_dim))
             for i, terms in enumerate(zip(rows_block, anchor_block, noise_block)):

@@ -52,16 +52,6 @@ def sandwich(j: np.ndarray, i: np.ndarray) -> np.ndarray:
     return sym(np.linalg.solve(j, half.T))
 
 
-def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``a @ v`` for stacks of matrices and vectors, broadcast over leading axes.
-
-    A stacked matrix-vector product runs one gemv per stack, the kernel the
-    unstacked ``a @ v`` runs, so each slice is bitwise equal to it; a single
-    ``v @ a.T`` (gemm) or ``einsum`` over the stack rounds differently.
-    """
-    return (a @ v[..., None])[..., 0]
-
-
 def eigenvalues(m: np.ndarray) -> np.ndarray:
     """Full complex spectrum of a square matrix.
 

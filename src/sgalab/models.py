@@ -26,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DataError, DimensionError
-from .linalg import matvec
 
 DEFAULT_GAUSSIAN_DIM = 10
 
@@ -175,7 +174,7 @@ def logistic_model(p: int) -> ModelSpec:
 
     def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, y = _split_xy(records)
-        return (y - _sigmoid(matvec(x, theta)))[..., None] * x
+        return (y - _sigmoid(np.matvec(x, theta)))[..., None] * x
 
     def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, _ = _split_xy(records)
@@ -224,7 +223,7 @@ def poisson_model(p: int) -> ModelSpec:
     def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, y = _split_xy(records)
         with np.errstate(over="ignore"):
-            mu = np.exp(matvec(x, theta))
+            mu = np.exp(np.matvec(x, theta))
         return (y - mu)[..., None] * x
 
     def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:

@@ -265,6 +265,17 @@ def test_thread_count_does_not_change_results(tmp_path):
         assert a == b
 
 
+def test_default_threads_run_few_replicates_in_process(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started for 2 replicates")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    cfg = _write(tmp_path, "run.ini", BASE_INI)
+    out = str(tmp_path / "out")
+    assert cli.main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert artifacts.list_runs(out) == [0, 1]
+
+
 def test_stationary_init_is_solved_once_per_simulate(tmp_path, monkeypatch):
     five = BASE_INI.replace("replicates = 2", "replicates = 5").replace(
         "init = mle", "init = stationary"

@@ -8,9 +8,11 @@ with no randomness consumed.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import oracles
 from sgalab import engine, models
@@ -60,6 +62,37 @@ def test_sample_batch_uniformity_chi_square():
         # chi-square(dof) upper 0.001 quantile, dof <= 14: generous bound
         limit = dof + 4.0 * math.sqrt(2.0 * dof) + 10.0
         assert chi2 < limit, f"{policy}: chi2 = {chi2:.1f} over {dof} cells"
+
+
+@pytest.mark.parametrize("b", [20, 600], ids=["floyd", "tail_shuffle"])
+def test_sample_batch_subset_inclusion_is_uniform(b):
+    # numpy draws b-subsets of n > 10000 by Floyd's algorithm when b <= n // 50
+    # and by shuffling the tail of an arange(n) above that; both must give
+    # every index inclusion probability b/n.  Within a row the inclusion
+    # indicators have covariance -p(1-p)/(n-1), so the Pearson sum scaled
+    # by (n-1) / (n(1-p)) is chi-square with n-1 degrees of freedom.
+    n, per_index = 12_000, 40
+    rows = per_index * n // b
+    batches = sample_batch(np.random.default_rng(12), n, b, WITHOUT_REPLACEMENT, rows)
+    assert batches.shape == (rows, b)
+    assert np.all(np.diff(batches, axis=1) > 0)
+    counts = np.bincount(batches.ravel(), minlength=n)
+    p = b / n
+    stat = np.sum((counts - per_index) ** 2) / per_index * (n - 1) / (n * (1 - p))
+    limit = scipy.stats.chi2.ppf(1 - 0.001, n - 1)
+    assert stat < limit, f"b={b}: chi2 = {stat:.1f} over {n - 1} cells"
+
+
+def test_sample_batch_without_replacement_memory_is_o_b():
+    # a full permutation of n = 10**6 would be 8 MB per row
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        sample_batch(rng, 10**6, 5, WITHOUT_REPLACEMENT, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_sample_batch_without_replacement_distinct():
@@ -180,10 +213,9 @@ def _manual_replay(model, data, cfg, n_steps, init_state):
     elif cfg.policy == WITHOUT_REPLACEMENT and b == n:
         idx_block = np.tile(np.arange(n), (n_steps, 1))
     elif cfg.policy == WITHOUT_REPLACEMENT:
-        # row by row, so no permutation outlives its row
-        idx_block = np.empty((n_steps, b), dtype=np.int64)
-        for row in idx_block:
-            row[:] = batch_rng.permutation(n)[:b]
+        idx_block = np.stack(
+            [batch_rng.choice(n, b, replace=False, shuffle=False) for _ in range(n_steps)]
+        )
     else:
         idx_block = batch_rng.integers(0, n, size=(n_steps, b))
     noise_block = noise_rng.standard_normal((n_steps, d)) if cfg.has_noise else None
