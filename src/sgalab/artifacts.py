@@ -16,7 +16,10 @@ Layout of an output directory::
     manifest_000.json    per-replicate manifest (window average, final
                          state, hashes)
     acf_000.csv          per-coordinate autocorrelations of replicate 0
-    comparison.json      simulation-versus-prediction report
+    comparison.json      simulation-versus-prediction report: agreement
+                         metrics, each compared matrix once
+                         (``empirical_cov``, ``predicted_cov``, at the
+                         top level and in each ``averages`` block)
     timings.json         wall-clock seconds, executed steps and steps/s
                          (excluded from reproducibility)
 

@@ -322,7 +322,8 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
                 "replicates": len(alive),
                 "mean_rescaled_average": avg_mean,
                 "comparison": avg_cmp.to_json_dict(),
-                "predicted": predicted_avg.matrix,
+                "empirical_cov": emp_avg_cov,
+                "predicted_cov": predicted_avg.matrix,
             }
         except RegimeError as exc:
             averages_block[f"{m_epochs:g}"] = {
@@ -342,6 +343,7 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
             "empirical_epochs_per_coordinate": mix.epochs_per_coordinate,
             "empirical_worst_epochs": mix.worst_epochs,
             "rotated_basis": mix.rotated,
+            "drift_flags": mix.drift_flags,
             "predicted_epochs_iact": report.mixing.epochs_iact,
             "predicted_epochs_gap": report.mixing.epochs_gap,
         },
@@ -377,16 +379,21 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
                 f"{mix.worst_epochs:<12.3g} {report.mixing.epochs_iact:<12.3g}"
                 f" {abs(mix.worst_epochs - report.mixing.epochs_iact) / max(report.mixing.epochs_iact, 1e-300):.3f}"
             )
+            if mix.drift_flags.any():
+                print(
+                    "  note: split-half mean drift in direction(s)"
+                    f" {', '.join(map(str, np.flatnonzero(mix.drift_flags)))} of the"
+                    " first replicate; its mixing time may reflect non-stationarity"
+                )
         else:
             print(f"  stationary block skipped: {trace_note}")
         for key, block in sorted(averages_block.items()):
             if "comparison" in block:
-                cmp = block["comparison"]
                 print(
-                    f"  iterate-average cov (m={key})   "
-                    f"{np.linalg.norm(np.asarray(block['mean_rescaled_average'])):<12.4g}"
-                    f" {'-':<12}"
-                    f" {cmp['rel_frobenius_error']:.3f}"
+                    f"  {f'iterate-average cov (m={key})':<29}"
+                    f"{np.linalg.norm(block['empirical_cov']):<12.4g}"
+                    f" {np.linalg.norm(block['predicted_cov']):<12.4g}"
+                    f" {block['comparison']['rel_frobenius_error']:.3f}"
                 )
             else:
                 print(f"  iterate-average cov (m={key}): {block['error']}")
@@ -511,17 +518,20 @@ def cmd_experiment(
         print(f"=== {name}: mixing times (epochs) ===")
         print(f"  {'variant':<22} {'Emp.':>8} {'Pred.':>8} {'cov.err':>8}")
         for variant, entry in summary["variants"].items():
-            if entry.get("diverged"):
-                print(f"  {variant:<22} {'diverged':>8} {'-':>8} {'-':>8}")
-            elif "error" in entry or "mixing_empirical" not in entry:
-                tag = "error" if "error" in entry else "short"
+            if entry.get("diverged") or "error" in entry:
+                tag = "diverged" if entry.get("diverged") else "error"
                 print(f"  {variant:<22} {tag:>8} {'-':>8} {'-':>8}")
+                continue
+            if "mixing_empirical" in entry:
+                mixing = f"{entry['mixing_empirical']:>8.2f} {entry['mixing_predicted']:>8.2f}"
             else:
-                print(
-                    f"  {variant:<22} {entry['mixing_empirical']:>8.2f}"
-                    f" {entry['mixing_predicted']:>8.2f}"
-                    f" {entry.get('stationary_rel_error', float('nan')):>8.3f}"
-                )
+                mixing = f"{'short':>8} {'-':>8}"
+            # a tree too short for a stationary covariance reports the error
+            # of its iterate average (or the message saying why there is none)
+            err = entry.get("stationary_rel_error",
+                            next(iter(entry["averages"].values()), None))
+            cov = f"{err:>8.3f}" if isinstance(err, float) else f"{'-':>8}"
+            print(f"  {variant:<22} {mixing} {cov}")
         print(f"wrote {root}/summary.json")
     return worst_exit
 

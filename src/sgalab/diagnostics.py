@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -208,14 +208,11 @@ def replicate_avg_cov(records: list[RunRecord]) -> tuple[np.ndarray, np.ndarray]
 class ComparisonReport:
     """Agreement metrics between an empirical and a predicted matrix."""
 
-    empirical: np.ndarray
-    predicted: np.ndarray
     frobenius_error: float
     rel_frobenius_error: float
     max_abs_error: float
     z_scores: np.ndarray | None = None
     max_abs_z: float | None = None
-    labels: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         """The report's fields, raw, without the z-scores when none were given."""
@@ -229,7 +226,6 @@ def compare(
     empirical: np.ndarray,
     predicted: np.ndarray,
     standard_errors: np.ndarray | None = None,
-    labels: dict | None = None,
 ) -> ComparisonReport:
     """Quantify agreement between matched empirical and predicted matrices.
 
@@ -259,12 +255,9 @@ def compare(
             z_scores = np.where(standard_errors > 0.0, diff / standard_errors, np.inf)
         max_z = float(np.max(np.abs(z_scores)))
     return ComparisonReport(
-        empirical=empirical,
-        predicted=predicted,
         frobenius_error=fro,
         rel_frobenius_error=fro / pred_norm,
         max_abs_error=float(np.max(np.abs(diff))),
         z_scores=z_scores,
         max_abs_z=max_z,
-        labels=labels or {},
     )

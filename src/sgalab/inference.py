@@ -10,7 +10,7 @@ order so results are bit-reproducible regardless of dataset size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,7 +53,6 @@ class MleResult:
     theta_hat: np.ndarray
     grad_norm: float
     iterations: int
-    tol: float
 
 
 def fit_mle(
@@ -110,7 +109,7 @@ def fit_mle(
                 last_iterate=theta,
                 grad_norm=norm,
             )
-        return MleResult(theta, norm, iterations, tol)
+        return MleResult(theta, norm, iterations)
 
     for iteration in range(1, max_iter + 1):
         if norm <= tol:
@@ -165,7 +164,6 @@ class InfoMatrices:
     sandwich: np.ndarray
     grad_norm: float
     n: int
-    labels: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -218,68 +216,4 @@ def info_from_truth(theta_star, j_star, i_star, n: int) -> InfoMatrices:
         sandwich=sandwich(j, i),
         grad_norm=0.0,
         n=n,
-        labels={"source": "truth"},
-    )
-
-
-@dataclass
-class RegularityReport:
-    """Local-regularity probe results around the anchor point."""
-
-    ball_radius: float
-    probes: int
-    j_drift: float
-    i_drift: float
-    lambda_min_j: float
-    flags: list[str]
-
-
-def assumption_diagnostics(
-    model: ModelSpec,
-    data: Dataset,
-    info: InfoMatrices,
-    radius: float = 1.0,
-    probes: int = 32,
-    local_exponent: float = 0.5,
-    seed: int = 0,
-) -> RegularityReport:
-    """Probe how much the information matrices move near the anchor.
-
-    Points are drawn uniformly from the ball of radius
-    ``radius / n**local_exponent`` around the anchor (the scale on which the
-    large-sample picture is played out) and the worst Frobenius drift of
-    each matrix is recorded, along with the smallest curvature eigenvalue.
-    Flags name anything that undermines the predictions: non-positive
-    curvature, rapid curvature drift, or a large residual score norm.
-    """
-    records = model.check_records(data.records)
-    n = records.shape[0]
-    ball = radius / float(n) ** local_exponent
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    j_drift = 0.0
-    i_drift = 0.0
-    for _ in range(probes):
-        direction = rng.standard_normal(model.dim)
-        direction /= max(np.linalg.norm(direction), 1e-300)
-        point = info.theta_hat + ball * rng.uniform() ** (1.0 / model.dim) * direction
-        probe = empirical_info(model, data, point)
-        j_drift = max(j_drift, float(np.linalg.norm(probe.j_mat - info.j_mat)))
-        i_drift = max(i_drift, float(np.linalg.norm(probe.i_mat - info.i_mat)))
-    lambda_min = float(np.linalg.eigvalsh(info.j_mat)[0])
-
-    flags: list[str] = []
-    if lambda_min <= 0.0:
-        flags.append("curvature matrix is not positive definite at the anchor")
-    j_scale = max(float(np.linalg.norm(info.j_mat)), 1e-300)
-    if j_drift > 0.5 * j_scale:
-        flags.append("curvature drifts by more than half its size across the ball")
-    if info.grad_norm > 1e-6 * (1.0 + np.linalg.norm(info.theta_hat)):
-        flags.append("anchor point does not solve the mean score equation")
-    return RegularityReport(
-        ball_radius=ball,
-        probes=probes,
-        j_drift=j_drift,
-        i_drift=i_drift,
-        lambda_min_j=lambda_min,
-        flags=flags,
     )

@@ -212,6 +212,52 @@ def test_predict_simulate_compare_roundtrip(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "acf_000.csv"))
 
 
+def test_compare_summary_prints_iterate_average_norms(tmp_path, capsys):
+    ini = BASE_INI.replace("epochs = 20", "epochs = 2").replace(
+        "replicates = 2", "replicates = 30"
+    )
+    cfg = _write(tmp_path, "run.ini", ini)
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert cli.main(
+        ["simulate", "--config", cfg, "--out", out, "--threads", "1", "--quiet"]
+    ) == 0
+    assert cli.main(["compare", "--config", cfg, "--out", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    block = _read_json(os.path.join(out, "comparison.json"))["averages"]["2"]
+    emp = f"{np.linalg.norm(block['empirical_cov']):.4g}"
+    pred = f"{np.linalg.norm(block['predicted_cov']):.4g}"
+    err = f"{block['comparison']['rel_frobenius_error']:.3f}"
+    header = next(line for line in lines if "quantity" in line)
+    row = next(line for line in lines if "iterate-average cov (m=2)" in line)
+    assert row.split()[-3:] == [emp, pred, err]
+    # the numbers sit under their column heads, as in the stationary row
+    assert row.index(emp) == header.index("empirical")
+    assert row.index(pred, row.index(emp) + len(emp)) == header.index("predicted")
+
+
+def test_compare_writes_and_reports_drift_flags(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini", BASE_INI.replace("replicates = 2", "replicates = 1"))
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert cli.main(
+        ["simulate", "--config", cfg, "--out", out, "--threads", "1", "--quiet"]
+    ) == 0
+    record, run_hash = artifacts.load_run(out, 0)
+    # the replicate's trace replaced by white noise, then by the same noise
+    # plus a trend of ten standard deviations across the run
+    noise = 0.01 * np.random.default_rng(0).standard_normal(record.states.shape)
+    ramp = np.linspace(0.0, 0.1, record.states.shape[0])[:, None]
+    for states, flagged in ((noise, False), (noise + ramp, True)):
+        trace = dataclasses.replace(record, states=record.theta_hat + states)
+        artifacts.save_run(out, 0, trace, run_hash)
+        assert cli.main(["compare", "--config", cfg, "--out", out]) == 0
+        assert ("split-half mean drift" in capsys.readouterr().out) is flagged
+        mixing = _read_json(os.path.join(out, "comparison.json"))["mixing"]
+        assert any(mixing["drift_flags"]) is flagged
+        assert len(mixing["drift_flags"]) == 3
+
+
 def test_artifacts_are_byte_identical_across_reruns(tmp_path):
     cfg = _write(tmp_path, "run.ini", BASE_INI + "\n[recommend]\ntarget = bagged\n")
     out_a = str(tmp_path / "a")
@@ -628,7 +674,7 @@ def test_header_only_trace_loads_without_warning(tmp_path):
 # -------------------------------------------------------------- experiment
 
 
-def test_experiment_smoke_run(tmp_path):
+def test_experiment_smoke_run(tmp_path, capsys):
     out = str(tmp_path / "exp")
     code = cli.main(
         [
@@ -638,10 +684,10 @@ def test_experiment_smoke_run(tmp_path):
             "--epochs", "5",
             "--seed", "0",
             "--threads", "2",
-            "--quiet",
         ]
     )
     assert code == 0
+    shown = capsys.readouterr().out
     summary = _read_json(os.path.join(out, "summary.json"))
     assert summary["experiment"] == "exp1"
     variants = summary["variants"]
@@ -652,8 +698,15 @@ def test_experiment_smoke_run(tmp_path):
     for name, entry in variants.items():
         assert "error" not in entry, f"{name}: {entry.get('error')}"
         assert entry["diverged"] is False
-    # the replicated variants carry an iterate-average comparison
-    assert variants["jhat_sgd_avg_m8"]["averages"]
+    # the replicated variants carry an iterate-average comparison, and the
+    # closing table prints its error where their traces are too short for
+    # a stationary one
+    table = shown[shown.index("mixing times (epochs)"):].splitlines()
+    for name, key in (("jhat_sgd_avg_m8", "8"), ("jhat_sgd_avg_m1", "1")):
+        err = variants[name]["averages"][key]
+        assert isinstance(err, float)
+        row = next(line for line in table if line.split()[:1] == [name])
+        assert row.split()[1:] == ["short", "-", f"{err:.3f}"]
 
 
 # ------------------------------------------------------------------- misc

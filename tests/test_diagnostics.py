@@ -258,7 +258,7 @@ def test_compare_known_difference_and_z_scores():
     predicted = np.diag([2.0, 2.0])
     empirical = predicted + np.array([[0.3, 0.0], [0.0, -0.4]])
     ses = np.full((2, 2), 0.1)
-    report = compare(empirical, predicted, standard_errors=ses, labels={"k": "v"})
+    report = compare(empirical, predicted, standard_errors=ses)
     assert report.frobenius_error == pytest.approx(np.hypot(0.3, 0.4))
     assert report.rel_frobenius_error == pytest.approx(
         np.hypot(0.3, 0.4) / np.linalg.norm(predicted)
@@ -268,7 +268,8 @@ def test_compare_known_difference_and_z_scores():
     assert report.z_scores[1, 1] == pytest.approx(-4.0)
     assert report.max_abs_z == pytest.approx(4.0)
     blob = report.to_json_dict()
-    assert blob["labels"] == {"k": "v"}
+    assert set(blob) == {"frobenius_error", "rel_frobenius_error", "max_abs_error",
+                         "z_scores", "max_abs_z"}
     assert blob["max_abs_z"] == pytest.approx(4.0)
     # zero standard errors mark the entry as off-scale rather than dividing
     degenerate = compare(

@@ -102,16 +102,6 @@ def test_information_equality_under_correct_specification():
     assert rel_s < 0.1
 
 
-def test_assumption_diagnostics_clean_on_well_specified_data():
-    model, data, _ = models.generate_gaussian(2000, d=3, seed=59)
-    fit = inference.fit_mle(model, data)
-    info = inference.empirical_info(model, data, fit.theta_hat)
-    report = inference.assumption_diagnostics(model, data, info, seed=1)
-    assert not report.flags
-    assert report.lambda_min_j > 0
-    assert report.j_drift < 0.5 and report.i_drift < 0.5
-
-
 def test_fit_mle_respects_explicit_init_and_tol():
     model, data, _ = models.generate_logistic(200, 2, seed=60)
     fit = inference.fit_mle(model, data, init=np.array([5.0, -5.0]), tol=1e-8)
