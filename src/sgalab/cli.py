@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, artifacts, diagnostics, engine, theory
 from .config import Setup, parse_config, recommend_kwargs, resolve_setup
-from .engine import RecordingPlan, dataset_hash
+from .engine import RecordingPlan
 from .errors import (
     ArtifactMismatchError,
     ConfigError,
@@ -69,7 +69,7 @@ def _command_manifest(setup: Setup) -> dict:
     return {
         "config": setup.tree,
         "config_hash": setup.hash,
-        "data_hash": dataset_hash(setup.data.records),
+        "data_hash": setup.data_hash,
         "seed": setup.cfg.seed,
         "n": setup.n,
         "dim": setup.model.dim,
@@ -106,7 +106,7 @@ def cmd_predict(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
         raise RegimeError(next(iter(report.average_errors.values())))
     payload = {
         "config_hash": setup.hash,
-        "data_hash": dataset_hash(setup.data.records),
+        "data_hash": setup.data_hash,
         "report": report.to_json_dict(),
     }
     artifacts.write_json(os.path.join(out, "predictions.json"), payload)
@@ -253,7 +253,6 @@ def _usable_runs(out: str, setup: Setup) -> tuple[list, list]:
         raise ArtifactMismatchError(
             f"no trace files in {out}; run the simulate command first"
         )
-    data_hash = dataset_hash(setup.data.records)
     records = []
     for idx in indices:
         record, run_hash = artifacts.load_run(out, idx)
@@ -262,7 +261,7 @@ def _usable_runs(out: str, setup: Setup) -> tuple[list, list]:
                 f"trace {idx} was produced under config hash {run_hash[:12]}..,"
                 f" current config hashes to {setup.hash[:12]}.."
             )
-        if record.manifest["data_hash"] != data_hash:
+        if record.manifest["data_hash"] != setup.data_hash:
             raise ArtifactMismatchError(
                 f"trace {idx} was produced from different data"
             )
@@ -333,7 +332,7 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
 
     payload = {
         "config_hash": setup.hash,
-        "data_hash": dataset_hash(setup.data.records),
+        "data_hash": setup.data_hash,
         "replicates_used": len(alive),
         "diverged_replicates": len(diverged),
         "stationary": None if stationary is None else stationary.to_json_dict(),

@@ -68,9 +68,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .engine import dataset_hash
 from .errors import ConfigError, DataError
 from .inference import InfoMatrices, empirical_info, fit_mle, info_from_truth
 from .linalg import sym_inv
@@ -264,6 +266,11 @@ class Setup:
     @property
     def n(self) -> int:
         return self.data.n
+
+    @cached_property
+    def data_hash(self) -> str:
+        """Digest of the dataset, hashed once however often a command asks."""
+        return dataset_hash(self.data.records)
 
 
 def _build_model_data(tree: dict) -> tuple[ModelSpec, Dataset, TruthSpec | None]:

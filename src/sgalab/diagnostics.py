@@ -171,14 +171,8 @@ def mixing_summary(record: RunRecord, ou: OuParams | None = None) -> MixingSumma
 
 
 def _manifest_key(record: RunRecord) -> tuple:
-    cfg = dict(record.manifest["config"])
-    cfg.pop("seed", None)
-    return (
-        repr(sorted(cfg.items(), key=lambda kv: kv[0])),
-        record.manifest["data_hash"],
-        record.n_steps,
-        record.avg_window,
-    )
+    cfg = dict(record.manifest["config"], seed=None)
+    return cfg, record.manifest["data_hash"], record.n_steps, record.avg_window
 
 
 def replicate_avg_cov(records: list[RunRecord]) -> tuple[np.ndarray, np.ndarray]:

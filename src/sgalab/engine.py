@@ -34,14 +34,14 @@ block sizes.  A draw block gives each replicate one :func:`sample_batch`
 call (O(b) per batch row, or O(n) in numpy's tail-shuffle branch) and one
 noise draw covering up to ``_DRAW_STEPS`` steps.  Gather blocks split it
 so that each gathers at most about ``BLOCK_ROWS`` records over all
-replicates; per gather block the records, the control-variate
-anchor scores of the same indices and the noise term ``L xi`` are
-computed once, stacked over steps and replicates, and the compiled
-transition then runs step by step, adding them.  Every stream is consumed
-in step order, each iterate average is a running sum in step order, and
-each replicate stops at its own first diverging iterate (dropping the rest
-of its draws), so neither block boundaries nor the grouping of replicates
-into commands affect results.
+replicates; per gather block the records, the control-variate anchor
+scores of the same indices and the noise term ``L xi`` are computed once,
+stacked over steps and replicates, and the compiled transition then runs
+step by step, adding them and writing each iterate into its row of the
+block buffer.  Every stream is consumed in step order, each iterate average
+is a running sum in step order, and each replicate stops at its own first
+diverging iterate (dropping the rest of its draws), so neither block
+boundaries nor the grouping of replicates into commands affect results.
 """
 
 from __future__ import annotations
@@ -304,7 +304,8 @@ def _make_transition(ctx: _Context) -> Callable:
     outside the control-variate variant) and the noise term
     ``noise_factor @ xi`` as ``noise_term (R, dim)`` (or None when the
     configuration is noiseless) to the next ``(R, state_dim)`` state, one
-    replicate per row.
+    replicate per row, written into and returned as ``out``: a row of the
+    caller's block buffer, apart from ``state`` and written before it is read.
     """
     model = ctx.model
     grad_fn = model.grad
@@ -323,43 +324,41 @@ def _make_transition(ctx: _Context) -> Callable:
         half_h_gamma_minv = 0.5 * ctx.h * (ctx.gamma @ mass_inv)
         half_h = 0.5 * ctx.h
 
-        def transition(state, rows, anchor_rows, noise_term):
-            theta = state[:, :d]
-            psi = state[:, d:]
+        def transition(state, rows, anchor_rows, noise_term, out):
+            theta, psi = state[:, :d], state[:, d:]
+            new_theta, new_psi = out[:, :d], out[:, d:]
             g_like = _batch_mean(grad_fn(theta, rows))
             # np.matvec runs one gemv per row, as an unstacked ``a @ v`` does, so
             # rows equal solo runs bitwise; a gemm or einsum would round otherwise.
-            new_theta = theta + np.matvec(half_h_minv, psi)
+            np.add(theta, np.matvec(half_h_minv, psi), out=new_theta)
             if box is not None:
-                new_theta = np.clip(new_theta, box[0], box[1])
-            new_psi = psi + half_h * g_like - np.matvec(half_h_gamma_minv, psi)
+                np.clip(new_theta, box[0], box[1], out=new_theta)
+            np.add(psi, half_h * g_like, out=new_psi)
+            np.subtract(new_psi, np.matvec(half_h_gamma_minv, psi), out=new_psi)
             if not flat_prior:
-                new_psi = new_psi + half_h * (inv_n * prior_fn(theta))
+                np.add(new_psi, half_h * (inv_n * prior_fn(theta)), out=new_psi)
             if noise_term is not None:
-                new_psi = new_psi + noise_term
-            return np.concatenate((new_theta, new_psi), axis=1)
+                np.add(new_psi, noise_term, out=new_psi)
+            return out
 
         return transition
 
     anchor_mean = ctx.anchor_mean
     control_variate = ctx.cfg.variant == CONTROL_VARIATE
 
-    def transition(state, rows, anchor_rows, noise_term):
+    def transition(state, rows, anchor_rows, noise_term, out):
         if control_variate:
             g_like = _batch_mean(grad_fn(state, rows) - anchor_rows) + anchor_mean
         else:
             g_like = _batch_mean(grad_fn(state, rows))
-        delta_loglik = np.matvec(half_h_gamma, g_like)
-        if flat_prior:
-            proposal = state + delta_loglik
-        else:
-            prior = np.matvec(half_h_gamma, inv_n * prior_fn(state))
-            proposal = state + delta_loglik + prior
+        np.add(state, np.matvec(half_h_gamma, g_like), out=out)
+        if not flat_prior:
+            np.add(out, np.matvec(half_h_gamma, inv_n * prior_fn(state)), out=out)
         if noise_term is not None:
-            proposal = proposal + noise_term
+            np.add(out, noise_term, out=out)
         if box is not None:
-            proposal = np.clip(proposal, box[0], box[1])
-        return proposal
+            np.clip(out, box[0], box[1], out=out)
+        return out
 
     return transition
 
@@ -395,7 +394,8 @@ def step(
         if xi.shape != (ctx.dim,):
             raise DimensionError(f"xi must have shape ({ctx.dim},)")
         noise_term = np.matvec(ctx.noise_factor, xi[None])
-    return ctx.transition(state[None], records[batch], anchor_rows, noise_term)[0]
+    out = np.empty((1, ctx.state_dim))
+    return ctx.transition(state[None], records[batch], anchor_rows, noise_term, out)[0]
 
 
 def _init_states(
@@ -500,10 +500,11 @@ def run_replicates(
 
     The keyword arguments are those of :func:`run`, and replicate ``r``
     equals ``run(model, data, cfg.with_seed(cfg.seed + r), ...)`` bit for
-    bit.  Divergence is returned, not raised: a replicate that diverges
-    stops at its offending iterate (its ``final_state``), its record has
-    ``diverged_at`` set and keeps what came before, and the other
-    replicates go on.
+    bit; no per-replicate config is built, and each manifest's ``"config"``
+    is one ``cfg.to_dict()`` per call with the replicate's seed.  Divergence
+    is returned, not raised: a replicate that diverges stops at its offending
+    iterate (its ``final_state``), its record has ``diverged_at`` set and
+    keeps what came before, and the other replicates go on.
 
     Work is blocked twice.  Per draw block (about ``_DRAW_STEPS`` steps,
     fewer when many replicates would make the buffers large) each live
@@ -512,8 +513,8 @@ def run_replicates(
     crossing a draw block) the records, the control-variate anchor scores
     of the same indices and the noise term ``noise_factor @ xi`` are
     computed once for all its steps, so each step runs only the
-    state-dependent part of the update.  A replicate that stops leaves the
-    rest of its draws unused.
+    state-dependent part of the update, into its ``out`` row of the block
+    buffer.  A replicate that stops leaves the rest of its draws unused.
     """
     t_start = time.perf_counter()
     if replicates < 1:
@@ -531,16 +532,13 @@ def run_replicates(
     ctx = _build_context(model, records, cfg, n, theta_hat)
     d, state_dim, b = ctx.dim, ctx.state_dim, ctx.b
 
-    cfgs = [cfg.with_seed(cfg.seed + r) for r in range(replicates)]
-    batch_rngs, noise_rngs, init_rngs = [], [], []
-    for rep_cfg in cfgs:
-        streams = np.random.SeedSequence(rep_cfg.seed).spawn(3)
-        batch_rng, noise_rng, init_rng = (
-            np.random.Generator(np.random.Philox(ss)) for ss in streams
-        )
-        batch_rngs.append(batch_rng)
-        noise_rngs.append(noise_rng)
-        init_rngs.append(init_rng)
+    seeds = range(cfg.seed, cfg.seed + replicates)
+    if seeds[-1] >= 2**64:
+        raise ConfigError(f"replicate seed {seeds[-1]} is not an unsigned 64-bit integer")
+    streams = [np.random.SeedSequence(seed).spawn(3) for seed in seeds]
+    batch_rngs, noise_rngs, init_rngs = (
+        [np.random.Generator(np.random.Philox(ss[k])) for ss in streams] for k in range(3)
+    )
     init_states = _init_states(ctx, init, theta_hat, init_rngs)
 
     win_lo = recording.average_start
@@ -605,8 +603,8 @@ def run_replicates(
             noise_block = [None] * blk if noise is None else np.matvec(noise, xi_draw[now])
 
             buf = np.empty((blk, live, state_dim))
-            for i, terms in enumerate(zip(rows_block, anchor_block, noise_block)):
-                state = buf[i] = transition(state, *terms)
+            for out, rows, anchors, noise_t in zip(buf, rows_block, anchor_block, noise_block):
+                state = transition(state, rows, anchors, noise_t, out)
 
             # Divergence scan before any accumulation uses the block: each
             # replicate keeps only its steps before its first bad iterate.
@@ -649,11 +647,12 @@ def run_replicates(
 
     wall_share = (time.perf_counter() - t_start) / replicates
     data_hash = dataset_hash(records)
+    cfg_dict = cfg.to_dict()
     out = []
-    for r, rep_cfg in enumerate(cfgs):
+    for r, seed in enumerate(seeds):
         avg_count = min(win_hi, steps_done[r]) - win_lo
         manifest = {
-            "config": rep_cfg.to_dict(),
+            "config": {**cfg_dict, "seed": seed},
             "n": n,
             "dim": d,
             "state_dim": state_dim,

@@ -3,7 +3,8 @@
 Everything here is deliberately slow and simple: characteristic-polynomial
 eigenvalues, Taylor-series matrix exponentials, brute-force quadrature and
 the asymptotic path-average forms, per-family log-likelihoods, enumerated
-batch spaces, the textbook drift estimate, coordinate-descent fitting.
+batch spaces, the textbook drift estimate, the engine's step in expression
+form, coordinate-descent fitting.
 Production code must agree with these within stated tolerances; none of
 these routines may call the routines they are checking.  ``save_csv``
 writes the CSV inputs some tests feed to the loader; ``savetxt_table`` is
@@ -310,6 +311,69 @@ def stochastic_gradient(
     else:
         base = 0.0
     return g.mean(axis=0) + base + model.grad_prior(theta) / records.shape[0]
+
+
+def expression_transition(ctx, flat_prior: bool):
+    """The engine's compiled step in expression form, returning a new array.
+
+    ``ctx`` is the engine's resolved run context; the result maps ``(state,
+    rows, anchor_rows, noise_term)`` to the next state with the same numpy
+    operations in the same order as the engine's transition, each producing
+    a fresh array (momentum joins its halves with ``np.concatenate``), so
+    the engine's in-place form must equal it bit for bit.  ``flat_prior``
+    says whether the model's prior gradient is the zero function, which the
+    engine skips without adding.  The batch mean is ``np.add.reduce`` over
+    the batch axis divided by ``b``.
+    """
+    grad_fn = ctx.model.grad
+    prior_fn = ctx.model.grad_prior
+    inv_n = 1.0 / ctx.n
+    half_h_gamma = 0.5 * ctx.h * ctx.gamma
+    box = ctx.box
+    d = ctx.dim
+
+    def batch_mean(g):
+        return np.add.reduce(g, axis=-2) / g.shape[-2]
+
+    if ctx.cfg.variant == "momentum":
+        half_h_minv = 0.5 * ctx.h * ctx.mass_inv
+        half_h_gamma_minv = 0.5 * ctx.h * (ctx.gamma @ ctx.mass_inv)
+        half_h = 0.5 * ctx.h
+
+        def transition(state, rows, anchor_rows, noise_term):
+            theta = state[:, :d]
+            psi = state[:, d:]
+            g_like = batch_mean(grad_fn(theta, rows))
+            new_theta = theta + np.matvec(half_h_minv, psi)
+            if box is not None:
+                new_theta = np.clip(new_theta, box[0], box[1])
+            new_psi = psi + half_h * g_like - np.matvec(half_h_gamma_minv, psi)
+            if not flat_prior:
+                new_psi = new_psi + half_h * (inv_n * prior_fn(theta))
+            if noise_term is not None:
+                new_psi = new_psi + noise_term
+            return np.concatenate((new_theta, new_psi), axis=1)
+
+        return transition
+
+    def transition(state, rows, anchor_rows, noise_term):
+        if ctx.cfg.variant == "control_variate":
+            g_like = batch_mean(grad_fn(state, rows) - anchor_rows) + ctx.anchor_mean
+        else:
+            g_like = batch_mean(grad_fn(state, rows))
+        delta_loglik = np.matvec(half_h_gamma, g_like)
+        if flat_prior:
+            proposal = state + delta_loglik
+        else:
+            prior = np.matvec(half_h_gamma, inv_n * prior_fn(state))
+            proposal = state + delta_loglik + prior
+        if noise_term is not None:
+            proposal = proposal + noise_term
+        if box is not None:
+            proposal = np.clip(proposal, box[0], box[1])
+        return proposal
+
+    return transition
 
 
 # --------------------------------------------------------------- fitting

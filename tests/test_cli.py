@@ -342,6 +342,30 @@ def test_stationary_init_is_solved_once_per_simulate(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_each_command_hashes_its_dataset_once(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "run.ini", BASE_INI.replace("epochs = 20", "epochs = 1"))
+    out = str(tmp_path / "out")
+    hashed = []
+    real_hash = config.dataset_hash
+
+    def counted(records):
+        hashed.append(records.shape)
+        return real_hash(records)
+
+    monkeypatch.setattr(config, "dataset_hash", counted)
+    for command, extra in (("predict", []), ("simulate", ["--threads", "1"]),
+                           ("compare", [])):
+        hashed.clear()
+        assert cli.main([command, "--config", cfg, "--out", out, "--quiet", *extra]) == 0
+        assert hashed == [(200, 3)], command
+    # the digest is the engine's, unchanged
+    manifest = _read_json(os.path.join(out, "manifest.json"))
+    assert manifest["data_hash"] == _read_json(
+        os.path.join(out, "comparison.json"))["data_hash"]
+    assert manifest["data_hash"] == _read_json(
+        os.path.join(out, "manifest_000.json"))["run"]["data_hash"]
+
+
 def test_simulate_overrides_fold_into_hash_and_seeds(tmp_path):
     cfg = _write(tmp_path, "run.ini", BASE_INI)
     out = str(tmp_path / "out")

@@ -1,10 +1,12 @@
 """Measurement layer: covariances from runs, autocorrelation, comparisons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
-from sgalab import diagnostics, theory
+from sgalab import artifacts, diagnostics, engine, models, theory
 from sgalab.diagnostics import (
     autocorrelation,
     compare,
@@ -229,7 +231,7 @@ def test_replicate_avg_cov_matches_sample_covariance():
     assert np.linalg.norm(got_cov - cov) / np.linalg.norm(cov) < 0.35
 
 
-def test_replicate_avg_cov_guards():
+def test_replicate_avg_cov_guards(tmp_path):
     rng = np.random.default_rng(110)
     cov = np.eye(2)
     records, _ = _replicate_records(rng, 29, cov)
@@ -240,6 +242,27 @@ def test_replicate_avg_cov_guards():
     tampered, _ = _replicate_records(rng, 1, cov, seed_config={"c_h": 2.0})
     with pytest.raises(ArtifactMismatchError, match="different configurations"):
         replicate_avg_cov(records[:30] + tampered)
+
+    # engine replicates reloaded from disk are one tree, also mixed with the
+    # in-memory ones; a replicate whose gamma differs in one entry is not
+    model, data, truth = models.generate_gaussian(40, 2, seed=111)
+    gamma = np.array([[1.0, 0.2], [0.2, 0.5]])
+    cfg = TuningConfig(frak_h=1.0, c_h=1.0, frak_t=1.0, c_beta=2.0, gamma=gamma, seed=3)
+    runs = engine.run_replicates(model, data, cfg, 31, n_steps=20,
+                                 theta_hat=truth.theta_star)
+    for r, run in enumerate(runs):
+        artifacts.save_run(str(tmp_path), r, run, "hash")
+    loaded = [artifacts.load_run(str(tmp_path), r)[0] for r in range(31)]
+    cov_loaded, _ = replicate_avg_cov(loaded)
+    cov_mixed, _ = replicate_avg_cov(runs[:15] + loaded[15:])
+    assert np.allclose(cov_loaded, cov_mixed)
+    bent = gamma.copy()
+    bent[0, 1] = 0.25
+    (odd,) = engine.run_replicates(model, data, dataclasses.replace(cfg, gamma=bent, seed=40),
+                                   1, n_steps=20, theta_hat=truth.theta_star)
+    for tree in (loaded[:30], runs[:30]):
+        with pytest.raises(ArtifactMismatchError, match="different configurations"):
+            replicate_avg_cov(tree + [odd])
 
 
 # ------------------------------------------------------------- comparisons

@@ -15,7 +15,7 @@ import pytest
 import scipy.stats
 
 import oracles
-from sgalab import engine, models
+from sgalab import engine, models, tuning
 from sgalab.engine import RecordingPlan, dataset_hash, sample_batch
 from sgalab.errors import ConfigError, DivergenceError
 from sgalab.tuning import (
@@ -580,6 +580,68 @@ def test_batch_mean_is_bitwise_the_reduced_mean():
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), b
 
 
+def _transition_cases():
+    """(name, model, data, cfg, anchor) covering every branch of the step."""
+    model, data, truth = models.generate_gaussian(30, 3, seed=2)
+    dense = np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.25], [-0.2, 0.25, 0.6]])
+    sgld = dict(frak_h=1.0, c_h=2.0, frak_b=0.0, frak_t=1.0, c_beta=2.0,
+                gamma=dense, lam=dense)
+    momentum = dict(sgld, c_h=1.0, c_b=2.0, mass=np.diag([1.0, 2.0, 0.5]) + 0.1,
+                    variant=MOMENTUM)
+    # a zero lower bound meets -0.0 iterates, whose clipped sign must match
+    box = (np.array([0.0, -0.2, -0.2]), np.array([1.0, 0.2, 0.05]))
+    prior = _prior_model(model)
+    yield "plain_b1", model, data, TuningConfig(frak_h=1.0, c_h=2.0, gamma=dense), None
+    yield "sgld_b3", model, data, TuningConfig(c_b=3.0, **sgld), None
+    logistic, ldata, ltruth = models.generate_logistic(60, 4, seed=6)
+    dense4 = np.eye(4) + 0.2 * np.ones((4, 4))
+    yield "control_variate", logistic, ldata, TuningConfig(
+        frak_h=1.0, c_h=2.0, c_b=5.0, frak_t=1.0, c_beta=1.0, gamma=dense4, lam=dense4,
+        variant=CONTROL_VARIATE), ltruth.theta_star
+    yield "momentum", model, data, TuningConfig(**momentum), None
+    yield "momentum_noiseless", model, data, TuningConfig(
+        **dict(momentum, frak_t=math.inf)), None
+    yield "prior_plain", prior, data, TuningConfig(c_b=2.0, **sgld), None
+    yield "prior_momentum", prior, data, TuningConfig(**momentum), None
+    yield "box_plain", model, data, TuningConfig(c_b=2.0, boundary=box, **sgld), None
+    yield "box_momentum", prior, data, TuningConfig(boundary=box, **momentum), None
+
+
+def test_transitions_equal_expression_form_bitwise():
+    # the in-place transition against the expression form it replaced, on
+    # awkward states and noise, writing into an out row pre-filled with NaN
+    awkward = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300])
+    rng = np.random.default_rng(12)
+    replicates = 6
+    for name, model, data, cfg, anchor in _transition_cases():
+        records = model.check_records(data.records)
+        n = records.shape[0]
+        ctx = engine._build_context(model, records, cfg, n, anchor)
+        oracle = oracles.expression_transition(ctx, model.grad_prior is models.zero_prior)
+        for trial in range(20):
+            state = rng.normal(size=(replicates, ctx.state_dim))
+            mask = rng.random(state.shape) < 0.3
+            state[mask] = rng.choice(awkward, size=mask.sum())
+            state[0] = -0.0
+            idx = np.sort(rng.integers(0, n, size=(replicates, ctx.b)), axis=1)
+            anchor_rows = None if ctx.anchor_grads is None else ctx.anchor_grads[idx]
+            noise_term = None
+            if ctx.noise_factor is not None:
+                noise_term = rng.normal(size=(replicates, ctx.dim))
+                noise_term[rng.random(noise_term.shape) < 0.2] = -0.0
+                noise_term[1] = rng.choice(awkward, size=ctx.dim)
+            before = state.copy()
+            buf = np.full((2, replicates, ctx.state_dim), np.nan)
+            out = buf[1]
+            with np.errstate(all="ignore"):
+                want = oracle(state, records[idx], anchor_rows, noise_term)
+                got = ctx.transition(state, records[idx], anchor_rows, noise_term, out)
+            assert got is out, name
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, trial)
+            assert np.array_equal(state.view(np.int64), before.view(np.int64)), name
+            assert np.isnan(buf[0]).all(), name
+
+
 def test_stationary_init_factors_its_covariance_once(monkeypatch):
     model, data, truth = models.generate_gaussian(30, 3, seed=2)
     cfg = TuningConfig(frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=1.0, frak_t=1.0,
@@ -761,6 +823,39 @@ def test_run_replicates_seeds():
     assert recs[0].manifest["config"]["seed"] == 100
     with pytest.raises(ConfigError):
         engine.run_replicates(model, data, cfg, 0, n_steps=1)
+
+
+def test_run_replicates_builds_no_config_per_replicate(monkeypatch):
+    # replicate r is cfg at seed cfg.seed + r: no TuningConfig is rebuilt, so
+    # lambda's SPD check (an eigvalsh and an allclose) never reruns
+    model, data, _ = _gaussian_case(n=10, d=2, seed=1)
+    lam = np.array([[1.0, 0.2], [0.2, 0.5]])
+    cfg = TuningConfig(frak_h=1.0, c_h=1.0, frak_t=1.0, c_beta=1.0, lam=lam, seed=9)
+    checked = []
+    real_check_spd = tuning._check_spd
+
+    def counting_check_spd(*args, **kwargs):
+        checked.append(args[0])
+        return real_check_spd(*args, **kwargs)
+
+    monkeypatch.setattr(tuning, "_check_spd", counting_check_spd)
+    recs = engine.run_replicates(model, data, cfg, 50, n_steps=3, init=np.zeros(2))
+    assert checked == []
+    assert [rec.manifest["config"]["seed"] for rec in recs] == list(range(9, 59))
+    assert all(rec.manifest["config"] == dict(cfg.to_dict(), seed=9 + r)
+               for r, rec in enumerate(recs))
+
+
+def test_run_replicates_rejects_seeds_past_64_bits():
+    model, data, _ = _gaussian_case(n=10, d=2, seed=1)
+    base = dict(frak_h=1.0, c_h=1.0, frak_t=1.0, c_beta=1.0)
+    with pytest.raises(ConfigError, match="64-bit"):
+        engine.run_replicates(model, data, TuningConfig(seed=2**64 - 2, **base), 3,
+                              n_steps=2, init=np.zeros(2))
+    # the last seed a replicate may take is 2**64 - 1
+    recs = engine.run_replicates(model, data, TuningConfig(seed=2**64 - 3, **base), 3,
+                                 n_steps=2, init=np.zeros(2))
+    assert recs[-1].manifest["config"]["seed"] == 2**64 - 1
 
 
 def test_step_requires_noise_draw_exactly_when_noisy():
