@@ -261,7 +261,9 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
     return record, payload["config_hash"]
 
 
-_REPLICATE_FILE = re.compile(r"(?:trace|acf)_(\d+)\.csv|manifest_(\d+)\.json")
+#: A per-replicate file name: group 1 is ``trace`` or ``acf`` and group 2 its
+#: replicate index; group 3 is a run manifest's index.
+_REPLICATE_FILE = re.compile(r"(trace|acf)_(\d+)\.csv|manifest_(\d+)\.json")
 
 
 def remove_runs_from(out_dir: str, first: int) -> None:
@@ -272,19 +274,14 @@ def remove_runs_from(out_dir: str, first: int) -> None:
     """
     for name in os.listdir(out_dir):
         match = _REPLICATE_FILE.fullmatch(name)
-        if match and int(match.group(1) or match.group(2)) >= first:
+        if match and int(match.group(2) or match.group(3)) >= first:
             os.remove(os.path.join(out_dir, name))
 
 
 def list_runs(out_dir: str) -> list[int]:
     """Replicate indices present in a directory, sorted ascending."""
-    out = []
-    for name in os.listdir(out_dir):
-        if name.startswith("trace_") and name.endswith(".csv"):
-            core = name[len("trace_"):-len(".csv")]
-            if core.isdigit():
-                out.append(int(core))
-    return sorted(out)
+    matches = map(_REPLICATE_FILE.fullmatch, os.listdir(out_dir))
+    return sorted(int(m.group(2)) for m in matches if m and m.group(1) == "trace")
 
 
 def save_acf(out_dir: str, index: int, rhos: np.ndarray) -> None:

@@ -1,8 +1,9 @@
 """Command-line front end: predict, simulate, compare, tune, experiment.
 
 Commands read one configuration file (see :mod:`sgalab.config` for the
-grammar) and write artifacts into an output directory.  Artifacts embed the
-configuration hash so downstream commands can refuse mismatched inputs.
+grammar), the only input that sets a run, and write artifacts into an output
+directory.  Artifacts embed the configuration hash so downstream commands
+can refuse mismatched inputs.
 
 Exit codes: 0 success; 1 usage or configuration problem; 2 scaling-regime
 violation (including unreachable tuning targets); 3 no stationary law
@@ -55,21 +56,11 @@ def _out_dir(tree: dict, flag: str | None) -> str:
     return out
 
 
-def _apply_overrides(tree: dict, args) -> dict:
-    """Fold command-line overrides into the tree before hashing."""
-    execution = tree.setdefault("execution", {})
-    if getattr(args, "seed", None) is not None:
-        execution["seed"] = args.seed
-    if getattr(args, "replicates", None) is not None:
-        execution["replicates"] = args.replicates
-    return tree
-
-
 def _command_manifest(setup: Setup) -> dict:
     return {
         "config": setup.tree,
         "config_hash": setup.hash,
-        "data_hash": setup.data_hash,
+        "data_hash": setup.data.digest,
         "seed": setup.cfg.seed,
         "n": setup.n,
         "dim": setup.model.dim,
@@ -106,7 +97,7 @@ def cmd_predict(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
         raise RegimeError(next(iter(report.average_errors.values())))
     payload = {
         "config_hash": setup.hash,
-        "data_hash": setup.data_hash,
+        "data_hash": setup.data.digest,
         "report": report.to_json_dict(),
     }
     artifacts.write_json(os.path.join(out, "predictions.json"), payload)
@@ -157,11 +148,6 @@ def _run_replicates(
     setup: Setup, start: int, count: int, init
 ) -> list[engine.RunRecord]:
     """Replicates ``start .. start+count-1`` of the command, advanced together."""
-    avg_start = (
-        setup.cfg.epochs_to_steps(setup.n, setup.average_start_epochs)
-        if setup.average_start_epochs > 0
-        else 0
-    )
     return engine.run_replicates(
         setup.model,
         setup.data,
@@ -170,7 +156,7 @@ def _run_replicates(
         n_steps=setup.n_steps,
         theta_hat=setup.mle_theta,
         init=init,
-        recording=RecordingPlan(thin=setup.thin, average_start=avg_start),
+        recording=RecordingPlan(thin=setup.thin, average_start=setup.average_start),
     )
 
 
@@ -261,7 +247,7 @@ def _usable_runs(out: str, setup: Setup) -> tuple[list, list]:
                 f"trace {idx} was produced under config hash {run_hash[:12]}..,"
                 f" current config hashes to {setup.hash[:12]}.."
             )
-        if record.manifest["data_hash"] != setup.data_hash:
+        if record.manifest["data_hash"] != setup.data.digest:
             raise ArtifactMismatchError(
                 f"trace {idx} was produced from different data"
             )
@@ -280,6 +266,8 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
             f" {pred_payload['config_hash'][:12]}.., current config hashes to"
             f" {setup.hash[:12]}.."
         )
+    if pred_payload["data_hash"] != setup.data.digest:
+        raise ArtifactMismatchError("predictions.json was produced from different data")
     alive, diverged = _usable_runs(out, setup)
     if not alive:
         raise DivergenceError(
@@ -332,7 +320,7 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
 
     payload = {
         "config_hash": setup.hash,
-        "data_hash": setup.data_hash,
+        "data_hash": setup.data.digest,
         "replicates_used": len(alive),
         "diverged_replicates": len(diverged),
         "stationary": None if stationary is None else stationary.to_json_dict(),
@@ -554,10 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"sgalab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument(
-            "--config", required=config_required, help="configuration file (INI or JSON)"
-        )
+    def common(p):
+        p.add_argument("--config", required=True, help="configuration file (INI or JSON)")
         p.add_argument("--out", help="output directory (default: [output] dir)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
 
@@ -566,8 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run seeded replicates and persist traces")
     common(p)
-    p.add_argument("--seed", type=int, help="override [execution] seed")
-    p.add_argument("--replicates", type=int, help="override [execution] replicates")
     p.add_argument("--threads", type=int,
                    help="worker processes (default: 1 per 50 replicates, <= cores)")
 
@@ -604,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
                 epochs_override=args.epochs,
                 quiet=args.quiet,
             )
-        tree = _apply_overrides(parse_config(args.config), args)
+        tree = parse_config(args.config)
         if args.command == "predict":
             return cmd_predict(tree, args.out, quiet=args.quiet)
         if args.command == "simulate":

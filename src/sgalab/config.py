@@ -31,7 +31,6 @@ Grammar (INI form; every key optional unless marked required)::
     lambda = identity | jhat_inv | ihat_inv | jstar_inv | istar_inv
     policy = with_replacement | without_replacement
     variant = plain | momentum | control_variate
-    mass = identity                     momentum mass matrix
     boundary_lo, boundary_hi = <floats> coordinate box
 
     [execution]
@@ -68,11 +67,9 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .engine import dataset_hash
 from .errors import ConfigError, DataError
 from .inference import InfoMatrices, empirical_info, fit_mle, info_from_truth
 from .linalg import sym_inv
@@ -115,7 +112,6 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "lambda": "str",
         "policy": "str",
         "variant": "str",
-        "mass": "str",
         "boundary_lo": "floats",
         "boundary_hi": "floats",
     },
@@ -257,7 +253,8 @@ class Setup:
     thin: int
     #: ``mle``, ``zero``, ``stationary``, or ``("overdispersed", scale)``
     init_token: str | tuple[str, float]
-    average_start_epochs: float
+    #: first step of the iterate-average window
+    average_start: int
     burnin_fraction: float
     m_values: list[float]
     t_grid: list[float]
@@ -266,11 +263,6 @@ class Setup:
     @property
     def n(self) -> int:
         return self.data.n
-
-    @cached_property
-    def data_hash(self) -> str:
-        """Digest of the dataset, hashed once however often a command asks."""
-        return dataset_hash(self.data.records)
 
 
 def _build_model_data(tree: dict) -> tuple[ModelSpec, Dataset, TruthSpec | None]:
@@ -373,9 +365,6 @@ def resolve_setup(tree: dict) -> Setup:
     t = tree.get("tuning", {})
     gamma = _resolve_matrix(t.get("gamma", "identity"), info, truth, "[tuning] gamma")
     lam = _resolve_matrix(t.get("lambda", "identity"), info, truth, "[tuning] lambda")
-    mass_token = t.get("mass", "identity")
-    if mass_token != "identity":
-        raise ConfigError("[tuning] mass currently supports only 'identity'")
     boundary = None
     if ("boundary_lo" in t) != ("boundary_hi" in t):
         raise ConfigError("[tuning] boundary_lo and boundary_hi must appear together")
@@ -403,6 +392,10 @@ def resolve_setup(tree: dict) -> Setup:
     n_steps = e["steps"] if "steps" in e else cfg.epochs_to_steps(data.n, e["epochs"])
     if n_steps < 1:
         raise ConfigError("[execution] run length must be at least one step")
+    start_epochs = e.get("average_start_epochs", 0.0)
+    if not (math.isfinite(start_epochs) and start_epochs >= 0.0):
+        raise ConfigError("[execution] average_start_epochs must be finite and >= 0")
+    average_start = cfg.epochs_to_steps(data.n, start_epochs) if start_epochs > 0.0 else 0
 
     init_token = e.get("init", "mle")
     kind, colon, arg = init_token.partition(":")
@@ -419,9 +412,6 @@ def resolve_setup(tree: dict) -> Setup:
     burnin = e.get("burnin_fraction", 0.1)
     if not 0.0 <= burnin < 1.0:
         raise ConfigError("[execution] burnin_fraction must be in [0, 1)")
-    average_start = e.get("average_start_epochs", 0.0)
-    if not (math.isfinite(average_start) and average_start >= 0.0):
-        raise ConfigError("[execution] average_start_epochs must be finite and >= 0")
 
     replicates = e.get("replicates", 1)
     if replicates < 1:
@@ -440,7 +430,7 @@ def resolve_setup(tree: dict) -> Setup:
         replicates=replicates,
         thin=thin,
         init_token=init_token,
-        average_start_epochs=average_start,
+        average_start=average_start,
         burnin_fraction=burnin,
         m_values=[float(v) for v in p.get("m_values", [1.0, 8.0])],
         t_grid=[float(v) for v in p.get("t_grid", [])],

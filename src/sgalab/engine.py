@@ -46,7 +46,6 @@ boundaries nor the grouping of replicates into commands affect results.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -112,22 +111,18 @@ def sample_batch(
 class RecordingPlan:
     """What a run keeps: thinning stride and the iterate-average window.
 
-    The average covers iterates ``average_start+1`` up to
-    ``average_stop`` inclusive, counting from 1; ``average_stop = None``
-    means the end of the run.
+    The average covers iterates ``average_start+1`` up to the end of the
+    run, counting from 1.
     """
 
     thin: int = 1
     average_start: int = 0
-    average_stop: int | None = None
 
     def __post_init__(self) -> None:
         if self.thin < 1:
             raise ConfigError(f"thin must be >= 1, got {self.thin}")
         if self.average_start < 0:
             raise ConfigError("average_start must be >= 0")
-        if self.average_stop is not None and self.average_stop <= self.average_start:
-            raise ConfigError("average window must be non-empty")
 
 
 @dataclass
@@ -185,13 +180,6 @@ class RunRecord:
         if self.theta_hat is None or self.avg_state is None:
             raise ConfigError("run has no anchor point or no average window")
         return self._scale() * (self.avg_state[: self.dim] - self.theta_hat)
-
-
-def dataset_hash(records: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    digest.update(str(records.shape).encode())
-    digest.update(np.ascontiguousarray(records).tobytes())
-    return digest.hexdigest()
 
 
 @dataclass
@@ -541,11 +529,8 @@ def run_replicates(
     )
     init_states = _init_states(ctx, init, theta_hat, init_rngs)
 
-    win_lo = recording.average_start
-    win_hi = recording.average_stop if recording.average_stop is not None else n_steps
-    if win_lo >= n_steps:
-        win_lo, win_hi = n_steps, n_steps  # empty window
-    win_hi = min(win_hi, n_steps)
+    # The average window runs from win_lo to the end (empty if win_lo = n_steps).
+    win_lo = min(recording.average_start, n_steps)
 
     thin = recording.thin
     states = np.empty((replicates, n_steps // thin, state_dim))
@@ -618,14 +603,13 @@ def run_replicates(
             row0 = step_global // thin
             states[active, row0 : row0 + len(kept)] = kept.swapaxes(0, 1)
             lo = max(win_lo - step_global, 0)
-            hi = min(win_hi - step_global, blk)
-            if lo < hi:
+            if lo < blk:
                 # One running sum in step order, whatever the block length;
                 # a stopped replicate takes its partial sum at its cut.
                 sums = np.add.accumulate(
-                    np.concatenate([avg_sum[active][None], buf[lo:hi]])
+                    np.concatenate([avg_sum[active][None], buf[lo:]])
                 )
-                taken = np.clip(np.minimum(hi, cut) - lo, 0, None)
+                taken = np.clip(cut - lo, 0, None)
                 avg_sum[active] = sums[taken, np.arange(live)]
 
             for j in np.flatnonzero(stopped):
@@ -646,11 +630,10 @@ def run_replicates(
     final_states[active] = state
 
     wall_share = (time.perf_counter() - t_start) / replicates
-    data_hash = dataset_hash(records)
     cfg_dict = cfg.to_dict()
     out = []
     for r, seed in enumerate(seeds):
-        avg_count = min(win_hi, steps_done[r]) - win_lo
+        avg_count = steps_done[r] - win_lo
         manifest = {
             "config": {**cfg_dict, "seed": seed},
             "n": n,
@@ -658,8 +641,8 @@ def run_replicates(
             "state_dim": state_dim,
             "n_steps": n_steps,
             "thin": thin,
-            "avg_window": [win_lo, win_hi],
-            "data_hash": data_hash,
+            "avg_window": [win_lo, n_steps],
+            "data_hash": data.digest,
             "theta_hat": None if theta_hat is None else np.asarray(theta_hat).tolist(),
             "local_exponent": ctx.local_exponent,
             "init_state": init_states[r].tolist(),
@@ -675,7 +658,7 @@ def run_replicates(
             init_state=init_states[r],
             final_state=final_states[r],
             avg_state=avg_sum[r] / avg_count if avg_count > 0 else None,
-            avg_window=(win_lo, win_hi),
+            avg_window=(win_lo, n_steps),
             theta_hat=None if theta_hat is None else np.asarray(theta_hat, float).copy(),
             local_exponent=ctx.local_exponent,
             n=n,

@@ -19,8 +19,10 @@ so predictions can be made either from the truth or from plug-in estimates.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -84,6 +86,21 @@ class Dataset:
             )
         if self.records.shape[0] == 0:
             raise DataError("dataset has no records")
+
+    @cached_property
+    def digest(self) -> str:
+        """:func:`dataset_hash` of the records, computed once per dataset.
+
+        Records are not to be changed in place after the first call.
+        """
+        return dataset_hash(self.records)
+
+
+def dataset_hash(records: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    digest.update(str(records.shape).encode())
+    digest.update(np.ascontiguousarray(records).tobytes())
+    return digest.hexdigest()
 
 
 @dataclass

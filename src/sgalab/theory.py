@@ -463,7 +463,6 @@ def recommend_tuning(
     frak_b: float = 0.0,
     c_b: float = 1.0,
     policy: str = "with_replacement",
-    seed: int = 0,
 ) -> Recommendation:
     """Construct a tuning whose predicted stationary covariance is a target.
 
@@ -559,7 +558,6 @@ def recommend_tuning(
         lam=gamma,
         policy=policy,
         variant=variant,
-        seed=seed,
         labels={"recommendation": target},
     )
     if target == "posterior":

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -107,6 +108,26 @@ def test_unknown_key_and_section_are_usage_errors(tmp_path, capsys):
     path2 = _write(tmp_path, "bad2.ini", bad_section)
     assert cli.main(["predict", "--config", path2, "--quiet"]) == 1
     assert "turbo" in capsys.readouterr().err
+
+    # a momentum mass matrix is set through the Python API only
+    mass = BASE_INI.replace("lambda = jhat_inv", "lambda = jhat_inv\nmass = identity")
+    path3 = _write(tmp_path, "bad3.ini", mass)
+    assert cli.main(["predict", "--config", path3, "--quiet"]) == 1
+    assert "unknown key 'mass' in section [tuning]" in capsys.readouterr().err
+
+
+def test_config_grammar_lists_exactly_the_schema_keys():
+    grammar = config.__doc__.split("::", 1)[1]
+    documented: dict[str, set] = {}
+    for line in grammar.splitlines():
+        header = re.fullmatch(r"\[(\w+)\]", line.strip())
+        if header:
+            keys = documented.setdefault(header.group(1), set())
+            continue
+        # "key = ...", "a, b = ...", or alternatives "a = ... | b = ..."
+        for names in re.findall(r"(?:^|\|)\s*(\w+(?:\s*,\s*\w+)*)\s*=", line):
+            keys.update(re.split(r"\s*,\s*", names))
+    assert documented == {section: set(keys) for section, keys in config._SCHEMA.items()}
 
 
 def test_config_value_type_errors_name_the_offender(tmp_path):
@@ -346,19 +367,19 @@ def test_each_command_hashes_its_dataset_once(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "run.ini", BASE_INI.replace("epochs = 20", "epochs = 1"))
     out = str(tmp_path / "out")
     hashed = []
-    real_hash = config.dataset_hash
+    real_hash = models.dataset_hash
 
     def counted(records):
         hashed.append(records.shape)
         return real_hash(records)
 
-    monkeypatch.setattr(config, "dataset_hash", counted)
+    monkeypatch.setattr(models, "dataset_hash", counted)
     for command, extra in (("predict", []), ("simulate", ["--threads", "1"]),
                            ("compare", [])):
         hashed.clear()
         assert cli.main([command, "--config", cfg, "--out", out, "--quiet", *extra]) == 0
         assert hashed == [(200, 3)], command
-    # the digest is the engine's, unchanged
+    # the command manifests and the run manifests carry one digest
     manifest = _read_json(os.path.join(out, "manifest.json"))
     assert manifest["data_hash"] == _read_json(
         os.path.join(out, "comparison.json"))["data_hash"]
@@ -366,22 +387,15 @@ def test_each_command_hashes_its_dataset_once(tmp_path, monkeypatch):
         os.path.join(out, "manifest_000.json"))["run"]["data_hash"]
 
 
-def test_simulate_overrides_fold_into_hash_and_seeds(tmp_path):
+def test_seed_and_replicates_come_from_the_config_only(tmp_path, capsys):
     cfg = _write(tmp_path, "run.ini", BASE_INI)
-    out = str(tmp_path / "out")
-    assert cli.main(
-        [
-            "simulate", "--config", cfg, "--out", out,
-            "--seed", "123", "--replicates", "1", "--threads", "1", "--quiet",
-        ]
-    ) == 0
-    manifest = _read_json(os.path.join(out, "manifest.json"))
-    assert manifest["seed"] == 123
-    assert manifest["replicates"] == 1
-    run0 = _read_json(os.path.join(out, "manifest_000.json"))
-    assert run0["run"]["config"]["seed"] == 123
-    base_hash = config.config_hash(config.parse_config(cfg))
-    assert manifest["config_hash"] != base_hash
+    common = ["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    assert cli.main(["predict", *common]) == 0
+    for flag, value in (("--seed", "3"), ("--replicates", "2")):
+        assert cli.main(["simulate", *common, "--threads", "1", flag, value]) == 1
+        assert flag in capsys.readouterr().err
+    assert cli.main(["simulate", *common, "--threads", "1"]) == 0
+    assert cli.main(["compare", *common]) == 0
 
 
 # ------------------------------------------------------------- error paths
@@ -402,6 +416,25 @@ def test_compare_refuses_mismatched_artifacts(tmp_path, capsys):
     assert cli.main(["predict", "--config", other, "--out", out, "--quiet"]) == 0
     assert cli.main(["compare", "--config", other, "--out", out, "--quiet"]) == 4
     assert "trace" in capsys.readouterr().err
+
+
+def test_compare_refuses_predictions_from_other_data(tmp_path, capsys):
+    # a csv config names its file, not the file's contents
+    rows = np.random.default_rng(4).standard_normal((100, 2))
+    data = str(tmp_path / "data.csv")
+    oracles.save_csv(data, rows)
+    ini = (
+        f"[model]\nfamily = gaussian_location\nsource = csv\npath = {data}\n"
+        "columns = 2\n\n[tuning]\nc_h = 4.0\n\n[execution]\nepochs = 5\n"
+    )
+    cfg = _write(tmp_path, "csv.ini", ini)
+    common = ["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    assert cli.main(["predict", *common]) == 0
+    rows[:, 1] += 0.5
+    oracles.save_csv(data, rows)
+    assert cli.main(["simulate", *common, "--threads", "1"]) == 0
+    assert cli.main(["compare", *common]) == 4
+    assert "predictions.json was produced from different data" in capsys.readouterr().err
 
 
 def test_resimulate_with_fewer_replicates_clears_stale_traces(tmp_path):
