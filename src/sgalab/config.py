@@ -413,10 +413,10 @@ def resolve_setup(tree: dict) -> Setup:
     if not 0.0 <= burnin < 1.0:
         raise ConfigError("[execution] burnin_fraction must be in [0, 1)")
 
-    replicates = e.get("replicates", 1)
-    if replicates < 1:
-        raise ConfigError("[execution] replicates must be >= 1")
-    thin = e.get("thin", 1)
+    replicates, thin = e.get("replicates", 1), e.get("thin", 1)
+    for key, value in (("replicates", replicates), ("thin", thin)):
+        if value < 1:
+            raise ConfigError(f"[execution] {key} must be >= 1")
 
     return Setup(
         tree=tree,

@@ -8,10 +8,11 @@ where ``grad_estimate`` averages per-record score rows over a uniformly
 sampled minibatch plus the (1/n-scaled) prior gradient, ``xi`` is a standard
 Gaussian vector, and an optional box projection keeps iterates inside a
 coordinate box.  The momentum variant runs the same recursion on the
-doubled state (parameter, momentum) with the structured preconditioner that
-zeroes the direct parameter/gradient coupling; the control-variate variant
-recenters each minibatch score at an anchor point and adds back the full-data
-anchor score so the estimate stays unbiased for any anchor.
+doubled state (parameter, momentum) with unit mass and the structured
+preconditioner that zeroes the direct parameter/gradient coupling; the
+control-variate variant recenters each minibatch score at an anchor point
+and adds back the full-data anchor score so the estimate stays unbiased for
+any anchor.
 
 Randomness discipline: replicate ``r`` of a command runs at seed
 ``cfg.seed + r``, which feeds a counter-based generator through two spawned
@@ -200,7 +201,6 @@ class _Context:
     local_exponent: float
     anchor_grads: np.ndarray | None = None
     anchor_mean: np.ndarray | None = None
-    mass_inv: np.ndarray | None = None
     transition: Callable | None = field(default=None, repr=False)
 
 
@@ -261,12 +261,6 @@ def _build_context(
             raise ConfigError(f"anchor must have shape ({d},)")
         ctx.anchor_grads = model.grad(anchor, records)
         ctx.anchor_mean = ctx.anchor_grads.mean(axis=0)
-    if cfg.variant == MOMENTUM:
-        mass = np.eye(d) if cfg.mass is None else cfg.mass
-        if mass.shape != (d, d):
-            raise ConfigError(f"mass matrix must be {d}x{d}")
-        ctx.mass_inv = np.linalg.inv(mass)
-
     ctx.transition = _make_transition(ctx)
     return ctx
 
@@ -307,9 +301,8 @@ def _make_transition(ctx: _Context) -> Callable:
     d = ctx.dim
 
     if ctx.cfg.variant == MOMENTUM:
-        mass_inv = ctx.mass_inv
-        half_h_minv = 0.5 * ctx.h * mass_inv
-        half_h_gamma_minv = 0.5 * ctx.h * (ctx.gamma @ mass_inv)
+        # unit mass, kept a matvec: ``half_h * psi`` differs at -0.0 and inf
+        half_h_minv = 0.5 * ctx.h * np.eye(d)
         half_h = 0.5 * ctx.h
 
         def transition(state, rows, anchor_rows, noise_term, out):
@@ -322,7 +315,7 @@ def _make_transition(ctx: _Context) -> Callable:
             if box is not None:
                 np.clip(new_theta, box[0], box[1], out=new_theta)
             np.add(psi, half_h * g_like, out=new_psi)
-            np.subtract(new_psi, np.matvec(half_h_gamma_minv, psi), out=new_psi)
+            np.subtract(new_psi, np.matvec(half_h_gamma, psi), out=new_psi)
             if not flat_prior:
                 np.add(new_psi, half_h * (inv_n * prior_fn(theta)), out=new_psi)
             if noise_term is not None:

@@ -22,6 +22,9 @@ from .models import Dataset, ModelSpec
 #: Rows per accumulation block; fixed so reductions are deterministic.
 BLOCK_ROWS = 8192
 
+#: Newton steps :func:`fit_mle` takes before it reports non-convergence.
+MAX_NEWTON_STEPS = 100
+
 
 def _block_sum(
     records: np.ndarray, term: Callable[[np.ndarray], np.ndarray]
@@ -55,17 +58,12 @@ class MleResult:
     iterations: int
 
 
-def fit_mle(
-    model: ModelSpec,
-    data: Dataset,
-    init: np.ndarray | None = None,
-    tol: float | None = None,
-    max_iter: int = 100,
-) -> MleResult:
+def fit_mle(model: ModelSpec, data: Dataset) -> MleResult:
     """Solve ``mean score(theta) = 0`` by damped Newton iteration.
 
-    Starts from ``init`` (default the origin).  The default tolerance is
-    ``1e-10 * (1 + ||score at init||)``.  Each iteration takes the Newton
+    Starts from the origin and stops once the score norm is at most
+    ``1e-10 * (1 + ||score at the origin||)``, within
+    ``MAX_NEWTON_STEPS`` steps.  Each iteration takes the Newton
     direction against the mean curvature and backtracks on the score norm
     (accepting a step of length s only if it shrinks the norm by at least a
     ``1 - s/4`` factor); a singular curvature matrix falls back to a
@@ -78,19 +76,12 @@ def fit_mle(
     the same way: the fit is only accepted at a nondegenerate maximum.
     """
     records = model.check_records(data.records)
-    theta = np.zeros(model.dim) if init is None else np.asarray(init, dtype=float)
-    if theta.shape != (model.dim,):
-        raise DimensionError(
-            f"init must have shape ({model.dim},), got {theta.shape}"
-        )
-
+    theta = np.zeros(model.dim)
     score = _mean_score(model, records, theta)
     if not np.all(np.isfinite(score)):
-        raise NonFiniteError("score at the initial point is not finite")
-    norm0 = float(np.linalg.norm(score))
-    if tol is None:
-        tol = 1e-10 * (1.0 + norm0)
-    norm = norm0
+        raise NonFiniteError("score at the origin is not finite")
+    norm = float(np.linalg.norm(score))
+    tol = 1e-10 * (1.0 + norm)
 
     curv_scale = float(
         np.linalg.eigvalsh(sym(-_mean_hessian(model, records, theta)))[-1]
@@ -111,7 +102,7 @@ def fit_mle(
             )
         return MleResult(theta, norm, iterations)
 
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, MAX_NEWTON_STEPS + 1):
         if norm <= tol:
             return _accept(theta, norm, iteration - 1)
         curvature = -_mean_hessian(model, records, theta)
@@ -138,9 +129,9 @@ def fit_mle(
         theta, score, norm = candidate, cand_score, cand_norm
 
     if norm <= tol:
-        return _accept(theta, norm, max_iter)
+        return _accept(theta, norm, MAX_NEWTON_STEPS)
     raise NonConvergenceError(
-        f"mean-score solver did not reach tolerance {tol:.3e} in {max_iter}"
+        f"mean-score solver did not reach tolerance {tol:.3e} in {MAX_NEWTON_STEPS}"
         f" iterations (score norm {norm:.3e}); the estimate may lie at"
         " infinity (e.g. separable classification data)",
         last_iterate=theta,

@@ -71,8 +71,8 @@ def min_real_eig(m: np.ndarray) -> float:
     return float(np.min(eigenvalues(m).real))
 
 
-def is_hurwitz(m: np.ndarray, eps: float = HURWITZ_EPS) -> bool:
-    """True when every eigenvalue of ``m`` has real part below ``-eps``.
+def is_hurwitz(m: np.ndarray) -> bool:
+    """True when every eigenvalue of ``m`` has real part below ``-HURWITZ_EPS``.
 
     The strict margin keeps semi-stable matrices (eigenvalues on the
     imaginary axis) from being treated as stable by rounding luck.
@@ -80,7 +80,7 @@ def is_hurwitz(m: np.ndarray, eps: float = HURWITZ_EPS) -> bool:
     m = np.asarray(m, dtype=float)
     require_square("is_hurwitz argument", m)
     require_finite("is_hurwitz argument", m)
-    return bool(np.max(np.linalg.eigvals(m).real) < -eps)
+    return bool(np.max(np.linalg.eigvals(m).real) < -HURWITZ_EPS)
 
 
 def expm(m: np.ndarray) -> np.ndarray:
@@ -91,13 +91,13 @@ def expm(m: np.ndarray) -> np.ndarray:
     return scipy.linalg.expm(m)
 
 
-def psd_sqrt(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Symmetric square root of a symmetric positive semi-definite matrix.
 
     Computed through the eigendecomposition; eigenvalues in
-    ``[-tol * scale, 0)`` are clamped to zero, anything more negative is an
-    error.  This is what turns a possibly singular diffusion matrix into a
-    noise-injection factor.
+    ``[-1e-10 * scale, 0)`` (``scale`` the largest eigenvalue, at least 1)
+    are clamped to zero, anything more negative is an error.  This is what
+    turns a possibly singular diffusion matrix into a noise-injection factor.
     """
     m = np.asarray(m, dtype=float)
     require_square("psd_sqrt argument", m)
@@ -105,7 +105,7 @@ def psd_sqrt(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         raise DimensionError("psd_sqrt argument must be symmetric")
     vals, vecs = np.linalg.eigh(m)
     scale = max(float(vals[-1]), 1.0)
-    if vals[0] < -tol * scale:
+    if vals[0] < -1e-10 * scale:
         raise StabilityError(
             f"matrix is not positive semi-definite (min eigenvalue {vals[0]:.3e})"
         )

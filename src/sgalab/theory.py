@@ -12,10 +12,10 @@ information matrices (curvature ``J`` and score covariance ``I``):
   lower-order;
 * stationary, time-t, and path-average covariances of the limit process,
   each computed one way: the stationary covariance by one Lyapunov solve,
-  the time-t covariance from it (or, for a drift with no stationary law,
-  from one block matrix exponential), and every path or iterate average
-  by the one closed-form path-average formula (its small-t and large-t
-  asymptotic forms are test oracles, not a second route);
+  the time-t covariance from it and one matrix exponential, and every path
+  or iterate average by the one closed-form path-average formula (its
+  small-t and large-t asymptotic forms are test oracles, not a second
+  route); a drift with no stationary law has none of them;
 * mixing-time estimates in iterations and epochs;
 * tuning recommendations that achieve a requested stationary covariance:
   each target route picks its constants and builds one tuning, which is
@@ -201,9 +201,9 @@ def ou_params(
     ``A = c_mb Gamma I Gamma' + c_g Lambda`` with each term present exactly
     when its noise source is active.  Control-variate: the minibatch term
     is dropped regardless of exponents.  Momentum: the doubled-state lift
-    with zero upper-left diffusion block, carrying ``I`` (not its
-    preconditioned form) in the lower-right minibatch block and ``Gamma``
-    in the Gaussian block.
+    with unit mass, ``B = c_h [[0, -I], [J, Gamma]]``, and zero upper-left
+    diffusion block, carrying ``I`` (not its preconditioned form) in the
+    lower-right minibatch block and ``Gamma`` in the Gaussian block.
     """
     law = scaling_law(cfg)
     d = np.asarray(j_mat).shape[0]
@@ -213,12 +213,10 @@ def ou_params(
     lam = np.eye(d) if cfg.lam is None else _as_square("lambda", cfg.lam, d)
 
     if cfg.variant == MOMENTUM:
-        mass = np.eye(d) if cfg.mass is None else _as_square("mass", cfg.mass, d)
-        mass_inv = np.linalg.inv(mass)
         b_mat = np.zeros((2 * d, 2 * d))
-        b_mat[:d, d:] = -mass_inv
+        b_mat[:d, d:] = -np.eye(d)
         b_mat[d:, :d] = j_mat
-        b_mat[d:, d:] = gamma @ mass_inv
+        b_mat[d:, d:] = gamma
         b_mat *= cfg.c_h
         a_mat = np.zeros((2 * d, 2 * d))
         if law.minibatch_active:
@@ -268,42 +266,18 @@ def stationary_cov(ou: OuParams) -> np.ndarray:
     return ou._q_inf
 
 
-def marginal_cov(
-    ou: OuParams, t: float, q0: np.ndarray | None = None
-) -> np.ndarray:
-    """Covariance of the limit process at time ``t`` from a start covariance.
+def marginal_cov(ou: OuParams, t: float) -> np.ndarray:
+    """Covariance at time ``t`` of the limit process started from zero.
 
-    For a stable drift this is ``Q_inf - E Q_inf E' + E Q0 E'`` with
-    ``E = exp(-t B / 2)``.  When ``-B`` is not Hurwitz (so no stationary
-    covariance exists) the defining integral
-    ``int_0^t exp(-sB/2) A exp(-sB'/2) ds`` is read off one matrix
-    exponential of a doubled block matrix (Van Loan 1978), which stays
-    finite for finite ``t``.
+    ``Q_inf - E Q_inf E'`` with ``E = exp(-t B / 2)``: zero at ``t = 0``,
+    tending to ``Q_inf`` as ``t`` grows.  Like :func:`stationary_cov` it
+    needs a stable drift and raises :class:`StabilityError` otherwise.
     """
     if t < 0.0 or not math.isfinite(t):
         raise DimensionError(f"time must be finite and >= 0, got {t}")
-    dsize = ou.state_dim
-    q0_mat = np.zeros((dsize, dsize)) if q0 is None else np.asarray(q0, float)
-    if q0_mat.shape != (dsize, dsize):
-        raise DimensionError(f"q0 must be {dsize}x{dsize}")
-    if t == 0.0:
-        return q0_mat.copy()
-    if linalg.is_hurwitz(-ou.b_mat):
-        decay = linalg.expm(-0.5 * t * ou.b_mat)
-        q_inf = stationary_cov(ou)
-        out = q_inf - decay @ q_inf @ decay.T + decay @ q0_mat @ decay.T
-        return 0.5 * (out + out.T)
-    # Van Loan: the top row of exp(t [[-B/2, A], [0, B'/2]]) holds
-    # F11 = exp(-tB/2) and F12 = int_0^t exp(-(t-s)B/2) A exp(sB'/2) ds, so
-    # F12 F11' is the covariance integral started from zero.
-    block = np.zeros((2 * dsize, 2 * dsize))
-    block[:dsize, :dsize] = -0.5 * ou.b_mat
-    block[:dsize, dsize:] = ou.a_mat
-    block[dsize:, dsize:] = 0.5 * ou.b_mat.T
-    f = linalg.expm(t * block)
-    decay = f[:dsize, :dsize]
-    out = f[:dsize, dsize:] @ decay.T + decay @ q0_mat @ decay.T
-    return 0.5 * (out + out.T)
+    q_inf = stationary_cov(ou)
+    decay = linalg.expm(-0.5 * t * ou.b_mat)
+    return linalg.sym(q_inf - decay @ q_inf @ decay.T)
 
 
 def avg_cov_exact(ou: OuParams, t: float) -> np.ndarray:

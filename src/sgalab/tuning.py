@@ -8,10 +8,10 @@ inverse temperature through (exponent, constant) pairs::
     inverse temp  beta(n) = c_beta * n**frak_t      (infinite = no noise)
 
 plus the preconditioner, the noise shape matrix, the batch sampling policy,
-the algorithm variant (plain, momentum with a mass matrix, or
-control-variate), an optional coordinate box, and the run seed.  Infinite
-temperature is expressed either as ``frak_t = inf`` or ``c_beta = inf``;
-both mean the Gaussian innovation term is omitted entirely.
+the algorithm variant (plain, momentum with unit mass, or control-variate),
+an optional coordinate box, and the run seed.  Infinite temperature is
+expressed either as ``frak_t = inf`` or ``c_beta = inf``; both mean the
+Gaussian innovation term is omitted entirely.
 """
 
 from __future__ import annotations
@@ -34,17 +34,15 @@ CONTROL_VARIATE = "control_variate"
 VARIANTS = (PLAIN, MOMENTUM, CONTROL_VARIATE)
 
 
-def _check_spd(name: str, m: np.ndarray, semi: bool = False) -> np.ndarray:
+def _check_spd(name: str, m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"{name} must be a square matrix, got shape {m.shape}")
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(m).max())):
         raise ConfigError(f"{name} must be symmetric")
     vals = np.linalg.eigvalsh(0.5 * (m + m.T))
-    floor_ = -1e-10 * max(vals[-1], 1.0) if semi else 1e-12
-    if (vals[0] < floor_) if semi else (vals[0] <= 0.0):
-        kind = "positive semi-definite" if semi else "positive definite"
-        raise ConfigError(f"{name} must be {kind} (min eigenvalue {vals[0]:.3e})")
+    if vals[0] < -1e-10 * max(vals[-1], 1.0):
+        raise ConfigError(f"{name} must be positive semi-definite (min eigenvalue {vals[0]:.3e})")
     return m
 
 
@@ -62,7 +60,6 @@ class TuningConfig:
     lam: np.ndarray | None = None
     policy: str = WITH_REPLACEMENT
     variant: str = PLAIN
-    mass: np.ndarray | None = None
     boundary: tuple[np.ndarray, np.ndarray] | None = None
     seed: int = 0
     labels: dict = field(default_factory=dict)
@@ -89,11 +86,7 @@ class TuningConfig:
             if self.gamma.ndim != 2 or self.gamma.shape[0] != self.gamma.shape[1]:
                 raise ConfigError("gamma must be a square matrix")
         if self.lam is not None:
-            self.lam = _check_spd("lambda (noise shape)", self.lam, semi=True)
-        if self.mass is not None:
-            self.mass = _check_spd("mass matrix", self.mass)
-        if self.mass is not None and self.variant != MOMENTUM:
-            raise ConfigError("a mass matrix is only meaningful for the momentum variant")
+            self.lam = _check_spd("lambda (noise shape)", self.lam)
         if self.boundary is not None:
             lo = np.asarray(self.boundary[0], dtype=float)
             hi = np.asarray(self.boundary[1], dtype=float)
@@ -169,7 +162,7 @@ class TuningConfig:
             "variant": self.variant,
             "seed": self.seed,
         }
-        for name in ("gamma", "lam", "mass"):
+        for name in ("gamma", "lam"):
             v = getattr(self, name)
             out[name] = None if v is None else np.asarray(v).tolist()
         out["boundary"] = (
@@ -185,6 +178,8 @@ class TuningConfig:
         def num(v: Any) -> float:
             return math.inf if v == "inf" else float(v)
 
+        if d.get("mass") is not None:  # older files carry "mass": null
+            raise ConfigError("a mass matrix is not supported: momentum has unit mass")
         kwargs: dict[str, Any] = {
             "frak_h": num(d["frak_h"]),
             "frak_b": num(d["frak_b"]),
@@ -197,7 +192,7 @@ class TuningConfig:
             "seed": int(d.get("seed", 0)),
             "labels": dict(d.get("labels", {})),
         }
-        for name in ("gamma", "lam", "mass"):
+        for name in ("gamma", "lam"):
             v = d.get(name)
             kwargs[name] = None if v is None else np.asarray(v, dtype=float)
         bnd = d.get("boundary")

@@ -336,8 +336,7 @@ def expression_transition(ctx, flat_prior: bool):
         return np.add.reduce(g, axis=-2) / g.shape[-2]
 
     if ctx.cfg.variant == "momentum":
-        half_h_minv = 0.5 * ctx.h * ctx.mass_inv
-        half_h_gamma_minv = 0.5 * ctx.h * (ctx.gamma @ ctx.mass_inv)
+        half_h_minv = 0.5 * ctx.h * np.eye(d)
         half_h = 0.5 * ctx.h
 
         def transition(state, rows, anchor_rows, noise_term):
@@ -347,7 +346,7 @@ def expression_transition(ctx, flat_prior: bool):
             new_theta = theta + np.matvec(half_h_minv, psi)
             if box is not None:
                 new_theta = np.clip(new_theta, box[0], box[1])
-            new_psi = psi + half_h * g_like - np.matvec(half_h_gamma_minv, psi)
+            new_psi = psi + half_h * g_like - np.matvec(half_h_gamma, psi)
             if not flat_prior:
                 new_psi = new_psi + half_h * (inv_n * prior_fn(theta))
             if noise_term is not None:

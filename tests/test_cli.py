@@ -4,12 +4,15 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 import oracles
+import sgalab
 from sgalab import artifacts, cli, config, engine, linalg, models
 from sgalab.errors import ConfigError, DivergenceError
 from sgalab.tuning import MOMENTUM, TuningConfig
@@ -109,7 +112,7 @@ def test_unknown_key_and_section_are_usage_errors(tmp_path, capsys):
     assert cli.main(["predict", "--config", path2, "--quiet"]) == 1
     assert "turbo" in capsys.readouterr().err
 
-    # a momentum mass matrix is set through the Python API only
+    # the momentum variant has unit mass, so no mass key exists
     mass = BASE_INI.replace("lambda = jhat_inv", "lambda = jhat_inv\nmass = identity")
     path3 = _write(tmp_path, "bad3.ini", mass)
     assert cli.main(["predict", "--config", path3, "--quiet"]) == 1
@@ -170,6 +173,8 @@ def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
          "average_start_epochs"),
         ("seed = 9", "seed = 9\naverage_start_epochs = -3", "simulate",
          "average_start_epochs"),
+        ("thin = 5", "thin = 0", "predict", "thin"),
+        ("thin = 5", "thin = -2", "simulate", "thin"),
     ] + [
         ("init = mle", f"init = overdispersed:{scale}", "simulate", "[execution] init")
         for scale in ("abc", "", "nan", "inf", "1e400", "-2", "0")
@@ -178,7 +183,8 @@ def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
         "epochs-nan", "epochs-inf", "epochs-zero", "epochs-negative",
         "n-negative", "data_seed-negative", "frak_t-minus-inf-simulate",
         "frak_t-minus-inf-predict", "average_start_epochs-nan",
-        "average_start_epochs-negative", "init-scale-abc", "init-scale-empty",
+        "average_start_epochs-negative", "thin-zero-predict", "thin-negative-simulate",
+        "init-scale-abc", "init-scale-empty",
         "init-scale-nan", "init-scale-inf", "init-scale-1e400", "init-scale-negative",
         "init-scale-zero",
     ],
@@ -396,6 +402,20 @@ def test_seed_and_replicates_come_from_the_config_only(tmp_path, capsys):
         assert flag in capsys.readouterr().err
     assert cli.main(["simulate", *common, "--threads", "1"]) == 0
     assert cli.main(["compare", *common]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--threads", "0"],
+    ["simulate", "--threads", "-3"],
+    ["experiment", "exp1", "--threads", "-1", "--scale", "0.06", "--epochs", "5"],
+], ids=["simulate-zero", "simulate-negative", "experiment-negative"])
+def test_threads_below_one_is_usage_error_before_any_work(tmp_path, capsys, argv):
+    out = str(tmp_path / "out")
+    if argv[0] == "simulate":
+        argv = [*argv, "--config", _write(tmp_path, "run.ini", BASE_INI)]
+    assert cli.main([*argv, "--out", out, "--quiet"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 # ------------------------------------------------------------- error paths
@@ -773,6 +793,16 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         cli.main(["--version"])
     assert info.value.code == 0
+
+
+def test_python_dash_m_prints_version():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "sgalab", "--version"],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"sgalab {sgalab.__version__}"
 
 
 def test_no_subcommand_is_usage_error(capsys):

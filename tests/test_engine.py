@@ -300,15 +300,15 @@ def test_momentum_single_step_hand_computed():
     records = np.array([[2.0]])
     model = models.gaussian_location_model(1, np.array([1.0]))
     data = models.Dataset(records)
-    h, gamma, mass = 0.5, 1.2, 4.0
+    h, gamma = 0.5, 1.2
     cfg = TuningConfig(
         frak_h=0.0, c_h=h, frak_b=0.0, c_b=1.0, frak_t=math.inf,
-        variant=MOMENTUM, gamma=np.array([[gamma]]), mass=np.array([[mass]]),
+        variant=MOMENTUM, gamma=np.array([[gamma]]),
     )
     theta0, psi0 = 0.3, -0.8
     state = engine.step(model, data, cfg, np.array([theta0, psi0]), np.array([0]))
-    want_theta = theta0 + 0.5 * h * (psi0 / mass)
-    want_psi = psi0 + 0.5 * h * (2.0 - theta0) - 0.5 * h * gamma * (psi0 / mass)
+    want_theta = theta0 + 0.5 * h * psi0
+    want_psi = psi0 + 0.5 * h * (2.0 - theta0) - 0.5 * h * gamma * psi0
     assert state[0] == pytest.approx(want_theta, rel=0, abs=1e-15)
     assert state[1] == pytest.approx(want_psi, rel=0, abs=1e-15)
 
@@ -458,7 +458,7 @@ def _batched_cases():
         frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=5.0, frak_t=1.0, c_beta=1.0,
         gamma=dense4, lam=dense4, variant=CONTROL_VARIATE, seed=6), 300, 4
     momentum = dict(frak_h=1.0, c_h=1.0, frak_b=0.0, c_b=2.0, frak_t=1.0, c_beta=2.0,
-                    gamma=dense, mass=np.diag([1.0, 2.0, 0.5]) + 0.1, variant=MOMENTUM)
+                    gamma=dense, variant=MOMENTUM)
     yield "momentum", gauss, TuningConfig(seed=7, **momentum), 300, 4
     model, data, truth = gauss
     yield "prior_plain", (_prior_model(model), data, truth), TuningConfig(
@@ -580,8 +580,7 @@ def _transition_cases():
     dense = np.array([[1.0, 0.3, -0.2], [0.3, 0.8, 0.25], [-0.2, 0.25, 0.6]])
     sgld = dict(frak_h=1.0, c_h=2.0, frak_b=0.0, frak_t=1.0, c_beta=2.0,
                 gamma=dense, lam=dense)
-    momentum = dict(sgld, c_h=1.0, c_b=2.0, mass=np.diag([1.0, 2.0, 0.5]) + 0.1,
-                    variant=MOMENTUM)
+    momentum = dict(sgld, c_h=1.0, c_b=2.0, variant=MOMENTUM)
     # a zero lower bound meets -0.0 iterates, whose clipped sign must match
     box = (np.array([0.0, -0.2, -0.2]), np.array([1.0, 0.2, 0.05]))
     prior = _prior_model(model)

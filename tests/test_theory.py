@@ -195,17 +195,14 @@ def test_ou_params_momentum_lift_blocks():
     j_mat = oracles.random_spd(rng, d)
     i_mat = oracles.random_spd(rng, d)
     gamma = oracles.random_spd(rng, d)
-    mass = np.diag([2.0, 5.0])
     cfg = TuningConfig(frak_h=1.0, frak_b=0.0, frak_t=1.0, c_h=1.5,
-                       c_b=2.0, c_beta=3.0, gamma=gamma,
-                       variant=MOMENTUM, mass=mass)
+                       c_b=2.0, c_beta=3.0, gamma=gamma, variant=MOMENTUM)
     ou = ou_params(cfg, j_mat, i_mat)
     assert ou.state_dim == 4 and ou.dim == 2
-    mass_inv = np.linalg.inv(mass)
     assert np.allclose(ou.b_mat[:2, :2], 0.0, atol=1e-15)
-    assert np.allclose(ou.b_mat[:2, 2:], -1.5 * mass_inv, atol=1e-14)
+    assert np.allclose(ou.b_mat[:2, 2:], -1.5 * np.eye(2), atol=1e-14)
     assert np.allclose(ou.b_mat[2:, :2], 1.5 * j_mat, atol=1e-14)
-    assert np.allclose(ou.b_mat[2:, 2:], 1.5 * gamma @ mass_inv, atol=1e-14)
+    assert np.allclose(ou.b_mat[2:, 2:], 1.5 * gamma, atol=1e-14)
     c_mb = 1.5**2 / (4.0 * 2.0)
     c_g = 1.5 / 3.0
     want = c_mb * i_mat + c_g * gamma
@@ -274,30 +271,24 @@ def test_marginal_cov_relaxes_to_stationary():
 
 
 def test_marginal_cov_matches_quadrature_with_start():
+    # the zero start: the limit process begins at its anchor
     rng = np.random.default_rng(11)
     ou = _random_instance(rng, d=3)
-    q0 = oracles.random_spd(rng, 3)
     t = 1.7
-    got = marginal_cov(ou, t, q0=q0)
-    decay = oracles.taylor_expm(-0.5 * t * ou.b_mat)
-    ref = oracles.quadrature_marginal_cov(ou.b_mat, ou.a_mat, t) + decay @ q0 @ decay.T
+    got = marginal_cov(ou, t)
+    ref = oracles.quadrature_marginal_cov(ou.b_mat, ou.a_mat, t)
     assert np.linalg.norm(got - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
 
 
-def test_marginal_cov_transient_drift_finite_horizon():
-    # no stationary covariance, but the finite-time covariance exists; the
-    # second drift is non-normal with one stable and one unstable direction
-    q0 = np.array([[0.5, 0.1], [0.1, 0.3]])
+def test_marginal_cov_transient_drift_raises():
+    # no stationary law, so no time-t covariance either; the second drift is
+    # non-normal with one stable and one unstable direction
     for gamma in (-np.eye(2), np.array([[-1.0, 0.8], [0.0, 0.5]])):
         cfg = TuningConfig(frak_h=1.0, c_h=0.5, gamma=gamma)
         ou = ou_params(cfg, np.diag([1.0, 2.0]), np.eye(2))
-        for t, start in ((1.0, None), (1.0, q0), (2.5, q0)):
-            got = marginal_cov(ou, t, q0=start)
-            ref = oracles.quadrature_marginal_cov(ou.b_mat, ou.a_mat, t)
-            if start is not None:
-                decay = oracles.taylor_expm(-0.5 * t * ou.b_mat)
-                ref = ref + decay @ start @ decay.T
-            assert np.linalg.norm(got - ref) <= 1e-6 * (1.0 + np.linalg.norm(ref))
+        for t in (0.0, 1.0, 2.5):
+            with pytest.raises(StabilityError, match="Hurwitz"):
+                marginal_cov(ou, t)
 
 
 # ------------------------------------------------------ path averaging

@@ -1,5 +1,6 @@
 """Schedule arithmetic and (de)serialization of TuningConfig."""
 
+import json
 import math
 
 import numpy as np
@@ -75,11 +76,6 @@ def test_validation_rejects_bad_values():
         TuningConfig(lam=np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(ConfigError, match="semi-definite"):
         TuningConfig(lam=np.array([[1.0, 0.0], [0.0, -0.2]]))
-    with pytest.raises(ConfigError, match="mass matrix is only"):
-        TuningConfig(mass=np.eye(2))
-    with pytest.raises(ConfigError, match="positive definite"):
-        TuningConfig(variant=tuning.MOMENTUM,
-                     mass=np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ConfigError, match="lo < hi"):
         TuningConfig(boundary=(np.array([0.0, 1.0]), np.array([1.0, 1.0])))
     with pytest.raises(ConfigError, match="seed"):
@@ -94,7 +90,6 @@ def test_round_trip_through_dict():
         lam=np.eye(2),
         policy=tuning.WITHOUT_REPLACEMENT,
         variant=tuning.MOMENTUM,
-        mass=np.diag([1.0, 4.0]),
         boundary=(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
         seed=77,
         labels={"gamma": "jhat_inv"},
@@ -105,7 +100,6 @@ def test_round_trip_through_dict():
     assert back.frak_t == math.inf
     assert back.c_beta == math.inf
     assert np.array_equal(back.gamma, cfg.gamma)
-    assert np.array_equal(back.mass, cfg.mass)
     assert np.array_equal(back.boundary[0], cfg.boundary[0])
     assert np.array_equal(back.boundary[1], cfg.boundary[1])
     assert back.policy == cfg.policy
@@ -124,3 +118,18 @@ def test_with_seed_only_changes_seed():
     assert other.c_h == 3.0
     assert np.array_equal(other.gamma, cfg.gamma)
 
+
+def test_from_dict_reads_recommended_config_with_null_mass():
+    # a recommended_config as older versions wrote it, with a mass entry
+    text = """{"boundary": null, "c_b": 1.0, "c_beta": 2.0, "c_h": 2.0,
+               "frak_b": 0.0, "frak_h": 1.0, "frak_t": 1.0,
+               "gamma": [[0.5, 0.1], [0.1, 0.25]], "labels": {"recommendation": "bagged"},
+               "lam": [[0.5, 0.1], [0.1, 0.25]], "mass": null,
+               "policy": "with_replacement", "seed": 0, "variant": "plain"}"""
+    old = json.loads(text)
+    cfg = TuningConfig.from_dict(old)
+    assert np.array_equal(cfg.gamma, np.array(old["gamma"]))
+    assert cfg.labels == {"recommendation": "bagged"}
+    assert cfg.to_dict() == {k: v for k, v in old.items() if k != "mass"}
+    with pytest.raises(ConfigError, match="mass"):
+        TuningConfig.from_dict(dict(old, mass=[[1.0, 0.0], [0.0, 1.0]]))
