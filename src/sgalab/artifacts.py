@@ -38,8 +38,19 @@ strings ``"nan"``, ``"inf"`` and ``"-inf"``; ints in decimal, ``true``,
 ``false`` and ``null``; strings escaped to ASCII by
 ``json.encoder.encode_basestring_ascii``; tuples as lists, numpy arrays and
 scalars through ``.tolist()`` and ``.item()``; and a final line feed.  Any other type is a ``TypeError``.  ``json_text``
-(through ``write_json``) is the only code that turns values into this text;
-report classes hand it their raw fields.
+is the only code that turns values into this text; report classes hand it
+their raw fields.  A 2-D native ``float64`` array (every covariance the
+reports hold) is written without ``.tolist()``: each distinct bit pattern is
+formatted once and the rows are laid out by the same code as a list of
+floats, so the text is the one stated above.
+
+``write_json`` writes the command-level files (``predictions.json``,
+``manifest.json``, ``comparison.json``, ``recommendation.json``,
+``config.json``, ``summary.json``, ``timings.json``): it builds the whole
+text first, writes it to ``<path>.tmp`` and renames that over ``path``, so a
+failed or killed write leaves the previous file whole.  Run manifests
+(``write_json_in_place``), traces and ACF files, which a simulate writes by
+the hundred, are written in place.
 
 Reading refuses a cut artifact with ``DataError``: a JSON file that does not
 parse, a trace that does not end in a line feed, or a trace whose row count
@@ -88,6 +99,31 @@ def _float_text(x: float) -> str:
     return '"inf"' if x > 0 else '"-inf"'
 
 
+def _array_text(items: list[str], nl: str) -> str:
+    """The JSON array of ``items``, each already text, opened at depth ``nl``."""
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _matrix_text(m: np.ndarray, nl: str) -> str:
+    """The text of a float64 matrix, each distinct value formatted once.
+
+    Values are told apart by their bits, so ``0.0`` and ``-0.0`` keep their
+    own text; covariances are symmetric and often sparse, so most repeat.
+    ``float.__repr__`` is called straight when every distinct value is
+    finite, which saves a tenth of the time over ``_float_text``.
+    """
+    bits, where = np.unique(m.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    fmt = float.__repr__ if np.isfinite(values).all() else _float_text
+    texts = np.array(list(map(fmt, values.tolist())), dtype=object)
+    inner = nl + "  "
+    rows = texts[where.reshape(m.shape)].tolist()
+    return _array_text([_array_text(row, inner) for row in rows], nl)
+
+
 def _emit(obj, nl: str, out: list[str]) -> None:
     """Append the text of ``obj`` to ``out``; ``nl`` starts a line at its depth."""
     if isinstance(obj, str):
@@ -117,11 +153,11 @@ def _emit(obj, nl: str, out: list[str]) -> None:
         if not obj:
             out.append("[]")
             return
-        inner = nl + "  "
         if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            # a row of finite floats, the bulk of every matrix: one join
-            out.append("[" + inner + ("," + inner).join(map(float.__repr__, obj)) + nl + "]")
+            # a row of finite floats: one join
+            out.append(_array_text(list(map(float.__repr__, obj)), nl))
             return
+        inner = nl + "  "
         sep = "[" + inner
         for value in obj:
             out.append(sep)
@@ -129,7 +165,10 @@ def _emit(obj, nl: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), nl, out)
+        if obj.ndim == 2 and obj.dtype == np.float64:
+            out.append(_matrix_text(obj, nl))
+        else:
+            _emit(obj.tolist(), nl, out)
     elif isinstance(obj, (np.floating, np.integer)):
         _emit(obj.item(), nl, out)
     else:
@@ -137,8 +176,35 @@ def _emit(obj, nl: str, out: list[str]) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
+    """Write ``json_text(payload)`` to ``path`` through ``path + ".tmp"``.
+
+    The text is built before any file is opened and the finished file is
+    renamed over ``path``, so an encoding error or a killed run leaves the
+    previous file whole.
+    """
+    text = json_text(payload)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_json_in_place(path: str, payload: dict) -> None:
+    """Write ``json_text(payload)`` over ``path`` without a rename: run manifests.
+
+    A rename makes a new file, and renaming hundreds of run manifests over
+    old ones made a simulate re-run into a used directory about 60% slower.
+    The text is still built first; a cut manifest does not parse, so
+    ``load_run`` refuses it as it does a cut trace.
+    """
+    text = json_text(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(payload))
+        fh.write(text)
 
 
 def read_json(path: str) -> dict:
@@ -202,7 +268,7 @@ def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> N
         "diverged": record.diverged_at is not None,
         "wall_time": record.wall_time,
     }
-    write_json(run_manifest_path(out_dir, index), payload)
+    write_json_in_place(run_manifest_path(out_dir, index), payload)
 
 
 def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:

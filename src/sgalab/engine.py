@@ -297,6 +297,9 @@ def _make_transition(ctx: _Context) -> Callable:
     # (any prior centred there) still pulls everywhere else.
     flat_prior = prior_fn is zero_prior
     half_h_gamma = 0.5 * ctx.h * ctx.gamma
+    # The box is projected by maximum then minimum, cheaper per call than
+    # np.clip and bitwise equal to it for the (dim,) bound arrays the config
+    # holds (with scalar bounds np.clip keeps -0.0 where these give +0.0).
     box = ctx.box
     d = ctx.dim
 
@@ -313,7 +316,8 @@ def _make_transition(ctx: _Context) -> Callable:
             # rows equal solo runs bitwise; a gemm or einsum would round otherwise.
             np.add(theta, np.matvec(half_h_minv, psi), out=new_theta)
             if box is not None:
-                np.clip(new_theta, box[0], box[1], out=new_theta)
+                np.maximum(new_theta, box[0], out=new_theta)
+                np.minimum(new_theta, box[1], out=new_theta)
             np.add(psi, half_h * g_like, out=new_psi)
             np.subtract(new_psi, np.matvec(half_h_gamma, psi), out=new_psi)
             if not flat_prior:
@@ -338,7 +342,8 @@ def _make_transition(ctx: _Context) -> Callable:
         if noise_term is not None:
             np.add(out, noise_term, out=out)
         if box is not None:
-            np.clip(out, box[0], box[1], out=out)
+            np.maximum(out, box[0], out=out)
+            np.minimum(out, box[1], out=out)
         return out
 
     return transition

@@ -671,23 +671,28 @@ def test_non_finite_numbers_map_to_strings_on_every_route(tmp_path):
 
 @pytest.fixture(scope="module")
 def command_payloads(tmp_path_factory):
-    """Every payload predict, simulate, compare and tune hand to ``write_json``."""
+    """Every payload predict, simulate, compare and tune hand to the JSON writers."""
     tmp = tmp_path_factory.mktemp("payloads")
     cfg = _write(tmp, "run.ini", BASE_INI + "\n[recommend]\ntarget = bagged\n")
     out = str(tmp / "out")
-    seen, write = {}, artifacts.write_json
+    seen = {}
 
-    def capture(path, payload):
-        seen.setdefault(os.path.basename(path), payload)
-        write(path, payload)
+    def capturing(write):
+        def capture(path, payload):
+            seen.setdefault(os.path.basename(path), payload)
+            write(path, payload)
+        return capture
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(artifacts, "write_json", capture)
+        for name in ("write_json", "write_json_in_place"):
+            mp.setattr(artifacts, name, capturing(getattr(artifacts, name)))
         for command in ("predict", "simulate", "compare", "tune"):
             assert cli.main([command, "--config", cfg, "--out", out, "--quiet",
                              *(["--threads", "1"] if command == "simulate" else [])]) == 0
     return seen
 
+
+_DENSE = np.random.default_rng(18).standard_normal((40, 40))
 
 ENCODER_CASES = {
     "empty-containers": {"a": {}, "b": [], "c": (), "d": [{}, [], ()]},
@@ -707,6 +712,20 @@ ENCODER_CASES = {
     "non-ascii": {"θ₁ naïve": ["Ωμέγα", "tab\tquote\"back\\slash", "\u2028", "😀\x00"]},
     "int-and-float-keys": {1: "one", 2.5: [1.0], -0.0: {}, 10: 3, "b": None, "1": "last"},
     "scalar": 3.25,
+    # 2-D float64 arrays take the route that formats each distinct value once
+    "matrix-symmetric-40": _DENSE + _DENSE.T,
+    "matrix-signed-zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    "matrix-mixed-zeros": np.array([[0.0, -0.0, 1.5], [-0.0, 1.5, 0.0], [2.0, -0.0, -0.0]]),
+    "matrix-extremes": np.array([[5e-324, -5e-324, 1e-310],
+                                 [1.7976931348623157e308, -1.7976931348623157e308, 5e-324]]),
+    "matrix-transposed": (np.arange(12.0).reshape(3, 4) / 7.0).T,
+    "matrix-strided": _DENSE[::2, 1::3],
+    "matrix-1x1": np.array([[0.1]]),
+    "matrix-0x3": np.empty((0, 3)),
+    "matrix-3x0": np.empty((3, 0)),
+    "matrix-one-nan": np.array([[1.0, np.nan], [0.5, 1.0]]),
+    "matrix-float32": np.array([[0.1, -0.0], [1e-40, 3.0]], dtype=np.float32),
+    "matrix-big-endian": np.array([[0.1, -0.0], [2.5, 0.1]], dtype=">f8"),
 }
 
 
@@ -729,6 +748,55 @@ def test_json_text_rejects_what_json_dumps_rejects(value):
         oracles.json_dumps_artifact(value)
     with pytest.raises(TypeError, match="not JSON serializable"):
         artifacts.json_text(value)
+
+
+def test_failed_json_write_leaves_the_previous_file(tmp_path):
+    cfg = _write(tmp_path, "run.ini", BASE_INI)
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+    path = os.path.join(out, "predictions.json")
+    before = _read_bytes(path)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        artifacts.write_json(path, {"law": {"q_inf": {1, 2}}})
+    assert _read_bytes(path) == before
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
+def test_json_writes_leave_no_temp_file(tmp_path):
+    # a run killed mid-write leaves ``<name>.tmp``; the next write replaces it
+    cfg = _write(tmp_path, "run.ini", BASE_INI)
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("predictions.json", "manifest.json", "comparison.json"):
+        (out / (name + ".tmp")).write_text('{"cut')
+    assert cli.main(["predict", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--threads", "1",
+                     "--quiet"]) == 0
+    assert cli.main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert not [path.name for path in out.iterdir() if path.name.endswith(".tmp")]
+    for name in ("predictions.json", "manifest.json", "comparison.json", "manifest_000.json"):
+        assert _read_json(str(out / name))
+
+
+def test_simulate_rerun_rewrites_run_manifests_in_place(tmp_path):
+    # a rename makes a new file per manifest, which made re-runs much slower
+    cfg = _write(tmp_path, "run.ini", BASE_INI)
+    out = tmp_path / "out"
+    args = ["simulate", "--config", cfg, "--out", str(out), "--threads", "1", "--quiet"]
+    assert cli.main(args) == 0
+    inodes = {name: os.stat(out / name).st_ino for name in ("manifest_000.json", "manifest.json")}
+    assert cli.main(args) == 0
+    assert os.stat(out / "manifest_000.json").st_ino == inodes["manifest_000.json"]
+    assert os.stat(out / "manifest.json").st_ino != inodes["manifest.json"]
+
+
+def test_json_write_that_fails_on_disk_leaves_no_temp_file(tmp_path):
+    # the rename over a directory fails after the temp file is written
+    target = tmp_path / "predictions.json"
+    target.mkdir()
+    with pytest.raises(OSError):
+        artifacts.write_json(str(target), {"a": 1.0})
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["predictions.json"]
 
 
 def test_header_only_trace_loads_without_warning(tmp_path):
