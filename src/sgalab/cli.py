@@ -16,7 +16,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -199,6 +198,8 @@ def cmd_simulate(
         # contiguous ranges, as even as possible
         bounds = [replicates * i // workers for i in range(workers + 1)]
         counts = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        from concurrent.futures import ProcessPoolExecutor  # ~24 ms to import; only pools need it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(
                 _simulate_chunk, [setup.tree] * workers, bounds[:-1], counts, [out] * workers

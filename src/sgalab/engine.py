@@ -259,8 +259,9 @@ def _build_context(
         anchor = np.asarray(anchor, dtype=float)
         if anchor.shape != (d,):
             raise ConfigError(f"anchor must have shape ({d},)")
-        ctx.anchor_grads = model.grad(anchor, records)
-        ctx.anchor_mean = ctx.anchor_grads.mean(axis=0)
+        with np.errstate(over="ignore"):  # as in the step loop
+            ctx.anchor_grads = model.grad(anchor, records)
+            ctx.anchor_mean = ctx.anchor_grads.mean(axis=0)
     ctx.transition = _make_transition(ctx)
     return ctx
 

@@ -29,10 +29,15 @@ MAX_NEWTON_STEPS = 100
 def _block_sum(
     records: np.ndarray, term: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """Sum of ``term(block)`` over ``BLOCK_ROWS``-row blocks in data order."""
+    """Sum of ``term(block)`` over ``BLOCK_ROWS``-row blocks in data order.
+
+    Overflow (a Poisson rate at a far-off theta) propagates as infinities
+    without numpy's warning, as in the engine's step loop.
+    """
     total = 0.0
-    for start in range(0, records.shape[0], BLOCK_ROWS):
-        total = total + term(records[start : start + BLOCK_ROWS])
+    with np.errstate(over="ignore"):
+        for start in range(0, records.shape[0], BLOCK_ROWS):
+            total = total + term(records[start : start + BLOCK_ROWS])
     return total
 
 

@@ -7,6 +7,11 @@ that produces stationary covariances.  The Lyapunov solve is the
 Bartels-Stewart method (Schur decomposition, O(d^3)) from scipy, wrapped
 in stability and residual checks; the independent quadrature routes used
 to cross-check it live with the tests.
+
+scipy is imported by the first :func:`solve_lyapunov` or :func:`expm`
+call, not with the package: ``import sgalab``, ``sgalab --version`` and
+``sgalab simulate`` never load it, unless ``init = stationary`` asks for
+the stationary covariance.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionError,
@@ -88,6 +92,8 @@ def expm(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     require_square("expm argument", m)
     require_finite("expm argument", m)
+    import scipy.linalg  # here, so that `import sgalab` does not pay ~0.2 s for scipy
+
     return scipy.linalg.expm(m)
 
 
@@ -141,6 +147,8 @@ def solve_lyapunov(b: np.ndarray, a: np.ndarray) -> np.ndarray:
             "no stationary covariance: -B is not Hurwitz "
             f"(min real eigenvalue of B is {min_real_eig(b):.3e})"
         )
+    import scipy.linalg  # here, so that `import sgalab` does not pay ~0.2 s for scipy
+
     q = scipy.linalg.solve_continuous_lyapunov(0.5 * b, a)
     q = 0.5 * (q + q.T)
     residual = np.linalg.norm(0.5 * (b @ q + q @ b.T) - a)

@@ -233,20 +233,23 @@ def poisson_model(p: int) -> ModelSpec:
     ``-log(y!)`` term, which is dropped since it affects no derivative.
     Rate overflow deliberately propagates as infinities so that runaway
     parameter excursions surface as divergence instead of being masked.
+    ``grad`` and ``hess_mean`` do not silence numpy's overflow warning
+    themselves: their callers (the engine's step loop, the anchor scores
+    of the control-variate set-up, and the blockwise sums in
+    :mod:`sgalab.inference`) run them under ``np.errstate(over="ignore")``,
+    once per loop rather than once per call.
     """
     if p < 1:
         raise DimensionError("poisson model needs p >= 1 covariates")
 
     def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, y = _split_xy(records)
-        with np.errstate(over="ignore"):
-            mu = np.exp(np.matvec(x, theta))
+        mu = np.exp(np.matvec(x, theta))
         return (y - mu)[..., None] * x
 
     def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         x, _ = _split_xy(records)
-        with np.errstate(over="ignore"):
-            mu = np.exp(x @ theta)
+        mu = np.exp(x @ theta)
         return -(x.T * mu) @ x / records.shape[0]
 
     def validate(records: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 """Command-line workflows: configs, artifacts, exit codes, reproducibility."""
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -342,7 +343,7 @@ def test_default_threads_run_few_replicates_in_process(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started for 2 replicates")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     cfg = _write(tmp_path, "run.ini", BASE_INI)
     out = str(tmp_path / "out")
     assert cli.main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 0
@@ -863,14 +864,62 @@ def test_version_flag():
     assert info.value.code == 0
 
 
-def test_python_dash_m_prints_version():
+def _fresh_python(argv, cwd=None):
+    """Run ``python argv`` in a new interpreter that imports this checkout's sgalab."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "sgalab", "--version"],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path),
+                          cwd=cwd, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"sgalab {sgalab.__version__}"
+    return proc.stdout
+
+
+def test_python_dash_m_prints_version():
+    assert _fresh_python(["-m", "sgalab", "--version"]).strip() == f"sgalab {sgalab.__version__}"
+
+
+# scipy is only needed by the prediction half (Lyapunov solves and expm), so
+# importing the package and simulating from an MLE start must not load it.
+# Each check runs in a new interpreter, since this one has scipy loaded.
+LOADED_SCIPY = 'sorted(m for m in sys.modules if m.split(".")[0] == "scipy")'
+
+
+def test_import_loads_no_scipy():
+    code = f"import json, sys; import sgalab; print(json.dumps({LOADED_SCIPY}))"
+    assert json.loads(_fresh_python(["-c", code])) == []
+
+
+def test_simulate_from_mle_loads_no_scipy(tmp_path):
+    assert "init = mle" in BASE_INI
+    _write(tmp_path, "run.ini", BASE_INI)
+    code = (
+        "import json, sys; from sgalab import cli; "
+        'code = cli.main(["simulate", "--config", "run.ini", "--out", "out", "--quiet"]); '
+        f'print(json.dumps({{"code": code, "scipy": {LOADED_SCIPY}}}))'
+    )
+    got = json.loads(_fresh_python(["-c", code], cwd=tmp_path))
+    assert got == {"code": 0, "scipy": []}
+    assert artifacts.list_runs(str(tmp_path / "out")) == [0, 1]
+
+
+def test_first_solve_in_fresh_process_matches_in_process():
+    rng = np.random.default_rng(61)
+    m = rng.normal(size=(6, 6))
+    b = m @ m.T + 6.0 * np.eye(6) + 0.3 * rng.normal(size=(6, 6))
+    s = rng.normal(size=(6, 6))
+    a, e = s @ s.T, -0.1 * b
+    load = "np.frombuffer(bytes.fromhex({!r})).reshape(6, 6)".format
+    code = (
+        "import json, sys; import numpy as np; from sgalab import linalg; "
+        f"b, a, e = {load(b.tobytes().hex())}, {load(a.tobytes().hex())}, {load(e.tobytes().hex())}; "
+        'before = "scipy.linalg" in sys.modules; '
+        "q, x = linalg.solve_lyapunov(b, a), linalg.expm(e); "
+        'print(json.dumps([before, "scipy.linalg" in sys.modules, q.tobytes().hex(), x.tobytes().hex()]))'
+    )
+    before, after, q, x = json.loads(_fresh_python(["-c", code]))
+    assert (before, after) == (False, True)
+    assert q == linalg.solve_lyapunov(b, a).tobytes().hex()
+    assert x == linalg.expm(e).tobytes().hex()
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -1,11 +1,14 @@
 """Fitting and information-matrix checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import oracles
-from sgalab import inference, models
+from sgalab import engine, inference, models
 from sgalab.errors import NonConvergenceError
+from sgalab.tuning import CONTROL_VARIATE, TuningConfig
 
 
 def test_gaussian_mle_is_columnwise_mean():
@@ -100,3 +103,31 @@ def test_information_equality_under_correct_specification():
     inv_j = np.linalg.inv(info.j_mat)
     rel_s = np.linalg.norm(info.sandwich - inv_j) / np.linalg.norm(inv_j)
     assert rel_s < 0.1
+
+
+def test_poisson_overflow_is_silenced_by_the_callers_not_the_model():
+    # positive covariates, so overflowed rows give infinities of one sign
+    # per column and no inf - inf; the rates of most rows overflow
+    model, data, _ = models.generate_poisson(300, 3, seed=53)
+    records = data.records.copy()
+    records[:, :-1] = np.abs(records[:, :-1])
+    theta = np.array([500.0, 300.0, 300.0])
+    n = records.shape[0]
+    with np.errstate(over="ignore"):
+        grads = model.grad(theta, records)
+        score = (0.0 + grads.sum(axis=0) + model.grad_prior(theta)) / n
+        hessian = (0.0 + model.hess_mean(theta, records) * n) / n
+        anchor_mean = grads.mean(axis=0)
+    assert np.isinf(grads).any() and np.isfinite(grads).any()
+    assert np.isinf(hessian).all()
+
+    cfg = TuningConfig(frak_h=1.0, c_h=2.0, c_b=5.0, variant=CONTROL_VARIATE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_score = inference._mean_score(model, records, theta)
+        got_hessian = inference._mean_hessian(model, records, theta)
+        ctx = engine._build_context(model, records, cfg, n, theta)
+    assert np.array_equal(got_score, score)
+    assert np.array_equal(got_hessian, hessian)
+    assert np.array_equal(ctx.anchor_grads, grads)
+    assert np.array_equal(ctx.anchor_mean, anchor_mean)
