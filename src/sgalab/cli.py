@@ -257,6 +257,11 @@ def _usable_runs(out: str, setup: Setup) -> tuple[list, list]:
     return alive, [r for r in records if r.diverged_at is not None]
 
 
+def _table_row(label: str, emp: float, pred: float, err: float, fmt: str = ".4g") -> None:
+    """One row of compare's table, each number under its column head."""
+    print(f"  {label:<29}{emp:<12{fmt}} {pred:<12{fmt}} {err:.3f}")
+
+
 def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) -> int:
     setup = resolve_setup(tree)
     out = _out_dir(tree, out_flag)
@@ -277,112 +282,45 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
             last_iterate=diverged[0].final_state,
         )
 
-    report = _prediction_report(setup)
-    d = setup.model.dim
-    q_theta = report.q_inf[:d, :d]
-
-    # stationary law: per-run covariances averaged over replicates; short
-    # traces cannot support a covariance, which is reported rather than fatal
-    stationary = None
-    emp_cov = None
-    mix = None
-    trace_note = None
-    try:
-        covs = [diagnostics.empirical_cov(r, setup.burnin_fraction) for r in alive]
-        emp_cov = np.mean(covs, axis=0)
-        stationary = diagnostics.compare(emp_cov, q_theta)
-        mix = diagnostics.mixing_summary(alive[0], report.ou)
-    except DataError as exc:
-        trace_note = str(exc)
-
-    # iterate averages: across-replicate covariance when enough replicates
-    averages_block = {}
-    if len(alive) >= 30 and alive[0].avg_state is not None:
-        emp_avg_cov, avg_mean = diagnostics.replicate_avg_cov(alive)
-        win_lo, win_hi = alive[0].avg_window
-        window_steps = win_hi - win_lo
-        m_epochs = window_steps / setup.cfg.steps_per_epoch(setup.n)
-        try:
-            predicted_avg = theory.avg_cov_rescaled(report.ou, m_epochs)
-            avg_cmp = diagnostics.compare(emp_avg_cov, predicted_avg.matrix)
-            averages_block[f"{m_epochs:g}"] = {
-                "window_epochs": m_epochs,
-                "replicates": len(alive),
-                "mean_rescaled_average": avg_mean,
-                "comparison": avg_cmp.to_json_dict(),
-                "empirical_cov": emp_avg_cov,
-                "predicted_cov": predicted_avg.matrix,
-            }
-        except RegimeError as exc:
-            averages_block[f"{m_epochs:g}"] = {
-                "window_epochs": m_epochs,
-                "error": str(exc),
-            }
-
-    payload = {
-        "config_hash": setup.hash,
-        "data_hash": setup.data.digest,
-        "replicates_used": len(alive),
-        "diverged_replicates": len(diverged),
-        "stationary": None if stationary is None else stationary.to_json_dict(),
-        "empirical_cov": emp_cov,
-        "predicted_cov": q_theta,
-        "mixing": None if mix is None else {
-            "empirical_epochs_per_coordinate": mix.epochs_per_coordinate,
-            "empirical_worst_epochs": mix.worst_epochs,
-            "rotated_basis": mix.rotated,
-            "drift_flags": mix.drift_flags,
-            "predicted_epochs_iact": report.mixing.epochs_iact,
-            "predicted_epochs_gap": report.mixing.epochs_gap,
-        },
-        "trace_note": trace_note,
-        "averages": averages_block,
-    }
-    artifacts.write_json(os.path.join(out, "comparison.json"), payload)
+    result = diagnostics.compare_runs(alive, _prediction_report(setup), setup.burnin_fraction)
+    artifacts.write_json(os.path.join(out, "comparison.json"), {
+        "config_hash": setup.hash, "data_hash": setup.data.digest,
+        "replicates_used": len(alive), "diverged_replicates": len(diverged), **result,
+    })
 
     for k, record in enumerate(alive[:MAX_ACF_FILES]):
-        states = record.rescaled_states()
-        if states.shape[0] < 2:
+        try:  # fewer than two rows, or a constant coordinate (see trace_note)
+            rhos = [diagnostics.autocorrelation(col, ACF_MAX_LAG)
+                    for col in record.rescaled_states().T]
+        except DataError:
             continue
-        max_lag = min(states.shape[0] - 1, ACF_MAX_LAG)
-        rhos = np.column_stack(
-            [
-                diagnostics.autocorrelation(states[:, j], max_lag)
-                for j in range(states.shape[1])
-            ]
-        )
-        artifacts.save_acf(out, k, rhos)
+        artifacts.save_acf(out, k, np.column_stack(rhos))
 
     if not quiet:
+        norm = np.linalg.norm
         print(f"compare: {len(alive)} replicate(s) against predictions in {out}")
         print("  quantity                     empirical    predicted    rel.error")
-        if stationary is not None:
-            print(
-                "  stationary cov (Frobenius)   "
-                f"{np.linalg.norm(emp_cov):<12.4g} {np.linalg.norm(q_theta):<12.4g}"
-                f" {stationary.rel_frobenius_error:.3f}"
-            )
-            print(
-                "  mixing time (epochs)         "
-                f"{mix.worst_epochs:<12.3g} {report.mixing.epochs_iact:<12.3g}"
-                f" {abs(mix.worst_epochs - report.mixing.epochs_iact) / max(report.mixing.epochs_iact, 1e-300):.3f}"
-            )
-            if mix.drift_flags.any():
-                print(
-                    "  note: split-half mean drift in direction(s)"
-                    f" {', '.join(map(str, np.flatnonzero(mix.drift_flags)))} of the"
-                    " first replicate; its mixing time may reflect non-stationarity"
-                )
+        stationary, mix = result["stationary"], result["mixing"]
+        if stationary is None:
+            print(f"  stationary block skipped: {result['trace_note']}")
         else:
-            print(f"  stationary block skipped: {trace_note}")
-        for key, block in sorted(averages_block.items()):
+            _table_row("stationary cov (Frobenius)", norm(result["empirical_cov"]),
+                       norm(result["predicted_cov"]), stationary["rel_frobenius_error"])
+            if mix is None:
+                print(f"  {'mixing time (epochs)':<29}{result['trace_note']}")
+            else:
+                emp, pred = mix["empirical_worst_epochs"], mix["predicted_epochs_iact"]
+                _table_row("mixing time (epochs)", emp, pred,
+                           abs(emp - pred) / max(pred, 1e-300), ".3g")
+                drifted = ", ".join(map(str, np.flatnonzero(mix["drift_flags"])))
+                if drifted:
+                    print(f"  note: split-half mean drift in direction(s) {drifted} of the"
+                          " first replicate; its mixing time may reflect non-stationarity")
+        for key, block in sorted(result["averages"].items()):
             if "comparison" in block:
-                print(
-                    f"  {f'iterate-average cov (m={key})':<29}"
-                    f"{np.linalg.norm(block['empirical_cov']):<12.4g}"
-                    f" {np.linalg.norm(block['predicted_cov']):<12.4g}"
-                    f" {block['comparison']['rel_frobenius_error']:.3f}"
-                )
+                _table_row(f"iterate-average cov (m={key})", norm(block["empirical_cov"]),
+                           norm(block["predicted_cov"]),
+                           block["comparison"]["rel_frobenius_error"])
             else:
                 print(f"  iterate-average cov (m={key}): {block['error']}")
         if diverged:

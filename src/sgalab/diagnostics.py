@@ -5,7 +5,8 @@ from one long run, integrated autocorrelation times (with a Geyer-style
 initial-positive-sequence truncation), and the across-replicate covariance
 of rescaled iterate averages.  ``compare`` turns an (empirical, predicted)
 matrix pair into a report with relative Frobenius error and optional
-per-entry z-scores.
+per-entry z-scores, and ``compare_runs`` measures a set of runs against
+their prediction: the body of ``comparison.json``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .engine import RunRecord
-from .errors import ArtifactMismatchError, DataError, DimensionError
-from .theory import OuParams
+from .errors import ArtifactMismatchError, DataError, DimensionError, RegimeError
+from .theory import OuParams, PredictionReport, avg_cov_rescaled
 
 #: Minimum post-burn-in sample count per parameter dimension.
 MIN_SAMPLES_PER_DIM = 10
@@ -48,6 +49,9 @@ def empirical_cov(record: RunRecord, burnin_fraction: float = 0.1) -> np.ndarray
 
 def _autocorrelation(series: np.ndarray) -> np.ndarray:
     """Sample autocorrelation at all lags via FFT, rho(0) = 1."""
+    # tested before centring: the mean of a constant series can round off it
+    if series.min() == series.max():
+        raise DataError("series is constant; autocorrelation time undefined")
     x = series - series.mean()
     t = x.size
     size = 1
@@ -55,8 +59,6 @@ def _autocorrelation(series: np.ndarray) -> np.ndarray:
         size *= 2
     spec = np.fft.rfft(x, size)
     acov = np.fft.irfft(spec * np.conj(spec), size)[:t].real / t
-    if acov[0] <= 0.0:
-        raise DataError("series is constant; autocorrelation time undefined")
     return acov / acov[0]
 
 
@@ -255,3 +257,60 @@ def compare(
         z_scores=z_scores,
         max_abs_z=max_z,
     )
+
+
+def compare_runs(
+    alive: list[RunRecord], report: PredictionReport, burnin_fraction: float
+) -> dict:
+    """The statistics of ``comparison.json`` for runs that finished.
+
+    Per-run stationary covariances are averaged over replicates and mixing
+    is measured on the first run; traces too short or constant for either
+    leave ``trace_note``.  30 or more replicates that record an average
+    are compared with the prediction for their window's epochs.
+    """
+    first = alive[0]
+    q_theta = report.q_inf[: first.dim, : first.dim]
+    stationary = emp_cov = mixing = trace_note = None
+    try:
+        emp_cov = np.mean([empirical_cov(r, burnin_fraction) for r in alive], axis=0)
+        stationary = compare(emp_cov, q_theta).to_json_dict()
+        mix = mixing_summary(first, report.ou)
+        mixing = {
+            "empirical_epochs_per_coordinate": mix.epochs_per_coordinate,
+            "empirical_worst_epochs": mix.worst_epochs,
+            "rotated_basis": mix.rotated,
+            "drift_flags": mix.drift_flags,
+            "predicted_epochs_iact": report.mixing.epochs_iact,
+            "predicted_epochs_gap": report.mixing.epochs_gap,
+        }
+    except DataError as exc:
+        trace_note = str(exc)
+
+    averages = {}
+    if len(alive) >= 30 and first.avg_state is not None:
+        emp_avg_cov, avg_mean = replicate_avg_cov(alive)
+        win_lo, win_hi = first.avg_window
+        m_epochs = (win_hi - win_lo) / (first.n / first.manifest["batch_size"])
+        block = averages[f"{m_epochs:g}"] = {"window_epochs": m_epochs}
+        try:
+            predicted = avg_cov_rescaled(report.ou, m_epochs).matrix
+        except RegimeError as exc:
+            block["error"] = str(exc)
+        else:
+            block.update(
+                replicates=len(alive),
+                mean_rescaled_average=avg_mean,
+                comparison=compare(emp_avg_cov, predicted).to_json_dict(),
+                empirical_cov=emp_avg_cov,
+                predicted_cov=predicted,
+            )
+
+    return {
+        "stationary": stationary,
+        "empirical_cov": emp_cov,
+        "predicted_cov": q_theta,
+        "mixing": mixing,
+        "trace_note": trace_note,
+        "averages": averages,
+    }

@@ -1,5 +1,6 @@
 """Command-line workflows: configs, artifacts, exit codes, reproducibility."""
 
+import collections
 import concurrent.futures
 import dataclasses
 import json
@@ -14,7 +15,7 @@ import pytest
 
 import oracles
 import sgalab
-from sgalab import artifacts, cli, config, engine, linalg, models
+from sgalab import artifacts, cli, config, diagnostics, engine, linalg, models
 from sgalab.errors import ConfigError, DivergenceError
 from sgalab.tuning import MOMENTUM, TuningConfig
 
@@ -284,6 +285,82 @@ def test_compare_writes_and_reports_drift_flags(tmp_path, capsys):
         mixing = _read_json(os.path.join(out, "comparison.json"))["mixing"]
         assert any(mixing["drift_flags"]) is flagged
         assert len(mixing["drift_flags"]) == 3
+
+
+@pytest.mark.parametrize(
+    "execution, blocks",
+    [
+        ({"epochs": 20.0, "replicates": 1}, ("stationary", "mixing")),
+        # too short for a stationary covariance, long enough to average
+        ({"epochs": 0.5, "replicates": 40}, ("trace_note", "averages")),
+    ],
+)
+def test_compare_runs_is_the_body_of_comparison_json(tmp_path, execution, blocks):
+    tree = dict(BASE_TREE, execution=dict(BASE_TREE["execution"], **execution))
+    out = str(tmp_path)
+    assert cli.cmd_predict(tree, out, quiet=True) == 0
+    assert cli.cmd_simulate(tree, out, threads=1, quiet=True) == 0
+    assert cli.cmd_compare(tree, out, quiet=True) == 0
+
+    setup = config.resolve_setup(tree)
+    records = engine.run_replicates(
+        setup.model, setup.data, setup.cfg, setup.replicates,
+        n_steps=setup.n_steps, theta_hat=setup.mle_theta, init=None,
+        recording=engine.RecordingPlan(thin=setup.thin, average_start=setup.average_start),
+    )
+    result = diagnostics.compare_runs(
+        records, cli._prediction_report(setup), setup.burnin_fraction
+    )
+    assert all(result[block] for block in blocks)
+    path = os.path.join(out, "comparison.json")
+    written = _read_json(path)
+    head = {key: written[key] for key in
+            ("config_hash", "data_hash", "replicates_used", "diverged_replicates")}
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == artifacts.json_text({**head, **result})
+
+
+def test_compare_notes_a_coordinate_pinned_by_the_box(tmp_path):
+    # boundary_hi pins theta_2 at -5 for the whole run: an exactly constant
+    # trace whose mean rounds off its value
+    tree = {
+        "model": {"family": "gaussian_location", "n": 50, "d": 2},
+        "tuning": {"gamma": "identity", "c_h": 4.0,
+                   "boundary_lo": [-10.0, -10.0], "boundary_hi": [10.0, -5.0]},
+        "execution": {"epochs": 40.0, "init": "zero"},
+    }
+    out = str(tmp_path)
+    assert cli.cmd_predict(tree, out, quiet=True) == 0
+    assert cli.cmd_simulate(tree, out, threads=1, quiet=True) == 0
+    assert cli.cmd_compare(tree, out, quiet=True) == 0
+    comparison = _read_json(os.path.join(out, "comparison.json"))
+    assert comparison["mixing"] is None
+    assert "series is constant" in comparison["trace_note"]
+    assert not os.path.exists(os.path.join(out, "acf_000.csv"))
+
+
+def test_compare_prints_a_constant_coordinate_as_its_mixing_row(tmp_path, capsys):
+    rows = np.random.default_rng(4).standard_normal((100, 2))
+    rows[:, 1] = 0.3
+    data = str(tmp_path / "data.csv")
+    oracles.save_csv(data, rows)
+    cfg = _write(
+        tmp_path, "csv.ini",
+        f"[model]\nfamily = gaussian_location\nsource = csv\npath = {data}\n"
+        "columns = 2\n\n[tuning]\nc_h = 4.0\n\n[execution]\nepochs = 20\n",
+    )
+    common = ["--config", cfg, "--out", str(tmp_path / "out")]
+    assert cli.main(["predict", *common, "--quiet"]) == 0
+    assert cli.main(["simulate", *common, "--threads", "1", "--quiet"]) == 0
+    assert cli.main(["compare", *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    comparison = _read_json(str(tmp_path / "out" / "comparison.json"))
+    assert comparison["stationary"] is not None and comparison["mixing"] is None
+    note = comparison["trace_note"]
+    assert "series is constant" in note
+    first = next(k for k, line in enumerate(lines) if "stationary cov (Frobenius)" in line)
+    assert lines[first + 1] == f"  {'mixing time (epochs)':<29}{note}"
+    assert not (tmp_path / "out" / "acf_000.csv").exists()
 
 
 def test_artifacts_are_byte_identical_across_reruns(tmp_path):
@@ -853,6 +930,21 @@ def test_experiment_smoke_run(tmp_path, capsys):
         assert isinstance(err, float)
         row = next(line for line in table if line.split()[:1] == [name])
         assert row.split()[1:] == ["short", "-", f"{err:.3f}"]
+
+
+def test_experiment_runs_through_the_commands_the_benchmark_clocks(tmp_path, monkeypatch):
+    # perfbench/run.py times poisson-io's phases by wrapping these names, so
+    # the experiment must reach its commands through them
+    calls = collections.Counter()
+    for name in ("cmd_predict", "cmd_simulate", "cmd_compare"):
+        def counted(*args, _name=name, _command=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _command(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.cmd_experiment("exp3-synthetic", str(tmp_path), scale=0.1, seed=1, threads=1,
+                              epochs_override=2.0, quiet=True) == 0
+    # sgd diverges, so it is not compared
+    assert calls == {"cmd_predict": 3, "cmd_simulate": 3, "cmd_compare": 2}
 
 
 # ------------------------------------------------------------------- misc

@@ -80,6 +80,16 @@ def test_iact_error_cases():
         iact(np.arange(5.0))
 
 
+def test_exactly_constant_series_is_constant_though_its_mean_rounds():
+    # centring this series by its mean leaves rounding noise, not zeros
+    series = np.full(2000, 0.1) * 7.071067811865476
+    assert series.mean() != series[0]
+    with pytest.raises(DataError, match="constant"):
+        iact(series)
+    with pytest.raises(DataError, match="constant"):
+        autocorrelation(series)
+
+
 def test_iact_warns_on_mean_drift():
     rng = np.random.default_rng(102)
     trending = np.linspace(0.0, 50.0, 5000) + rng.standard_normal(5000)
