@@ -53,13 +53,15 @@ failed or killed write leaves the previous file whole.  Run manifests
 the hundred, are written in place.
 
 Reading refuses a cut artifact with ``DataError``: a JSON file that does not
-parse, a trace that does not end in a line feed, or a trace whose row count
-is not the one its manifest implies (``n_steps // thin``, or
-``(diverged_at - 1) // thin`` for a diverged run).  A missing file is an
+parse, a trace that does not end in a line feed, or a trace whose line count
+is not its header plus the rows its manifest implies (``n_steps // thin``,
+or ``(diverged_at - 1) // thin`` for a diverged run).  A missing file is an
 ``ArtifactMismatchError``.
 
 The simulate command owns the numbered files: before writing it deletes
-those whose index is at or beyond its replicate count.
+those whose index is at or beyond its replicate count.  The compare command
+reads exactly replicates ``0 .. R-1``, R the configuration's replicate
+count, so a missing one is a mismatch, never a smaller comparison.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ import json
 import math
 import os
 import re
-import warnings
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -272,38 +273,40 @@ def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> N
 
 
 def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
-    """Rebuild a RunRecord from its trace and manifest files."""
+    """Rebuild a RunRecord from its trace and manifest files.
+
+    The trace is refused, naming the file, unless it ends in a line feed and
+    holds its header plus exactly the rows its manifest implies; only then,
+    and only if it has rows, is it parsed.
+    """
     payload = read_json(run_manifest_path(out_dir, index))
     run = payload["run"]
     state_dim = int(run["state_dim"])
+    thin, diverged_at = int(run["thin"]), run.get("diverged_at")
+    rows = (int(run["n_steps"]) if diverged_at is None else diverged_at - 1) // thin
     path = trace_path(out_dir, index)
     if not os.path.exists(path):
         raise ArtifactMismatchError(f"missing artifact: {path}")
     with open(path, "rb") as fh:
-        # every complete table ends in a line feed; a cut one need not
-        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
-        if fh.read(1) != b"\n":
+        # counted in blocks: read whole, a long trace would add its size to peak memory
+        lines, last = 0, b""
+        for block in iter(lambda: fh.read(1 << 16), b""):
+            lines, last = lines + block.count(b"\n"), block[-1:]
+        if last != b"\n":
             raise DataError(f"{path}: trace does not end in a line feed; cut short?")
-        fh.seek(0)
-        try:
-            with warnings.catch_warnings():
-                # a run that diverged before its first kept step has no rows
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
-        except ValueError as exc:
-            raise DataError(f"{path}: cannot parse trace: {exc}") from None
-    if table.size == 0:
+        if lines != 1 + rows:
+            raise DataError(f"{path}: {lines - 1} rows, but its manifest implies {rows}")
         states = np.empty((0, state_dim))
-    else:
-        if table.shape[1] != state_dim + 2:
-            raise DataError(
-                f"{path}: expected {state_dim + 2} columns, found {table.shape[1]}"
-            )
-        states = np.ascontiguousarray(table[:, 2:])
-    thin, diverged_at = int(run["thin"]), run.get("diverged_at")
-    rows = (int(run["n_steps"]) if diverged_at is None else diverged_at - 1) // thin
-    if len(states) != rows:
-        raise DataError(f"{path}: {len(states)} rows, but its manifest implies {rows}")
+        if rows:
+            fh.seek(0)
+            try:
+                table = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+            except ValueError as exc:
+                raise DataError(f"{path}: cannot parse trace: {exc}") from None
+            if table.shape != (rows, state_dim + 2):
+                want = (rows, state_dim + 2)
+                raise DataError(f"{path}: table of shape {table.shape}, expected {want}")
+            states = np.ascontiguousarray(table[:, 2:])
     theta_hat = run.get("theta_hat")
     record = RunRecord(
         manifest=run,
@@ -327,9 +330,9 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
     return record, payload["config_hash"]
 
 
-#: A per-replicate file name: group 1 is ``trace`` or ``acf`` and group 2 its
-#: replicate index; group 3 is a run manifest's index.
-_REPLICATE_FILE = re.compile(r"(trace|acf)_(\d+)\.csv|manifest_(\d+)\.json")
+#: A per-replicate file name: group 1 is a trace or ACF file's replicate
+#: index, group 2 a run manifest's.
+_REPLICATE_FILE = re.compile(r"(?:trace|acf)_(\d+)\.csv|manifest_(\d+)\.json")
 
 
 def remove_runs_from(out_dir: str, first: int) -> None:
@@ -340,14 +343,8 @@ def remove_runs_from(out_dir: str, first: int) -> None:
     """
     for name in os.listdir(out_dir):
         match = _REPLICATE_FILE.fullmatch(name)
-        if match and int(match.group(2) or match.group(3)) >= first:
+        if match and int(match.group(1) or match.group(2)) >= first:
             os.remove(os.path.join(out_dir, name))
-
-
-def list_runs(out_dir: str) -> list[int]:
-    """Replicate indices present in a directory, sorted ascending."""
-    matches = map(_REPLICATE_FILE.fullmatch, os.listdir(out_dir))
-    return sorted(int(m.group(2)) for m in matches if m and m.group(1) == "trace")
 
 
 def save_acf(out_dir: str, index: int, rhos: np.ndarray) -> None:

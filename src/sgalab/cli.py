@@ -233,28 +233,26 @@ def cmd_simulate(
 # ---------------------------------------------------------------- compare
 
 
-def _usable_runs(out: str, setup: Setup) -> tuple[list, list]:
-    """The replicates in ``out`` that ran to the end, and those that diverged."""
-    indices = artifacts.list_runs(out)
-    if not indices:
-        raise ArtifactMismatchError(
-            f"no trace files in {out}; run the simulate command first"
-        )
-    records = []
-    for idx in indices:
+def _usable_runs(out: str, replicates: int, config_hash: str, data_hash: str) -> tuple[list, list]:
+    """Replicates ``0 .. replicates-1`` in ``out``: those run to the end, those diverged.
+
+    Each must be present and carry both hashes; a missing one is an artifact
+    mismatch naming its file, never a smaller comparison.
+    """
+    if not os.path.exists(artifacts.run_manifest_path(out, 0)):
+        raise ArtifactMismatchError(f"no trace files in {out}; run the simulate command first")
+    alive, diverged = [], []
+    for idx in range(replicates):
         record, run_hash = artifacts.load_run(out, idx)
-        if run_hash != setup.hash:
+        if run_hash != config_hash:
             raise ArtifactMismatchError(
                 f"trace {idx} was produced under config hash {run_hash[:12]}..,"
-                f" current config hashes to {setup.hash[:12]}.."
+                f" current config hashes to {config_hash[:12]}.."
             )
-        if record.manifest["data_hash"] != setup.data.digest:
-            raise ArtifactMismatchError(
-                f"trace {idx} was produced from different data"
-            )
-        records.append(record)
-    alive = [r for r in records if r.diverged_at is None]
-    return alive, [r for r in records if r.diverged_at is not None]
+        if record.manifest["data_hash"] != data_hash:
+            raise ArtifactMismatchError(f"trace {idx} was produced from different data")
+        (alive if record.diverged_at is None else diverged).append(record)
+    return alive, diverged
 
 
 def _table_row(label: str, emp: float, pred: float, err: float, fmt: str = ".4g") -> None:
@@ -274,7 +272,7 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
         )
     if pred_payload["data_hash"] != setup.data.digest:
         raise ArtifactMismatchError("predictions.json was produced from different data")
-    alive, diverged = _usable_runs(out, setup)
+    alive, diverged = _usable_runs(out, setup.replicates, setup.hash, setup.data.digest)
     if not alive:
         raise DivergenceError(
             "all replicates diverged; nothing to compare",
@@ -323,8 +321,11 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
                            block["comparison"]["rel_frobenius_error"])
             else:
                 print(f"  iterate-average cov (m={key}): {block['error']}")
-        if diverged:
-            print(f"  note: {len(diverged)} replicate(s) diverged and were excluded")
+        timings = os.path.join(out, "timings.json")
+        rate = ""
+        if os.path.exists(timings):
+            rate = f", {artifacts.read_json(timings)['steps_per_s']:.0f} steps/s"
+        print(f"  health: {len(alive)} replicate(s) used, {len(diverged)} diverged{rate}")
         print(f"  wrote {out}/comparison.json")
     return EXIT_OK
 
@@ -405,13 +406,11 @@ def cmd_experiment(
             if code == EXIT_DIVERGED:
                 entry["diverged"] = True
                 # divergence is a finding here, not a failure of the harness
-                indices = artifacts.list_runs(out)
-                steps = []
-                for idx in indices:
-                    record, _ = artifacts.load_run(out, idx)
-                    if record.diverged_at is not None:
-                        steps.append(record.diverged_at)
-                entry["diverged_at_steps"] = steps
+                run = artifacts.read_json(os.path.join(out, "manifest.json"))
+                _, diverged = _usable_runs(
+                    out, run["replicates"], run["config_hash"], run["data_hash"]
+                )
+                entry["diverged_at_steps"] = [r.diverged_at for r in diverged]
                 if not quiet:
                     print(f"  {variant}: diverged (recorded), continuing")
             else:

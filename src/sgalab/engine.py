@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DivergenceError, RegimeError
+from .errors import ConfigError, DivergenceError, RegimeError
 from .linalg import psd_sqrt
 from .models import Dataset, ModelSpec, zero_prior
 from .theory import scaling_law
@@ -185,7 +185,7 @@ class RunRecord:
 
 @dataclass
 class _Context:
-    """Resolved per-run constants shared by ``step`` and ``run``."""
+    """Resolved per-run constants of a run."""
 
     model: ModelSpec
     cfg: TuningConfig
@@ -348,41 +348,6 @@ def _make_transition(ctx: _Context) -> Callable:
         return out
 
     return transition
-
-
-def step(
-    model: ModelSpec,
-    data: Dataset,
-    cfg: TuningConfig,
-    state: np.ndarray,
-    batch: np.ndarray,
-    xi: np.ndarray | None = None,
-    anchor: np.ndarray | None = None,
-) -> np.ndarray:
-    """Reference single transition with explicit randomness.
-
-    ``batch`` is the index tuple for this step and ``xi`` the standard
-    Gaussian innovation (required exactly when the configuration has noise).
-    ``run`` applies this same compiled update per step, so a manual loop of
-    ``step`` calls reproduces a run bit-for-bit given the same draws.
-    """
-    records = model.check_records(data.records)
-    ctx = _build_context(model, records, cfg, records.shape[0], anchor)
-    state = np.asarray(state, dtype=float)
-    if state.shape != (ctx.state_dim,):
-        raise DimensionError(f"state must have shape ({ctx.state_dim},)")
-    batch = np.sort(np.asarray(batch))[None]
-    anchor_rows = None if ctx.anchor_grads is None else ctx.anchor_grads[batch]
-    noise_term = None
-    if ctx.noise_factor is not None:
-        if xi is None:
-            raise ConfigError("this configuration has Gaussian noise; xi is required")
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (ctx.dim,):
-            raise DimensionError(f"xi must have shape ({ctx.dim},)")
-        noise_term = np.matvec(ctx.noise_factor, xi[None])
-    out = np.empty((1, ctx.state_dim))
-    return ctx.transition(state[None], records[batch], anchor_rows, noise_term, out)[0]
 
 
 def _init_states(

@@ -4,9 +4,13 @@ Everything here is deliberately slow and simple: characteristic-polynomial
 eigenvalues, Taylor-series matrix exponentials, brute-force quadrature and
 the asymptotic path-average forms, per-family log-likelihoods, enumerated
 batch spaces, the textbook drift estimate, the engine's step in expression
-form, coordinate-descent fitting.
+form, the exact finite-n stationary law of linear-gradient chains (a Stein
+equation, Q = M Q Mᵀ + C), coordinate-descent fitting.
 Production code must agree with these within stated tolerances; none of
-these routines may call the routines they are checking.  ``save_csv``
+these routines may call the routines they are checking.  ``step`` is the
+one exception: the engine's reference single transition, which no command
+needs, kept here so that replay tests can check the run loop around it.
+``trace_indices`` lists the traces a directory holds.  ``save_csv``
 writes the CSV inputs some tests feed to the loader; ``savetxt_table`` is
 the ``np.savetxt`` route that trace and ACF tables must match byte for byte,
 and ``json_dumps_artifact`` the ``json.dumps`` route JSON artifacts must match.
@@ -15,11 +19,17 @@ and ``json_dumps_artifact`` the ``json.dumps`` route JSON artifacts must match.
 from __future__ import annotations
 
 import csv
+import glob
 import itertools
 import json
 import math
+import os
 
 import numpy as np
+import scipy.linalg
+
+from sgalab.engine import _build_context
+from sgalab.errors import ConfigError, DimensionError
 
 
 def random_spd(rng: np.random.Generator, d: int, ridge: float = 0.1) -> np.ndarray:
@@ -375,6 +385,68 @@ def expression_transition(ctx, flat_prior: bool):
     return transition
 
 
+def step(model, data, cfg, state, batch, xi=None, anchor=None) -> np.ndarray:
+    """The engine's single transition with explicit randomness.
+
+    ``batch`` is the index tuple for this step and ``xi`` the standard
+    Gaussian innovation (required exactly when the configuration has noise).
+    It applies the engine's own compiled update to one replicate, so a
+    manual loop of ``step`` calls reproduces a run bit for bit given the
+    same draws; what it checks is the run loop around that update.
+    """
+    records = model.check_records(data.records)
+    ctx = _build_context(model, records, cfg, records.shape[0], anchor)
+    state = np.asarray(state, dtype=float)
+    if state.shape != (ctx.state_dim,):
+        raise DimensionError(f"state must have shape ({ctx.state_dim},)")
+    batch = np.sort(np.asarray(batch))[None]
+    anchor_rows = None if ctx.anchor_grads is None else ctx.anchor_grads[batch]
+    noise_term = None
+    if ctx.noise_factor is not None:
+        if xi is None:
+            raise ConfigError("this configuration has Gaussian noise; xi is required")
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape != (ctx.dim,):
+            raise DimensionError(f"xi must have shape ({ctx.dim},)")
+        noise_term = np.matvec(ctx.noise_factor, xi[None])
+    out = np.empty((1, ctx.state_dim))
+    return ctx.transition(state[None], records[batch], anchor_rows, noise_term, out)[0]
+
+
+# ------------------------------------------------- exact linear-chain law
+
+
+def exact_linear_stationary_cov(m: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The stationary covariance Q of ``x' = M x + noise(cov C)``: Q = M Q Mᵀ + C.
+
+    Exact for any linear recursion with state-independent noise, at any
+    step size: no diffusion limit is taken.
+    """
+    return scipy.linalg.solve_discrete_lyapunov(np.asarray(m, float), np.asarray(c, float))
+
+
+def gaussian_sgd_recursion(
+    records: np.ndarray, weights: np.ndarray, gamma: np.ndarray, h: float, b: int,
+    with_replacement: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, C)`` of plain SGD on the Gaussian location family, noiseless, flat prior.
+
+    Each record's score ``W (x - theta)`` is affine in theta, so one step is
+    ``theta' = M theta + (h/2) Gamma W xbar_batch`` with ``M = I - (h/2) Gamma W``,
+    and the batch mean's fluctuation gives ``C = (h/2)^2 Gamma W S W Gammaᵀ / b``,
+    ``S`` the records' covariance normalised by 1/n; sampling without
+    replacement multiplies C by ``(n - b)/(n - 1)``.
+    """
+    records = np.asarray(records, float)
+    n, d = records.shape
+    gw = np.asarray(gamma, float) @ np.diag(weights)
+    s = np.cov(records.T, bias=True).reshape(d, d)
+    c = (0.5 * h) ** 2 * gw @ s @ gw.T / b
+    if not with_replacement:
+        c = c * (n - b) / (n - 1)
+    return np.eye(d) - 0.5 * h * gw, c
+
+
 # --------------------------------------------------------------- fitting
 
 
@@ -437,6 +509,12 @@ def direct_gradient_descent(
 
 
 # ------------------------------------------------------------------ files
+
+
+def trace_indices(out_dir) -> list[int]:
+    """Replicate indices of the ``trace_NNN.csv`` files in ``out_dir``, sorted."""
+    names = glob.glob(os.path.join(glob.escape(str(out_dir)), "trace_*.csv"))
+    return sorted(int(os.path.basename(name)[6:-4]) for name in names)
 
 
 def save_csv(path, records: np.ndarray, header: list[str] | None = None) -> None:

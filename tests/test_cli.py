@@ -241,6 +241,40 @@ def test_predict_simulate_compare_roundtrip(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "acf_000.csv"))
 
 
+def test_compare_health_line_counts_replicates_and_reads_timings(tmp_path, capsys, monkeypatch):
+    cfg = _write(tmp_path, "run.ini", BASE_INI)
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert cli.main(
+        ["simulate", "--config", cfg, "--out", out, "--threads", "1", "--quiet"]
+    ) == 0
+    # replicate 1 rewritten as a run that diverged at step 501
+    record, run_hash = artifacts.load_run(out, 1)
+    cut = dataclasses.replace(record, manifest=dict(record.manifest, diverged_at=501),
+                              states=record.states[:100], diverged_at=501)
+    artifacts.save_run(out, 1, cut, run_hash)
+    steps_per_s = _read_json(os.path.join(out, "timings.json"))["steps_per_s"]
+    read = []
+    real_read_json = artifacts.read_json
+    monkeypatch.setattr(artifacts, "read_json",
+                        lambda path: read.append(path) or real_read_json(path))
+
+    assert cli.main(["compare", "--config", cfg, "--out", out]) == 0
+    shown = capsys.readouterr().out
+    assert f"  health: 1 replicate(s) used, 1 diverged, {steps_per_s:.0f} steps/s\n" in shown
+    assert "were excluded" not in shown
+    assert _read_json(os.path.join(out, "comparison.json"))["diverged_replicates"] == 1
+
+    # --quiet reads nothing extra; without timings.json the rate is left out
+    read.clear()
+    assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert not any(path.endswith("timings.json") for path in read)
+    os.remove(os.path.join(out, "timings.json"))
+    capsys.readouterr()
+    assert cli.main(["compare", "--config", cfg, "--out", out]) == 0
+    assert "  health: 1 replicate(s) used, 1 diverged\n" in capsys.readouterr().out
+
+
 def test_compare_summary_prints_iterate_average_norms(tmp_path, capsys):
     ini = BASE_INI.replace("epochs = 20", "epochs = 2").replace(
         "replicates = 2", "replicates = 30"
@@ -424,7 +458,7 @@ def test_default_threads_run_few_replicates_in_process(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "run.ini", BASE_INI)
     out = str(tmp_path / "out")
     assert cli.main(["simulate", "--config", cfg, "--out", out, "--quiet"]) == 0
-    assert artifacts.list_runs(out) == [0, 1]
+    assert oracles.trace_indices(out) == [0, 1]
 
 
 def test_stationary_init_is_solved_once_per_simulate(tmp_path, monkeypatch):
@@ -542,22 +576,23 @@ def test_resimulate_with_fewer_replicates_clears_stale_traces(tmp_path):
     assert cli.main(
         ["simulate", "--config", three, "--out", out, "--threads", "1", "--quiet"]
     ) == 0
-    assert artifacts.list_runs(out) == [0, 1, 2]
+    assert oracles.trace_indices(out) == [0, 1, 2]
     assert cli.main(["predict", "--config", one, "--out", out, "--quiet"]) == 0
     assert cli.main(
         ["simulate", "--config", one, "--out", out, "--threads", "1", "--quiet"]
     ) == 0
-    assert artifacts.list_runs(out) == [0]
+    assert oracles.trace_indices(out) == [0]
     for name in ("manifest_001.json", "manifest_002.json"):
         assert not os.path.exists(os.path.join(out, name)), name
     assert cli.main(["compare", "--config", one, "--out", out, "--quiet"]) == 0
 
 
-def test_compare_without_traces_is_mismatch(tmp_path):
+def test_compare_without_traces_is_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, "run.ini", BASE_INI)
     out = str(tmp_path / "out")
     assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == 4
+    assert "run the simulate command first" in capsys.readouterr().err
 
 
 def _cut_bytes(path, keep):
@@ -575,7 +610,10 @@ def _cut_bytes(path, keep):
     # every row kept, the last value cut mid-digit
     ("trace_000.csv", lambda data: len(data) - 4, 1),
     ("manifest_001.json", None, 4),
-], ids=["predictions-json", "run-manifest", "trace-rows", "trace-last-value", "missing-manifest"])
+    # a middle replicate's trace: never a comparison of one replicate fewer
+    ("trace_001.csv", None, 4),
+], ids=["predictions-json", "run-manifest", "trace-rows", "trace-last-value", "missing-manifest",
+        "missing-trace"])
 def test_cut_artifact_fails_compare_naming_the_file(tmp_path, capsys, name, keep, code):
     cfg = _write(tmp_path, "run.ini", BASE_INI)
     out = str(tmp_path / "out")
@@ -894,6 +932,26 @@ def test_header_only_trace_loads_without_warning(tmp_path):
     assert loaded.diverged_at == record.diverged_at
 
 
+@pytest.mark.parametrize("edit", [
+    lambda rows: [row.rsplit(b",", 1)[0] for row in rows],
+    # the line count holds, the rows do not
+    lambda rows: [b""] + rows[1:],
+], ids=["a-column-short", "blank-row"])
+def test_trace_of_the_wrong_shape_is_refused_naming_the_file(tmp_path, edit):
+    model, data, _ = models.generate_gaussian(20, 2, seed=17)
+    cfg = TuningConfig(frak_h=1.0, c_h=1.0, frak_b=0.0, c_b=1.0, seed=0)
+    record = engine.run(model, data, cfg, n_steps=20, init=np.ones(2),
+                        recording=engine.RecordingPlan(thin=2))
+    artifacts.save_run(str(tmp_path), 0, record, "f" * 64)
+    path = artifacts.trace_path(str(tmp_path), 0)
+    with open(path, "rb") as fh:
+        header, *rows = fh.read().splitlines()
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join([header, *edit(rows)]) + b"\n")
+    with pytest.raises(sgalab.DataError, match=re.escape(path)):
+        artifacts.load_run(str(tmp_path), 0)
+
+
 # -------------------------------------------------------------- experiment
 
 
@@ -947,6 +1005,18 @@ def test_experiment_runs_through_the_commands_the_benchmark_clocks(tmp_path, mon
     assert calls == {"cmd_predict": 3, "cmd_simulate": 3, "cmd_compare": 2}
 
 
+def test_experiment_records_the_divergence_steps_of_its_run_manifests(tmp_path):
+    assert cli.cmd_experiment("exp3-synthetic", str(tmp_path), scale=0.1, seed=1, threads=1,
+                              epochs_override=2.0, quiet=True) == 0
+    entry = _read_json(str(tmp_path / "summary.json"))["variants"]["sgd"]
+    out = str(tmp_path / "sgd")
+    replicates = _read_json(os.path.join(out, "manifest.json"))["replicates"]
+    runs = [_read_json(artifacts.run_manifest_path(out, r))["run"] for r in range(replicates)]
+    assert entry["diverged"] is True
+    assert entry["diverged_at_steps"] == [run["diverged_at"] for run in runs]
+    assert all(isinstance(step, int) for step in entry["diverged_at_steps"])
+
+
 # ------------------------------------------------------------------- misc
 
 
@@ -991,7 +1061,7 @@ def test_simulate_from_mle_loads_no_scipy(tmp_path):
     )
     got = json.loads(_fresh_python(["-c", code], cwd=tmp_path))
     assert got == {"code": 0, "scipy": []}
-    assert artifacts.list_runs(str(tmp_path / "out")) == [0, 1]
+    assert oracles.trace_indices(str(tmp_path / "out")) == [0, 1]
 
 
 def test_first_solve_in_fresh_process_matches_in_process():

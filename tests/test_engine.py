@@ -1,9 +1,9 @@
 """Execution engine: sampling, unbiasedness, bit-reproducibility, recording.
 
-The heavy hitters here are exact-equality checks: a manual loop of ``step``
-calls must reproduce ``run`` bit for bit, and the exhaustive-batch noiseless
-configuration must degenerate to textbook preconditioned gradient descent
-with no randomness consumed.
+The heavy hitters here are exact-equality checks: a manual loop of
+``oracles.step`` calls must reproduce ``run`` bit for bit, and the
+exhaustive-batch noiseless configuration must degenerate to textbook
+preconditioned gradient descent with no randomness consumed.
 """
 
 import dataclasses
@@ -186,7 +186,7 @@ def test_engine_step_drift_matches_oracle_over_all_batches():
             h = cfg.step_size(6)
             for batch in oracles.enumerate_batches(6, 2, policy):
                 batch = np.array(batch)
-                got = engine.step(model, data, cfg, state, batch, anchor=anchor)
+                got = oracles.step(model, data, cfg, state, batch, anchor=anchor)
                 drift = oracles.stochastic_gradient(
                     model, data, state, batch, anchor=anchor
                 )
@@ -194,11 +194,31 @@ def test_engine_step_drift_matches_oracle_over_all_batches():
                 assert np.max(np.abs(got - want)) <= 1e-12, (extra, policy, batch)
 
 
+def test_exact_law_recursion_is_the_mean_and_covariance_of_a_step():
+    # over every equally likely batch, a plain step from theta has mean
+    # M theta + (I - M) xbar and covariance C, under both batch policies
+    model, data, _ = models.generate_gaussian(6, 2, seed=4)
+    gamma = np.array([[1.5, 0.2], [0.2, 0.8]])
+    theta = np.array([0.3, -0.2])
+    xbar = data.records.mean(axis=0)
+    for policy in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
+        cfg = TuningConfig(frak_h=1.0, c_h=0.7, frak_b=0.0, c_b=2.0, gamma=gamma, policy=policy)
+        m, c = oracles.gaussian_sgd_recursion(
+            data.records, model.params["weights"], gamma, cfg.step_size(6), 2,
+            with_replacement=policy == WITH_REPLACEMENT,
+        )
+        steps = np.array([oracles.step(model, data, cfg, theta, np.array(batch))
+                          for batch in oracles.enumerate_batches(6, 2, policy)])
+        assert np.allclose(steps.mean(axis=0), m @ theta + (np.eye(2) - m) @ xbar,
+                           rtol=0, atol=1e-12), policy
+        assert np.allclose(np.cov(steps.T, bias=True), c, rtol=0, atol=1e-12), policy
+
+
 # -------------------------------------------------- step/run bit identity
 
 
 def _manual_replay(model, data, cfg, n_steps, init_state):
-    """Reproduce run()'s randomness consumption with explicit step() calls."""
+    """Reproduce run()'s randomness consumption with explicit oracles.step() calls."""
     records = data.records
     n = records.shape[0]
     d = model.dim
@@ -225,7 +245,7 @@ def _manual_replay(model, data, cfg, n_steps, init_state):
     path = np.empty((n_steps, len(state)))
     for k in range(n_steps):
         xi = noise_block[k] if noise_block is not None else None
-        state = engine.step(model, data, cfg, state, idx_block[k], xi=xi)
+        state = oracles.step(model, data, cfg, state, idx_block[k], xi=xi)
         path[k] = state
     return path
 
@@ -306,7 +326,7 @@ def test_momentum_single_step_hand_computed():
         variant=MOMENTUM, gamma=np.array([[gamma]]),
     )
     theta0, psi0 = 0.3, -0.8
-    state = engine.step(model, data, cfg, np.array([theta0, psi0]), np.array([0]))
+    state = oracles.step(model, data, cfg, np.array([theta0, psi0]), np.array([0]))
     want_theta = theta0 + 0.5 * h * psi0
     want_psi = psi0 + 0.5 * h * (2.0 - theta0) - 0.5 * h * gamma * psi0
     assert state[0] == pytest.approx(want_theta, rel=0, abs=1e-15)
@@ -350,7 +370,7 @@ def test_divergence_truncates_and_reports():
     batch = sample_batch(batch_rng, 20, 1, cfg.policy, rec.diverged_at)[-1]
     prev = rec.states[-1] if rec.states.size else rec.init_state
     with np.errstate(over="ignore", invalid="ignore"):
-        offending = engine.step(model, data, cfg, prev, batch)
+        offending = oracles.step(model, data, cfg, prev, batch)
     assert np.array_equal(err.last_iterate, offending)
     assert np.array_equal(rec.final_state, offending)
 
@@ -675,9 +695,9 @@ def test_non_flat_prior_enters_the_drift():
     for batch in oracles.enumerate_batches(6, 2, WITH_REPLACEMENT):
         batch = np.array(batch)
         drift = oracles.stochastic_gradient(model, data, theta, batch)
-        got = engine.step(model, data, plain, theta, batch)
+        got = oracles.step(model, data, plain, theta, batch)
         assert np.max(np.abs(got - (theta + 0.5 * h * gamma @ drift))) <= 1e-12
-        got = engine.step(model, data, momentum, np.concatenate([theta, psi]), batch)
+        got = oracles.step(model, data, momentum, np.concatenate([theta, psi]), batch)
         want = np.concatenate(
             [theta + 0.5 * h * psi, psi + 0.5 * h * drift - 0.5 * h * gamma @ psi]
         )
@@ -854,9 +874,9 @@ def test_step_requires_noise_draw_exactly_when_noisy():
     noisy = TuningConfig(frak_h=1.0, c_h=1.0, frak_b=0.0, c_b=1.0,
                          frak_t=1.0, c_beta=1.0)
     with pytest.raises(ConfigError, match="xi"):
-        engine.step(model, data, noisy, np.zeros(2), np.array([0]))
+        oracles.step(model, data, noisy, np.zeros(2), np.array([0]))
     quiet = TuningConfig(frak_h=1.0, c_h=1.0, frak_b=0.0, c_b=1.0)
-    out = engine.step(model, data, quiet, np.zeros(2), np.array([0]))
+    out = oracles.step(model, data, quiet, np.zeros(2), np.array([0]))
     assert out.shape == (2,)
 
 

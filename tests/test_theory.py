@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sgalab import artifacts, inference, linalg, theory
+from sgalab import artifacts, config, inference, linalg, theory
 from sgalab.errors import (
     DimensionError,
     RecommendationError,
@@ -31,7 +31,13 @@ from sgalab.theory import (
     scaling_law,
     stationary_cov,
 )
-from sgalab.tuning import CONTROL_VARIATE, MOMENTUM, WITHOUT_REPLACEMENT, TuningConfig
+from sgalab.tuning import (
+    CONTROL_VARIATE,
+    MOMENTUM,
+    WITH_REPLACEMENT,
+    WITHOUT_REPLACEMENT,
+    TuningConfig,
+)
 
 
 def _info(j_mat: np.ndarray, i_mat: np.ndarray, n: int = 1000):
@@ -578,3 +584,35 @@ def test_predict_records_per_horizon_failures():
     assert report.averages == {}
     assert set(report.average_errors) == {1.0, 8.0}
     assert "frak_t" in report.average_errors[1.0]
+
+
+# --------------------------------------------------- exact finite-n law
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("c_h", [1.0, 4.0])
+def test_ou_prediction_against_the_exact_finite_n_law(n, c_h):
+    # plain SGD, b = 1 with replacement, on the Gaussian location family: a
+    # linear recursion whose exact stationary covariance solves a Stein equation
+    for gamma in ("jhat_inv", "identity"):
+        setup = config.resolve_setup({
+            "model": {"family": "gaussian_location", "n": n, "d": 10, "data_seed": 101},
+            "tuning": {"frak_h": 1.0, "frak_b": 0.0, "c_h": c_h, "c_b": 1.0, "gamma": gamma},
+            "execution": {"epochs": 1.0},
+        })
+        cfg, info = setup.cfg, setup.prediction_info
+        h, b = cfg.step_size(n), cfg.batch_size(n)
+        assert b == 1 and cfg.policy == WITH_REPLACEMENT and not cfg.has_noise
+        m, c = oracles.gaussian_sgd_recursion(
+            setup.data.records, setup.model.params["weights"],
+            np.eye(10) if cfg.gamma is None else cfg.gamma, h, b,
+        )
+        exact = n * oracles.exact_linear_stationary_cov(m, c)
+        q_inf = predict(cfg, info.j_mat, info.i_mat, n).q_inf
+        if gamma == "jhat_inv":
+            # M is (1 - h/2) I, so the exact law is the OU law over 1 - h/4
+            assert np.linalg.norm(exact * (1 - h / 4) - q_inf) <= 1e-10 * np.linalg.norm(q_inf)
+        else:
+            # the OU law's relative gap is O(h) = O(c_h / n)
+            gap = np.linalg.norm(exact - q_inf) / np.linalg.norm(q_inf)
+            assert 0.15 <= gap * n / c_h <= 0.17
