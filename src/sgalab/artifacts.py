@@ -76,6 +76,7 @@ import numpy as np
 
 from .engine import RunRecord
 from .errors import ArtifactMismatchError, DataError
+from .tuning import SCHEDULE
 
 FLOAT_FMT = "%.17g"
 
@@ -254,12 +255,11 @@ def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> N
     between byte-identical re-runs.
     """
     steps = record.step_numbers()
-    steps_per_epoch = record.n / max(int(record.manifest["batch_size"]), 1)
     _write_table(
         trace_path(out_dir, index),
         _trace_header(record.dim, record.state_dim),
         steps,
-        np.column_stack([steps / steps_per_epoch, record.states]),
+        np.column_stack([steps / record.steps_per_epoch, record.states]),
     )
     payload = {
         "run": record.manifest,
@@ -281,6 +281,8 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
     """
     payload = read_json(run_manifest_path(out_dir, index))
     run = payload["run"]
+    # the schedule as the engine's record holds it: the file spells infinity "inf"
+    run["config"].update((name, float(run["config"][name])) for name in SCHEDULE)
     state_dim = int(run["state_dim"])
     thin, diverged_at = int(run["thin"]), run.get("diverged_at")
     rows = (int(run["n_steps"]) if diverged_at is None else diverged_at - 1) // thin

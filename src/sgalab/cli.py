@@ -32,7 +32,7 @@ from .errors import (
     SgaLabError,
     StabilityError,
 )
-from .experiments import experiment_trees
+from .experiments import EXPERIMENT_NAMES, experiment_trees
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -304,6 +304,9 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
         else:
             _table_row("stationary cov (Frobenius)", norm(result["empirical_cov"]),
                        norm(result["predicted_cov"]), stationary["rel_frobenius_error"])
+            if setup.init_token == "stationary":
+                print("  note: the runs started from the predicted law (init = stationary),"
+                      " so this row is partly circular")
             if mix is None:
                 print(f"  {'mixing time (epochs)':<29}{result['trace_note']}")
             else:
@@ -500,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("experiment", help="run a full named experiment")
-    p.add_argument("name", choices=["exp1", "exp2-synthetic", "exp3-synthetic"])
+    p.add_argument("name", choices=EXPERIMENT_NAMES)
     p.add_argument("--out", help="output directory root")
     p.add_argument("--scale", type=float, default=1.0,
                    help="multiply n and divide epochs by this factor")

@@ -157,8 +157,6 @@ def _coerce(section: str, key: str, kind: str, value) -> object:
                 raise ValueError
             return int(value)
         if kind == "float":
-            if isinstance(value, str) and value.strip().lower() in ("inf", "+inf"):
-                return math.inf
             return float(value)
         if kind == "bool":
             if isinstance(value, bool):
@@ -384,7 +382,6 @@ def resolve_setup(tree: dict) -> Setup:
         gamma=gamma,
         lam=lam,
         boundary=boundary,
-        labels={"gamma": t.get("gamma", "identity"), "lambda": t.get("lambda", "identity")},
     )
 
     if ("epochs" in e) == ("steps" in e):

@@ -1,7 +1,8 @@
 """Estimators that quantify how well a run matches its prediction.
 
 Three measurement primitives: the empirical covariance of rescaled iterates
-from one long run, integrated autocorrelation times (with a Geyer-style
+(of one run, or of several replicates' rows pooled about their grand mean),
+integrated autocorrelation times (with a Geyer-style
 initial-positive-sequence truncation), and the across-replicate covariance
 of rescaled iterate averages.  ``compare`` turns an (empirical, predicted)
 matrix pair into a report with relative Frobenius error and optional
@@ -25,6 +26,27 @@ from .theory import OuParams, PredictionReport, avg_cov_rescaled
 MIN_SAMPLES_PER_DIM = 10
 
 
+def _kept_rows(record: RunRecord, burnin_fraction: float) -> np.ndarray:
+    """Rescaled parameter rows of a run after its leading ``burnin_fraction``."""
+    if not 0.0 <= burnin_fraction < 1.0:
+        raise DataError(f"burnin_fraction must be in [0, 1), got {burnin_fraction}")
+    states = record.rescaled_states()
+    return states[int(math.floor(burnin_fraction * states.shape[0])):]
+
+
+def _require_rows(rows: int, dim: int, what: str) -> None:
+    need = MIN_SAMPLES_PER_DIM * dim
+    if rows < need:
+        raise DataError(f"too few post-burn-in samples ({rows}) for {what}; need at least {need}")
+
+
+def _pooled_cov(kept: list[np.ndarray], dim: int) -> np.ndarray:
+    """Sample covariance of the rows of ``kept`` taken together, about their grand mean."""
+    rows = kept[0] if len(kept) == 1 else np.concatenate(kept)  # one run: no copy of a long trace
+    _require_rows(rows.shape[0], dim, f"a {dim}-dimensional covariance")
+    return np.cov(rows, rowvar=False, ddof=1).reshape(dim, dim)
+
+
 def empirical_cov(record: RunRecord, burnin_fraction: float = 0.1) -> np.ndarray:
     """Sample covariance of the rescaled parameter trajectory.
 
@@ -33,18 +55,7 @@ def empirical_cov(record: RunRecord, burnin_fraction: float = 0.1) -> np.ndarray
     ``n**w * (theta_k - theta_hat)``.  Requires at least
     ``10 * dim`` post-burn-in samples.
     """
-    if not 0.0 <= burnin_fraction < 1.0:
-        raise DataError(f"burnin_fraction must be in [0, 1), got {burnin_fraction}")
-    states = record.rescaled_states()
-    start = int(math.floor(burnin_fraction * states.shape[0]))
-    kept = states[start:]
-    if kept.shape[0] < MIN_SAMPLES_PER_DIM * record.dim:
-        raise DataError(
-            f"too few post-burn-in samples ({kept.shape[0]}) for a"
-            f" {record.dim}-dimensional covariance; need at least"
-            f" {MIN_SAMPLES_PER_DIM * record.dim}"
-        )
-    return np.cov(kept, rowvar=False, ddof=1).reshape(record.dim, record.dim)
+    return _pooled_cov([_kept_rows(record, burnin_fraction)], record.dim)
 
 
 def _autocorrelation(series: np.ndarray) -> np.ndarray:
@@ -160,8 +171,7 @@ def mixing_summary(record: RunRecord, ou: OuParams | None = None) -> MixingSumma
     drifts = np.zeros(d, dtype=bool)
     for j in range(d):
         taus[j], drifts[j] = _iact_core(states[:, j])
-    steps_per_epoch = record.n / record.manifest["batch_size"]
-    epochs = taus * record.thin / steps_per_epoch
+    epochs = taus * record.thin / record.steps_per_epoch
     worst = int(np.argmax(epochs))
     return MixingSummary(
         epochs_per_coordinate=epochs,
@@ -177,6 +187,13 @@ def _manifest_key(record: RunRecord) -> tuple:
     return cfg, record.manifest["data_hash"], record.n_steps, record.avg_window
 
 
+def _check_one_configuration(records: list[RunRecord]) -> None:
+    """Refuse replicates that differ in anything but their seed."""
+    key0 = _manifest_key(records[0])
+    if any(_manifest_key(r) != key0 for r in records[1:]):
+        raise ArtifactMismatchError("replicates were produced from different configurations")
+
+
 def replicate_avg_cov(records: list[RunRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Across-replicate covariance (and mean) of rescaled iterate averages.
 
@@ -189,12 +206,7 @@ def replicate_avg_cov(records: list[RunRecord]) -> tuple[np.ndarray, np.ndarray]
         raise DataError(
             f"need at least 30 replicates for a covariance, got {len(records)}"
         )
-    key0 = _manifest_key(records[0])
-    for r in records[1:]:
-        if _manifest_key(r) != key0:
-            raise ArtifactMismatchError(
-                "replicates were produced from different configurations"
-            )
+    _check_one_configuration(records)
     averages = np.stack([r.rescaled_avg() for r in records])
     cov = np.cov(averages, rowvar=False, ddof=1)
     return cov.reshape(averages.shape[1], averages.shape[1]), averages.mean(axis=0)
@@ -262,19 +274,25 @@ def compare(
 def compare_runs(
     alive: list[RunRecord], report: PredictionReport, burnin_fraction: float
 ) -> dict:
-    """The statistics of ``comparison.json`` for runs that finished.
+    """The statistics of ``comparison.json`` for runs of one configuration that finished.
 
-    Per-run stationary covariances are averaged over replicates and mixing
-    is measured on the first run; traces too short or constant for either
-    leave ``trace_note``.  30 or more replicates that record an average
-    are compared with the prediction for their window's epochs.
+    The stationary covariance pools every replicate's kept rows about their
+    grand mean: centring each run on its own would read a run of T epochs
+    low by about its autocorrelation time over T.  Mixing is measured on the
+    first run, which needs ``10 * dim`` kept rows by itself.  Traces too
+    short or constant for either leave ``trace_note``.  30 or more
+    replicates that record an average are compared with the prediction for
+    their window's epochs.
     """
     first = alive[0]
+    _check_one_configuration(alive)
     q_theta = report.q_inf[: first.dim, : first.dim]
     stationary = emp_cov = mixing = trace_note = None
     try:
-        emp_cov = np.mean([empirical_cov(r, burnin_fraction) for r in alive], axis=0)
+        emp_cov = _pooled_cov([_kept_rows(r, burnin_fraction) for r in alive], first.dim)
         stationary = compare(emp_cov, q_theta).to_json_dict()
+        # counted anew, the pooled rows let go: mixing_summary rescales a long trace too
+        _require_rows(len(_kept_rows(first, burnin_fraction)), first.dim, "one run's mixing time")
         mix = mixing_summary(first, report.ou)
         mixing = {
             "empirical_epochs_per_coordinate": mix.epochs_per_coordinate,
@@ -291,7 +309,7 @@ def compare_runs(
     if len(alive) >= 30 and first.avg_state is not None:
         emp_avg_cov, avg_mean = replicate_avg_cov(alive)
         win_lo, win_hi = first.avg_window
-        m_epochs = (win_hi - win_lo) / (first.n / first.manifest["batch_size"])
+        m_epochs = (win_hi - win_lo) / first.steps_per_epoch
         block = averages[f"{m_epochs:g}"] = {"window_epochs": m_epochs}
         try:
             predicted = avg_cov_rescaled(report.ou, m_epochs).matrix

@@ -159,6 +159,11 @@ class RunRecord:
     def state_dim(self) -> int:
         return int(self.states.shape[1]) if self.states.size else len(self.init_state)
 
+    @property
+    def steps_per_epoch(self) -> float:
+        """One epoch is n/b steps (need not be an integer)."""
+        return self.n / self.manifest["batch_size"]
+
     def step_numbers(self) -> np.ndarray:
         """1-based step index of each stored state row."""
         return self.thin * np.arange(1, self.states.shape[0] + 1)
@@ -612,7 +617,7 @@ def run_replicates(
             "init_state": init_states[r].tolist(),
             "step_size": ctx.h,
             "batch_size": b,
-            "inverse_temperature": "inf" if math.isinf(ctx.beta) else ctx.beta,
+            "inverse_temperature": ctx.beta,
             "diverged_at": diverged_at[r],
         }
         out.append(RunRecord(

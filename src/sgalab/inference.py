@@ -161,10 +161,6 @@ class InfoMatrices:
     grad_norm: float
     n: int
 
-    @property
-    def dim(self) -> int:
-        return int(self.theta_hat.shape[0])
-
 
 def empirical_info(model: ModelSpec, data: Dataset, theta: np.ndarray) -> InfoMatrices:
     """Evaluate the curvature and score-covariance matrices at ``theta``.

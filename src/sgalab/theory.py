@@ -532,7 +532,6 @@ def recommend_tuning(
         lam=gamma,
         policy=policy,
         variant=variant,
-        labels={"recommendation": target},
     )
     if target == "posterior":
         # checked after the tuning, so a bad constant is reported first

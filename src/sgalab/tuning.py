@@ -17,7 +17,7 @@ Gaussian innovation term is omitted entirely.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -32,6 +32,9 @@ PLAIN = "plain"
 MOMENTUM = "momentum"
 CONTROL_VARIATE = "control_variate"
 VARIANTS = (PLAIN, MOMENTUM, CONTROL_VARIATE)
+
+#: The schedule's exponents and constants, each a float (possibly inf).
+SCHEDULE = ("frak_h", "frak_b", "frak_t", "c_h", "c_b", "c_beta")
 
 
 def _check_spd(name: str, m: np.ndarray) -> np.ndarray:
@@ -62,7 +65,6 @@ class TuningConfig:
     variant: str = PLAIN
     boundary: tuple[np.ndarray, np.ndarray] | None = None
     seed: int = 0
-    labels: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in ("frak_h", "frak_b"):
@@ -146,22 +148,9 @@ class TuningConfig:
     # ---- serialization -------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready dictionary; infinities become the string 'inf'."""
-
-        def num(v: float) -> Any:
-            return "inf" if math.isinf(v) else float(v)
-
-        out: dict[str, Any] = {
-            "frak_h": num(self.frak_h),
-            "frak_b": num(self.frak_b),
-            "frak_t": num(self.frak_t),
-            "c_h": num(self.c_h),
-            "c_b": num(self.c_b),
-            "c_beta": num(self.c_beta),
-            "policy": self.policy,
-            "variant": self.variant,
-            "seed": self.seed,
-        }
+        """Plain dictionary of floats, lists and strings for the JSON writer."""
+        out: dict[str, Any] = {name: float(getattr(self, name)) for name in SCHEDULE}
+        out.update(policy=self.policy, variant=self.variant, seed=self.seed)
         for name in ("gamma", "lam"):
             v = getattr(self, name)
             out[name] = None if v is None else np.asarray(v).tolist()
@@ -170,28 +159,18 @@ class TuningConfig:
             if self.boundary is None
             else [self.boundary[0].tolist(), self.boundary[1].tolist()]
         )
-        out["labels"] = dict(self.labels)
         return out
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "TuningConfig":
-        def num(v: Any) -> float:
-            return math.inf if v == "inf" else float(v)
-
         if d.get("mass") is not None:  # older files carry "mass": null
             raise ConfigError("a mass matrix is not supported: momentum has unit mass")
-        kwargs: dict[str, Any] = {
-            "frak_h": num(d["frak_h"]),
-            "frak_b": num(d["frak_b"]),
-            "frak_t": num(d["frak_t"]),
-            "c_h": num(d["c_h"]),
-            "c_b": num(d["c_b"]),
-            "c_beta": num(d["c_beta"]),
-            "policy": d.get("policy", WITH_REPLACEMENT),
-            "variant": d.get("variant", PLAIN),
-            "seed": int(d.get("seed", 0)),
-            "labels": dict(d.get("labels", {})),
-        }
+        kwargs: dict[str, Any] = {name: float(d[name]) for name in SCHEDULE}
+        kwargs.update(
+            policy=d.get("policy", WITH_REPLACEMENT),
+            variant=d.get("variant", PLAIN),
+            seed=int(d.get("seed", 0)),
+        )
         for name in ("gamma", "lam"):
             v = d.get(name)
             kwargs[name] = None if v is None else np.asarray(v, dtype=float)

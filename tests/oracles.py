@@ -427,23 +427,33 @@ def exact_linear_stationary_cov(m: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def gaussian_sgd_recursion(
     records: np.ndarray, weights: np.ndarray, gamma: np.ndarray, h: float, b: int,
-    with_replacement: bool = True,
+    with_replacement: bool = True, beta: float = math.inf, lam: np.ndarray | None = None,
+    control_variate: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(M, C)`` of plain SGD on the Gaussian location family, noiseless, flat prior.
+    """``(M, C)`` of one step on the Gaussian location family, flat prior.
 
     Each record's score ``W (x - theta)`` is affine in theta, so one step is
     ``theta' = M theta + (h/2) Gamma W xbar_batch`` with ``M = I - (h/2) Gamma W``,
     and the batch mean's fluctuation gives ``C = (h/2)^2 Gamma W S W Gammaᵀ / b``,
     ``S`` the records' covariance normalised by 1/n; sampling without
-    replacement multiplies C by ``(n - b)/(n - 1)``.
+    replacement multiplies C by ``(n - b)/(n - 1)``.  A control-variate step
+    recentres each score at an anchor, and ``g_i(theta) - g_i(anchor) =
+    -W (theta - anchor)`` does not depend on i, so it has no minibatch term.
+    A finite inverse temperature ``beta`` (SGLD) adds the Gaussian
+    innovation's covariance ``(h/beta) Lambda``, ``Lambda`` the identity when
+    ``lam`` is None.
     """
     records = np.asarray(records, float)
     n, d = records.shape
     gw = np.asarray(gamma, float) @ np.diag(weights)
-    s = np.cov(records.T, bias=True).reshape(d, d)
-    c = (0.5 * h) ** 2 * gw @ s @ gw.T / b
-    if not with_replacement:
-        c = c * (n - b) / (n - 1)
+    c = np.zeros((d, d))
+    if not control_variate:
+        s = np.cov(records.T, bias=True).reshape(d, d)
+        c = (0.5 * h) ** 2 * gw @ s @ gw.T / b
+        if not with_replacement:
+            c = c * (n - b) / (n - 1)
+    if math.isfinite(beta):
+        c = c + (h / beta) * (np.eye(d) if lam is None else np.asarray(lam, float))
     return np.eye(d) - 0.5 * h * gw, c
 
 

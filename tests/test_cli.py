@@ -15,7 +15,9 @@ import pytest
 
 import oracles
 import sgalab
-from sgalab import artifacts, cli, config, diagnostics, engine, linalg, models
+from sgalab import (
+    artifacts, cli, config, diagnostics, engine, inference, linalg, models, theory,
+)
 from sgalab.errors import ConfigError, DivergenceError
 from sgalab.tuning import MOMENTUM, TuningConfig
 
@@ -207,6 +209,41 @@ def test_missing_config_file_is_usage_error(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_ground_truth_routes_use_the_exact_matrices(tmp_path):
+    # the Gaussian family knows J* and I*: [prediction] matrices = truth
+    # predicts from them, and the jstar_inv / istar_inv tokens invert them
+    tree = dict(BASE_TREE,
+                tuning=dict(BASE_TREE["tuning"], gamma="jstar_inv", **{"lambda": "istar_inv"}),
+                prediction=dict(BASE_TREE["prediction"], matrices="truth"))
+    _, data, truth = models.generate_gaussian(200, 3, seed=5)
+    setup = config.resolve_setup(tree)
+    assert np.array_equal(setup.cfg.gamma, linalg.sym_inv(truth.j_star))
+    assert np.array_equal(setup.cfg.lam, linalg.sym_inv(truth.i_star))
+
+    out = str(tmp_path)
+    assert cli.cmd_predict(tree, out, quiet=True) == 0
+    written = _read_json(os.path.join(out, "predictions.json"))["report"]["q_inf"]
+    info = inference.info_from_truth(truth.theta_star, truth.j_star, truth.i_star, data.n)
+    want = theory.predict(setup.cfg, info.j_mat, info.i_mat, data.n,
+                          m_values=setup.m_values, t_grid=setup.t_grid).q_inf
+    assert np.array_equal(np.asarray(written), want)
+
+
+@pytest.mark.parametrize("section, key, token", [
+    ("prediction", "matrices", "truth"),
+    ("tuning", "gamma", "jstar_inv"),
+    ("tuning", "lambda", "istar_inv"),
+])
+def test_ground_truth_routes_without_truth_are_usage_errors(tmp_path, capsys, section, key,
+                                                            token):
+    tree = dict(BASE_TREE, model={"family": "logistic", "n": 200, "d": 3, "data_seed": 5})
+    tree[section] = dict(tree[section], **{key: token})
+    cfg = _write(tmp_path, "run.json", json.dumps(tree))
+    assert cli.main(["predict", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"ground.truth", err) and token in err, err
+
+
 # --------------------------------------------------------- happy-path flow
 
 
@@ -325,8 +362,9 @@ def test_compare_writes_and_reports_drift_flags(tmp_path, capsys):
     "execution, blocks",
     [
         ({"epochs": 20.0, "replicates": 1}, ("stationary", "mixing")),
-        # too short for a stationary covariance, long enough to average
-        ({"epochs": 0.5, "replicates": 40}, ("trace_note", "averages")),
+        # each replicate too short for a mixing time; pooled, long enough for
+        # a stationary covariance, and long enough to average
+        ({"epochs": 0.5, "replicates": 40}, ("stationary", "trace_note", "averages")),
     ],
 )
 def test_compare_runs_is_the_body_of_comparison_json(tmp_path, execution, blocks):
@@ -352,6 +390,56 @@ def test_compare_runs_is_the_body_of_comparison_json(tmp_path, execution, blocks
             ("config_hash", "data_hash", "replicates_used", "diverged_replicates")}
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == artifacts.json_text({**head, **result})
+
+
+def test_stationary_block_pools_short_replicates_about_their_grand_mean(tmp_path, capsys):
+    # 200 replicates of 4 epochs from the predicted law, d = 2, 18 kept rows
+    # each; the predicted mixing time is 1 epoch.  Centring each run on its
+    # own mean biases it low by about tau/T; pooling about the grand mean
+    # does not.  Over run seeds 0 to 15000 in steps of 1000 the pooled error
+    # read 0.20-1.16 Monte Carlo scales (15 of 16 within one) and the per-run
+    # one 2.5-4.0.
+    tree = {
+        "model": {"family": "gaussian_location", "n": 100, "d": 2, "data_seed": 7},
+        "tuning": {"frak_h": 1.0, "frak_b": 0.0, "c_h": 4.0, "c_b": 1.0,
+                   "gamma": "jhat_inv", "lambda": "jhat_inv"},
+        "execution": {"epochs": 4.0, "seed": 0, "replicates": 200, "thin": 20,
+                      "init": "stationary"},
+        "prediction": {"m_values": []},
+    }
+    out = str(tmp_path)
+    assert cli.cmd_predict(tree, out, quiet=True) == 0
+    assert cli.cmd_simulate(tree, out, threads=1, quiet=True) == 0
+    capsys.readouterr()
+    assert cli.cmd_compare(tree, out) == 0
+    assert "the runs started from the predicted law" in capsys.readouterr().out
+    comparison = _read_json(os.path.join(out, "comparison.json"))
+
+    setup = config.resolve_setup(tree)
+    n, cfg = setup.n, setup.cfg
+    m, c = oracles.gaussian_sgd_recursion(setup.data.records, setup.model.params["weights"],
+                                          cfg.gamma, cfg.step_size(n), cfg.batch_size(n))
+    exact = n * oracles.exact_linear_stationary_cov(m, c)  # rescaled by sqrt(n)
+
+    alive, _ = cli._usable_runs(out, 200, setup.hash, setup.data.digest)
+    kept = [r.rescaled_states()[2:] for r in alive]  # 20 rows, burn-in fraction 0.1
+    assert {len(k) for k in kept} == {18}
+    per_run = np.mean([np.cov(k, rowvar=False) for k in kept], axis=0)
+    pooled = np.asarray(comparison["empirical_cov"])
+    assert np.array_equal(pooled, np.cov(np.concatenate(kept), rowvar=False))
+
+    # Monte Carlo scale of the relative Frobenius error: N effective draws,
+    # kept epochs over the predicted autocorrelation time in epochs
+    epochs_iact = _read_json(os.path.join(out, "predictions.json"))["report"]["mixing"][
+        "epochs_iact"]
+    n_eff = 200 * 18 * setup.thin / alive[0].steps_per_epoch / epochs_iact
+    norm = np.linalg.norm(exact)
+    scale = np.sqrt((norm ** 2 + np.trace(exact) ** 2) / n_eff) / norm
+    assert np.linalg.norm(pooled - exact) / norm <= scale
+    assert np.linalg.norm(per_run - exact) / norm >= 2 * scale
+    # each replicate alone is too short for a mixing time
+    assert comparison["mixing"] is None
+    assert "one run's mixing time" in comparison["trace_note"]
 
 
 def test_compare_notes_a_coordinate_pinned_by_the_box(tmp_path):
@@ -719,6 +807,23 @@ def test_run_artifacts_round_trip_exactly(tmp_path):
     assert np.array_equal(np.signbit(reloaded.states), np.signbit(record.states))
 
 
+def test_reloaded_runs_of_a_noiseless_tree_pool_with_fresh_ones(tmp_path):
+    # the file spells the infinite temperature "inf"; the reloaded record's
+    # config holds math.inf, as the engine's does, so the two are one tree
+    model, data, truth = models.generate_gaussian(40, 2, seed=111)
+    cfg = TuningConfig(frak_h=1.0, c_h=1.0, seed=3)
+    assert not cfg.has_noise
+    runs = engine.run_replicates(model, data, cfg, 31, n_steps=20, theta_hat=truth.theta_star)
+    for r, run in enumerate(runs):
+        artifacts.save_run(str(tmp_path), r, run, "hash")
+    with open(artifacts.run_manifest_path(str(tmp_path), 0), encoding="utf-8") as fh:
+        assert '"frak_t": "inf"' in fh.read()
+    loaded = [artifacts.load_run(str(tmp_path), r)[0] for r in range(31)]
+    assert loaded[0].manifest["config"] == runs[0].manifest["config"]
+    mixed, _ = diagnostics.replicate_avg_cov(runs[:15] + loaded[15:])
+    assert np.array_equal(mixed, diagnostics.replicate_avg_cov(loaded)[0])
+
+
 AWKWARD = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
            -1.7976931348623157e308, 0.1]
 
@@ -979,13 +1084,13 @@ def test_experiment_smoke_run(tmp_path, capsys):
     for name, entry in variants.items():
         assert "error" not in entry, f"{name}: {entry.get('error')}"
         assert entry["diverged"] is False
-    # the replicated variants carry an iterate-average comparison, and the
-    # closing table prints its error where their traces are too short for
-    # a stationary one
+    # the replicated variants carry an iterate-average comparison and a
+    # stationary one over their pooled rows, which the closing table prints;
+    # each replicate alone is too short for a mixing time
     table = shown[shown.index("mixing times (epochs)"):].splitlines()
     for name, key in (("jhat_sgd_avg_m8", "8"), ("jhat_sgd_avg_m1", "1")):
-        err = variants[name]["averages"][key]
-        assert isinstance(err, float)
+        assert isinstance(variants[name]["averages"][key], float)
+        err = variants[name]["stationary_rel_error"]
         row = next(line for line in table if line.split()[:1] == [name])
         assert row.split()[1:] == ["short", "-", f"{err:.3f}"]
 

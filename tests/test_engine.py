@@ -22,6 +22,7 @@ from sgalab.models import dataset_hash
 from sgalab.tuning import (
     CONTROL_VARIATE,
     MOMENTUM,
+    PLAIN,
     WITH_REPLACEMENT,
     WITHOUT_REPLACEMENT,
     TuningConfig,
@@ -212,6 +213,40 @@ def test_exact_law_recursion_is_the_mean_and_covariance_of_a_step():
         assert np.allclose(steps.mean(axis=0), m @ theta + (np.eye(2) - m) @ xbar,
                            rtol=0, atol=1e-12), policy
         assert np.allclose(np.cov(steps.T, bias=True), c, rtol=0, atol=1e-12), policy
+
+
+@pytest.mark.parametrize("variant", [PLAIN, CONTROL_VARIATE])
+def test_exact_law_recursion_with_noise_is_the_mean_and_covariance_of_a_step(variant):
+    # SGLD and its control-variate form: over every equally likely batch a
+    # noiseless step has mean M theta + (I - M) xbar and covariance C less
+    # (h/beta) Lambda (none at all for the control variate, whatever the
+    # anchor), and the innovation adds (h/beta) Lambda
+    model, data, _ = models.generate_gaussian(6, 2, seed=4)
+    gamma = np.array([[1.5, 0.2], [0.2, 0.8]])
+    lam = np.array([[0.9, 0.1], [0.1, 0.4]])
+    theta, anchor = np.array([0.3, -0.2]), np.array([-0.4, 0.7])
+    xbar = data.records.mean(axis=0)
+    for policy in (WITH_REPLACEMENT, WITHOUT_REPLACEMENT):
+        cfg = TuningConfig(frak_h=1.0, c_h=0.7, frak_b=0.0, c_b=2.0, frak_t=1.0, c_beta=2.0,
+                           gamma=gamma, lam=lam, policy=policy, variant=variant)
+        m, c = oracles.gaussian_sgd_recursion(
+            data.records, model.params["weights"], gamma, cfg.step_size(6), 2,
+            with_replacement=policy == WITH_REPLACEMENT, beta=cfg.inverse_temperature(6),
+            lam=lam, control_variate=variant == CONTROL_VARIATE,
+        )
+        drift, noise = [], []
+        for batch in oracles.enumerate_batches(6, 2, policy):
+            at = [oracles.step(model, data, cfg, theta, np.array(batch), xi=xi, anchor=anchor)
+                  for xi in (np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]))]
+            drift.append(at[0])
+            noise.append(np.column_stack([at[1] - at[0], at[2] - at[0]]))
+        drift = np.array(drift)
+        assert np.allclose(drift.mean(axis=0), m @ theta + (np.eye(2) - m) @ xbar,
+                           rtol=0, atol=1e-12), policy
+        for factor in noise:  # the innovation's factor L, the same for every batch
+            assert np.allclose(factor, noise[0], rtol=0, atol=1e-12), policy
+        assert np.allclose(np.cov(drift.T, bias=True) + noise[0] @ noise[0].T, c,
+                           rtol=0, atol=1e-12), policy
 
 
 # -------------------------------------------------- step/run bit identity

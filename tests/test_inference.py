@@ -90,7 +90,7 @@ def test_info_from_truth_wraps_matrices():
     assert np.array_equal(info.i_mat, i)
     want = np.linalg.solve(j, i) @ np.linalg.inv(j)
     assert np.allclose(info.sandwich, want, atol=1e-12)
-    assert info.dim == 3
+    assert np.array_equal(info.theta_hat, np.zeros(3))
 
 
 def test_information_equality_under_correct_specification():

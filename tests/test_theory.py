@@ -616,3 +616,41 @@ def test_ou_prediction_against_the_exact_finite_n_law(n, c_h):
             # the OU law's relative gap is O(h) = O(c_h / n)
             gap = np.linalg.norm(exact - q_inf) / np.linalg.norm(q_inf)
             assert 0.15 <= gap * n / c_h <= 0.17
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("c_h", [1.0, 4.0])
+@pytest.mark.parametrize("variant, band", [
+    # gap * n / c_h measured over both n and c_h: 0.1135-0.1355 (SGLD),
+    # 0.1066-0.1071 (control-variate)
+    ("plain", (0.11, 0.14)),
+    ("control_variate", (0.10, 0.11)),
+])
+def test_ou_prediction_against_the_exact_finite_n_law_with_noise(n, c_h, variant, band):
+    # SGLD (inverse temperature 2n) and its control-variate form, b = 1 with
+    # replacement: the exact law adds (h/beta) Lambda to C, and the
+    # control-variate chain has no minibatch term
+    for gamma in ("jhat_inv", "identity"):
+        setup = config.resolve_setup({
+            "model": {"family": "gaussian_location", "n": n, "d": 10, "data_seed": 101},
+            "tuning": {"frak_h": 1.0, "frak_b": 0.0, "frak_t": 1.0, "c_h": c_h, "c_b": 1.0,
+                       "c_beta": 2.0, "gamma": gamma, "lambda": gamma, "variant": variant},
+            "execution": {"epochs": 1.0},
+        })
+        cfg, info = setup.cfg, setup.prediction_info
+        h, b = cfg.step_size(n), cfg.batch_size(n)
+        assert b == 1 and cfg.policy == WITH_REPLACEMENT and cfg.has_noise
+        m, c = oracles.gaussian_sgd_recursion(
+            setup.data.records, setup.model.params["weights"],
+            np.eye(10) if cfg.gamma is None else cfg.gamma, h, b,
+            beta=cfg.inverse_temperature(n), lam=cfg.lam,
+            control_variate=variant == "control_variate",
+        )
+        exact = n * oracles.exact_linear_stationary_cov(m, c)
+        q_inf = predict(cfg, info.j_mat, info.i_mat, n).q_inf
+        if gamma == "jhat_inv":
+            # M is (1 - h/2) I again; residuals measured 8e-16 to 1.1e-13
+            assert np.linalg.norm(exact * (1 - h / 4) - q_inf) <= 1e-10 * np.linalg.norm(q_inf)
+        else:
+            gap = np.linalg.norm(exact - q_inf) / np.linalg.norm(q_inf)
+            assert band[0] <= gap * n / c_h <= band[1]

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sgalab import tuning
+from sgalab import artifacts, tuning
 from sgalab.errors import ConfigError
 from sgalab.tuning import TuningConfig
 
@@ -92,11 +92,13 @@ def test_round_trip_through_dict():
         variant=tuning.MOMENTUM,
         boundary=(np.array([-5.0, -5.0]), np.array([5.0, 5.0])),
         seed=77,
-        labels={"gamma": "jhat_inv"},
     )
     d = cfg.to_dict()
-    assert d["frak_t"] == "inf" and d["c_beta"] == "inf"
-    back = TuningConfig.from_dict(d)
+    assert d["frak_t"] == math.inf and d["c_beta"] == math.inf
+    # the JSON writer spells infinity "inf", and from_dict reads that back
+    text = artifacts.json_text(d)
+    assert '"c_beta": "inf"' in text and '"frak_t": "inf"' in text
+    back = TuningConfig.from_dict(json.loads(text))
     assert back.frak_t == math.inf
     assert back.c_beta == math.inf
     assert np.array_equal(back.gamma, cfg.gamma)
@@ -105,7 +107,6 @@ def test_round_trip_through_dict():
     assert back.policy == cfg.policy
     assert back.variant == cfg.variant
     assert back.seed == 77
-    assert back.labels == {"gamma": "jhat_inv"}
     # and the round trip is idempotent at the dict level
     assert back.to_dict() == d
 
@@ -129,7 +130,7 @@ def test_from_dict_reads_recommended_config_with_null_mass():
     old = json.loads(text)
     cfg = TuningConfig.from_dict(old)
     assert np.array_equal(cfg.gamma, np.array(old["gamma"]))
-    assert cfg.labels == {"recommendation": "bagged"}
-    assert cfg.to_dict() == {k: v for k, v in old.items() if k != "mass"}
+    # the labels block older versions wrote is not read
+    assert cfg.to_dict() == {k: v for k, v in old.items() if k not in ("mass", "labels")}
     with pytest.raises(ConfigError, match="mass"):
         TuningConfig.from_dict(dict(old, mass=[[1.0, 0.0], [0.0, 1.0]]))
