@@ -15,7 +15,9 @@ Layout of an output directory::
     trace_000.csv        thinned trajectory of replicate 0
     manifest_000.json    per-replicate manifest (window average, final
                          state, hashes)
-    acf_000.csv          per-coordinate autocorrelations of replicate 0
+    acf_000.csv          per-coordinate autocorrelations of replicate 0, one
+                         file for each of the first three replicates that
+                         ran to the end, named by replicate index
     comparison.json      simulation-versus-prediction report: agreement
                          metrics, each compared matrix once
                          (``empirical_cov``, ``predicted_cov``, at the
@@ -58,10 +60,13 @@ is not its header plus the rows its manifest implies (``n_steps // thin``,
 or ``(diverged_at - 1) // thin`` for a diverged run).  A missing file is an
 ``ArtifactMismatchError``.
 
-The simulate command owns the numbered files: before writing it deletes
-those whose index is at or beyond its replicate count.  The compare command
-reads exactly replicates ``0 .. R-1``, R the configuration's replicate
-count, so a missing one is a mismatch, never a smaller comparison.
+The simulate command owns the numbered files.  Before writing it deletes
+every ACF file, whose trace it replaces, and the trace and run manifest of
+each replicate at or beyond its replicate count; then the parent process
+alone writes each replicate's pair with ``save_run``, worker processes
+returning their records to it.  The compare command reads exactly
+replicates ``0 .. R-1``, R the configuration's replicate count, so a
+missing one is a mismatch, never a smaller comparison.
 """
 
 from __future__ import annotations
@@ -284,7 +289,7 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
     # the schedule as the engine's record holds it: the file spells infinity "inf"
     run["config"].update((name, float(run["config"][name])) for name in SCHEDULE)
     state_dim = int(run["state_dim"])
-    thin, diverged_at = int(run["thin"]), run.get("diverged_at")
+    thin, diverged_at = int(run["thin"]), run["diverged_at"]
     rows = (int(run["n_steps"]) if diverged_at is None else diverged_at - 1) // thin
     path = trace_path(out_dir, index)
     if not os.path.exists(path):
@@ -309,43 +314,32 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
                 want = (rows, state_dim + 2)
                 raise DataError(f"{path}: table of shape {table.shape}, expected {want}")
             states = np.ascontiguousarray(table[:, 2:])
-    theta_hat = run.get("theta_hat")
-    record = RunRecord(
-        manifest=run,
-        states=states,
-        thin=thin,
-        init_state=np.asarray(run["init_state"], float),
-        final_state=np.asarray(payload["final_state"], float),
-        avg_state=(
-            None if payload.get("avg_state") is None
-            else np.asarray(payload["avg_state"], float)
-        ),
-        avg_window=tuple(run["avg_window"]),
-        theta_hat=None if theta_hat is None else np.asarray(theta_hat, float),
-        local_exponent=float(run["local_exponent"]),
-        n=int(run["n"]),
-        dim=int(run["dim"]),
-        n_steps=int(run["n_steps"]),
-        wall_time=float(payload.get("wall_time", 0.0)),
-        diverged_at=diverged_at,
+    avg_state = payload["avg_state"]
+    record = RunRecord.from_manifest(
+        run, states, np.asarray(payload["final_state"], float),
+        None if avg_state is None else np.asarray(avg_state, float), float(payload["wall_time"]),
     )
     return record, payload["config_hash"]
 
 
-#: A per-replicate file name: group 1 is a trace or ACF file's replicate
-#: index, group 2 a run manifest's.
-_REPLICATE_FILE = re.compile(r"(?:trace|acf)_(\d+)\.csv|manifest_(\d+)\.json")
+#: A per-replicate file name: group 1 is a trace's replicate index, group 2
+#: a run manifest's, and an ACF file matches with neither.
+_REPLICATE_FILE = re.compile(r"trace_(\d+)\.csv|manifest_(\d+)\.json|acf_\d+\.csv")
 
 
 def remove_runs_from(out_dir: str, first: int) -> None:
-    """Delete the trace, run-manifest and ACF files of replicates >= ``first``.
+    """Delete every ACF file, and the trace and run-manifest files of replicates >= ``first``.
 
-    A re-simulation with fewer replicates calls this so that no file from
-    the earlier, larger run is read as part of the new one.
+    A simulation calls this before it writes, so that no file from an
+    earlier, larger run is read as part of the new one, and no ACF file
+    outlives the trace it describes.
     """
     for name in os.listdir(out_dir):
         match = _REPLICATE_FILE.fullmatch(name)
-        if match and int(match.group(1) or match.group(2)) >= first:
+        if not match:
+            continue
+        index = match.group(1) or match.group(2)  # None for an ACF file
+        if index is None or int(index) >= first:
             os.remove(os.path.join(out_dir, name))
 
 

@@ -159,22 +159,10 @@ def _run_replicates(
     )
 
 
-def _save_runs(
-    out: str, start: int, records: list[engine.RunRecord], config_hash: str
-) -> list[tuple[int, int | None]]:
-    """Persist replicates ``start, start+1, ...``; returns (index, diverged_at) pairs."""
-    for r, record in enumerate(records, start):
-        artifacts.save_run(out, r, record, config_hash)
-    return [(r, record.diverged_at) for r, record in enumerate(records, start)]
-
-
-def _simulate_chunk(
-    tree: dict, start: int, count: int, out: str
-) -> list[tuple[int, int | None]]:
-    """Worker entry point: run a contiguous range of replicates and persist them."""
+def _simulate_chunk(tree: dict, start: int, count: int) -> list[engine.RunRecord]:
+    """Worker entry point: run a contiguous range of replicates."""
     setup = resolve_setup(tree)
-    records = _run_replicates(setup, start, count, _resolve_init(setup))
-    return _save_runs(out, start, records, setup.hash)
+    return _run_replicates(setup, start, count, _resolve_init(setup))
 
 
 def cmd_simulate(
@@ -193,7 +181,6 @@ def cmd_simulate(
     t0 = time.perf_counter()
     if workers <= 1:
         records = _run_replicates(setup, 0, replicates, _resolve_init(setup))
-        results = _save_runs(out, 0, records, setup.hash)
     else:
         # contiguous ranges, as even as possible
         bounds = [replicates * i // workers for i in range(workers + 1)]
@@ -201,12 +188,13 @@ def cmd_simulate(
         from concurrent.futures import ProcessPoolExecutor  # ~24 ms to import; only pools need it
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(
-                _simulate_chunk, [setup.tree] * workers, bounds[:-1], counts, [out] * workers
-            )
-            results = [pair for part in parts for pair in part]
+            parts = pool.map(_simulate_chunk, [setup.tree] * workers, bounds[:-1], counts)
+            records = [record for part in parts for record in part]
+    for r, record in enumerate(records):
+        artifacts.save_run(out, r, record, setup.hash)
     elapsed = time.perf_counter() - t0
-    steps = sum(setup.n_steps if at is None else at for _, at in results)
+    diverged_at = [record.diverged_at for record in records]
+    steps = sum(setup.n_steps if at is None else at for at in diverged_at)
     artifacts.write_json(
         os.path.join(out, "timings.json"),
         {
@@ -216,18 +204,15 @@ def cmd_simulate(
             "steps_per_s": steps / elapsed,
         },
     )
-    diverged = sorted(r for r, at in results if at is not None)
     if not quiet:
         print(
             f"simulate: {replicates} replicate(s), {setup.n_steps} steps each,"
             f" {elapsed:.1f} s -> {out}/trace_*.csv"
         )
-        for r, at in sorted(results):
+        for r, at in enumerate(diverged_at):
             if at is not None:
                 print(f"  replicate {r}: DIVERGED at step {at} (partial trace kept)")
-    if diverged:
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return EXIT_DIVERGED if any(at is not None for at in diverged_at) else EXIT_OK
 
 
 # ---------------------------------------------------------------- compare
@@ -286,13 +271,15 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
         "replicates_used": len(alive), "diverged_replicates": len(diverged), **result,
     })
 
-    for k, record in enumerate(alive[:MAX_ACF_FILES]):
+    for record in alive[:MAX_ACF_FILES]:
         try:  # fewer than two rows, or a constant coordinate (see trace_note)
             rhos = [diagnostics.autocorrelation(col, ACF_MAX_LAG)
                     for col in record.rescaled_states().T]
         except DataError:
             continue
-        artifacts.save_acf(out, k, np.column_stack(rhos))
+        # named by replicate, which runs at seed cfg.seed + replicate
+        replicate = record.manifest["config"]["seed"] - setup.cfg.seed
+        artifacts.save_acf(out, replicate, np.column_stack(rhos))
 
     if not quiet:
         norm = np.linalg.norm
@@ -444,22 +431,22 @@ def cmd_experiment(
     artifacts.write_json(os.path.join(root, "summary.json"), summary)
     if not quiet:
         print(f"=== {name}: mixing times (epochs) ===")
-        print(f"  {'variant':<22} {'Emp.':>8} {'Pred.':>8} {'cov.err':>8}")
+        print(f"  {'variant':<22} {'Emp.':>8} {'Pred.':>8} {'cov.err':>8} {'avg.err':>8}")
         for variant, entry in summary["variants"].items():
             if entry.get("diverged") or "error" in entry:
                 tag = "diverged" if entry.get("diverged") else "error"
-                print(f"  {variant:<22} {tag:>8} {'-':>8} {'-':>8}")
+                print(f"  {variant:<22} {tag:>8} {'-':>8} {'-':>8} {'-':>8}")
                 continue
             if "mixing_empirical" in entry:
                 mixing = f"{entry['mixing_empirical']:>8.2f} {entry['mixing_predicted']:>8.2f}"
             else:
                 mixing = f"{'short':>8} {'-':>8}"
-            # a tree too short for a stationary covariance reports the error
-            # of its iterate average (or the message saying why there is none)
-            err = entry.get("stationary_rel_error",
-                            next(iter(entry["averages"].values()), None))
-            cov = f"{err:>8.3f}" if isinstance(err, float) else f"{'-':>8}"
-            print(f"  {variant:<22} {mixing} {cov}")
+            # the stationary error and the iterate average's; a tree without
+            # one, or an average's message saying why there is none, shows -
+            errors = (entry.get("stationary_rel_error"),
+                      next(iter(entry["averages"].values()), None))
+            shown = " ".join(f"{e:>8.3f}" if isinstance(e, float) else f"{'-':>8}" for e in errors)
+            print(f"  {variant:<22} {mixing} {shown}")
         print(f"wrote {root}/summary.json")
     return worst_exit
 

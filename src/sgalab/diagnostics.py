@@ -5,7 +5,7 @@ Three measurement primitives: the empirical covariance of rescaled iterates
 integrated autocorrelation times (with a Geyer-style
 initial-positive-sequence truncation), and the across-replicate covariance
 of rescaled iterate averages.  ``compare`` turns an (empirical, predicted)
-matrix pair into a report with relative Frobenius error and optional
+matrix pair into a dict of its relative Frobenius error and optional
 per-entry z-scores, and ``compare_runs`` measures a set of runs against
 their prediction: the body of ``comparison.json``.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,34 +212,18 @@ def replicate_avg_cov(records: list[RunRecord]) -> tuple[np.ndarray, np.ndarray]
     return cov.reshape(averages.shape[1], averages.shape[1]), averages.mean(axis=0)
 
 
-@dataclass
-class ComparisonReport:
-    """Agreement metrics between an empirical and a predicted matrix."""
-
-    frobenius_error: float
-    rel_frobenius_error: float
-    max_abs_error: float
-    z_scores: np.ndarray | None = None
-    max_abs_z: float | None = None
-
-    def to_json_dict(self) -> dict:
-        """The report's fields, raw, without the z-scores when none were given."""
-        out = asdict(self)
-        if self.z_scores is None:
-            del out["z_scores"], out["max_abs_z"]
-        return out
-
-
 def compare(
     empirical: np.ndarray,
     predicted: np.ndarray,
     standard_errors: np.ndarray | None = None,
-) -> ComparisonReport:
+) -> dict:
     """Quantify agreement between matched empirical and predicted matrices.
 
     The headline number is the Frobenius error relative to the predicted
-    matrix's norm.  When per-entry standard errors are supplied (e.g. from
-    replicates), per-entry z-scores are included too.
+    matrix's norm, ``rel_frobenius_error``, beside ``frobenius_error`` and
+    ``max_abs_error``.  When per-entry standard errors are supplied (e.g.
+    from replicates), per-entry ``z_scores`` and their ``max_abs_z`` are
+    included too.  The dict is the block ``comparison.json`` writes.
     """
     empirical = np.asarray(empirical, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
@@ -253,22 +237,19 @@ def compare(
     pred_norm = float(np.linalg.norm(predicted))
     if pred_norm == 0.0:
         raise DimensionError("predicted matrix is zero; relative error undefined")
-    z_scores = None
-    max_z = None
+    out = {
+        "frobenius_error": fro,
+        "rel_frobenius_error": fro / pred_norm,
+        "max_abs_error": float(np.max(np.abs(diff))),
+    }
     if standard_errors is not None:
         standard_errors = np.asarray(standard_errors, dtype=float)
         if standard_errors.shape != empirical.shape:
             raise DimensionError("standard errors must match the matrix shape")
         with np.errstate(divide="ignore", invalid="ignore"):
             z_scores = np.where(standard_errors > 0.0, diff / standard_errors, np.inf)
-        max_z = float(np.max(np.abs(z_scores)))
-    return ComparisonReport(
-        frobenius_error=fro,
-        rel_frobenius_error=fro / pred_norm,
-        max_abs_error=float(np.max(np.abs(diff))),
-        z_scores=z_scores,
-        max_abs_z=max_z,
-    )
+        out.update(z_scores=z_scores, max_abs_z=float(np.max(np.abs(z_scores))))
+    return out
 
 
 def compare_runs(
@@ -290,7 +271,7 @@ def compare_runs(
     stationary = emp_cov = mixing = trace_note = None
     try:
         emp_cov = _pooled_cov([_kept_rows(r, burnin_fraction) for r in alive], first.dim)
-        stationary = compare(emp_cov, q_theta).to_json_dict()
+        stationary = compare(emp_cov, q_theta)
         # counted anew, the pooled rows let go: mixing_summary rescales a long trace too
         _require_rows(len(_kept_rows(first, burnin_fraction)), first.dim, "one run's mixing time")
         mix = mixing_summary(first, report.ou)
@@ -319,7 +300,7 @@ def compare_runs(
             block.update(
                 replicates=len(alive),
                 mean_rescaled_average=avg_mean,
-                comparison=compare(emp_avg_cov, predicted).to_json_dict(),
+                comparison=compare(emp_avg_cov, predicted),
                 empirical_cov=emp_avg_cov,
                 predicted_cov=predicted,
             )

@@ -155,9 +155,25 @@ class RunRecord:
     wall_time: float = 0.0
     diverged_at: int | None = None
 
+    @classmethod
+    def from_manifest(cls, manifest: dict, states: np.ndarray, final_state: np.ndarray,
+                      avg_state: np.ndarray | None, wall_time: float) -> RunRecord:
+        """A run's record: the engine's fresh manifest, or one ``load_run`` read back."""
+        theta_hat = manifest["theta_hat"]
+        return cls(
+            manifest=manifest, states=states, final_state=final_state, avg_state=avg_state,
+            wall_time=wall_time, thin=int(manifest["thin"]), n=int(manifest["n"]),
+            dim=int(manifest["dim"]), n_steps=int(manifest["n_steps"]),
+            init_state=np.asarray(manifest["init_state"], float),
+            avg_window=tuple(manifest["avg_window"]),
+            theta_hat=None if theta_hat is None else np.asarray(theta_hat, float),
+            local_exponent=float(manifest["local_exponent"]),
+            diverged_at=manifest["diverged_at"],
+        )
+
     @property
     def state_dim(self) -> int:
-        return int(self.states.shape[1]) if self.states.size else len(self.init_state)
+        return len(self.init_state)
 
     @property
     def steps_per_epoch(self) -> float:
@@ -505,7 +521,6 @@ def run_replicates(
     states = np.empty((replicates, n_steps // thin, state_dim))
     avg_sum = np.zeros((replicates, state_dim))
     final_states = np.empty((replicates, state_dim))
-    steps_done = [n_steps] * replicates  # steps kept before any divergence
     diverged_at: list[int | None] = [None] * replicates
 
     transition = ctx.transition
@@ -584,7 +599,6 @@ def run_replicates(
             for j in np.flatnonzero(stopped):
                 r = active[j]
                 diverged_at[r] = step_global + int(cut[j]) + 1
-                steps_done[r] = step_global + int(cut[j])
                 final_states[r] = buf[cut[j], j]  # the offending iterate
             step_global += blk
             draw_pos += blk
@@ -602,7 +616,9 @@ def run_replicates(
     cfg_dict = cfg.to_dict()
     out = []
     for r, seed in enumerate(seeds):
-        avg_count = steps_done[r] - win_lo
+        # steps kept: those before a diverging iterate, else all of them
+        steps_done = n_steps if diverged_at[r] is None else diverged_at[r] - 1
+        avg_count = steps_done - win_lo
         manifest = {
             "config": {**cfg_dict, "seed": seed},
             "n": n,
@@ -620,20 +636,8 @@ def run_replicates(
             "inverse_temperature": ctx.beta,
             "diverged_at": diverged_at[r],
         }
-        out.append(RunRecord(
-            manifest=manifest,
-            states=states[r, : steps_done[r] // thin],
-            thin=thin,
-            init_state=init_states[r],
-            final_state=final_states[r],
-            avg_state=avg_sum[r] / avg_count if avg_count > 0 else None,
-            avg_window=(win_lo, n_steps),
-            theta_hat=None if theta_hat is None else np.asarray(theta_hat, float).copy(),
-            local_exponent=ctx.local_exponent,
-            n=n,
-            dim=d,
-            n_steps=n_steps,
-            wall_time=wall_share,
-            diverged_at=diverged_at[r],
+        out.append(RunRecord.from_manifest(
+            manifest, states[r, : steps_done // thin], final_states[r],
+            avg_sum[r] / avg_count if avg_count > 0 else None, wall_share,
         ))
     return out

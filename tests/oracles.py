@@ -425,6 +425,26 @@ def exact_linear_stationary_cov(m: np.ndarray, c: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve_discrete_lyapunov(np.asarray(m, float), np.asarray(c, float))
 
 
+def exact_linear_average_cov(m: np.ndarray, c: np.ndarray, steps: int) -> np.ndarray:
+    """Covariance of the mean of ``steps`` consecutive stationary iterates of ``x' = M x + noise``.
+
+    With Q the stationary covariance (``exact_linear_stationary_cov``), the
+    lag-k covariance is ``M^k Q``, so the mean of T iterates has covariance
+    ``(T Q + G Q + Q Gᵀ) / T²`` with ``G = sum_{k=1}^{T-1} (T - k) M^k``.  The
+    sum is taken in closed form from geometric sums of powers of M:
+    ``G = ((T - 1) M - M² (I - M^(T-1)) (I - M)^-1) (I - M)^-1``, every factor
+    a polynomial in M, so they commute.  Exact at any step size, as the
+    stationary law is; ``I - M`` must be invertible.
+    """
+    m = np.asarray(m, float)
+    q = exact_linear_stationary_cov(m, c)
+    t = int(steps)
+    inv = np.linalg.inv(np.eye(len(m)) - m)
+    tail = np.eye(len(m)) - np.linalg.matrix_power(m, t - 1)
+    g = ((t - 1) * m - m @ m @ tail @ inv) @ inv
+    return (t * q + g @ q + q @ g.T) / t**2
+
+
 def gaussian_sgd_recursion(
     records: np.ndarray, weights: np.ndarray, gamma: np.ndarray, h: float, b: int,
     with_replacement: bool = True, beta: float = math.inf, lam: np.ndarray | None = None,

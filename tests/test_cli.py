@@ -485,6 +485,36 @@ def test_compare_prints_a_constant_coordinate_as_its_mixing_row(tmp_path, capsys
     assert not (tmp_path / "out" / "acf_000.csv").exists()
 
 
+def test_acf_files_are_named_by_replicate_and_removed_by_simulate(tmp_path):
+    # a step size at which 7 of 8 Poisson chains diverge: only replicate 3
+    # runs to the end, so compare has one ACF file to write
+    tree = {
+        "model": {"family": "poisson", "n": 200, "d": 3, "data_seed": 4,
+                  "covariate_scales": [3.0, 3.0]},
+        "tuning": {"c_h": 24.0},
+        "execution": {"epochs": 20.0, "replicates": 8},
+    }
+    out = str(tmp_path)
+
+    def acf_names():
+        return sorted(name for name in os.listdir(out) if name.startswith("acf_"))
+
+    assert cli.cmd_predict(tree, out, quiet=True) == 0
+    assert cli.cmd_simulate(tree, out, threads=1, quiet=True) == cli.EXIT_DIVERGED
+    alive = [r for r in range(8) if artifacts.load_run(out, r)[0].diverged_at is None]
+    assert alive == [3]
+    assert cli.cmd_compare(tree, out, quiet=True) == 0
+    assert acf_names() == ["acf_003.csv"]
+    record, _ = artifacts.load_run(out, 3)
+    table = np.loadtxt(artifacts.acf_path(out, 3), delimiter=",", skiprows=1)
+    for j, column in enumerate(record.rescaled_states().T):
+        want = diagnostics.autocorrelation(column, cli.ACF_MAX_LAG)
+        np.testing.assert_array_equal(table[:, 1 + j], want)
+    # a simulate replaces every trace an ACF file describes
+    assert cli.cmd_simulate(tree, out, threads=1, quiet=True) == cli.EXIT_DIVERGED
+    assert acf_names() == []
+
+
 def test_artifacts_are_byte_identical_across_reruns(tmp_path):
     cfg = _write(tmp_path, "run.ini", BASE_INI + "\n[recommend]\ntarget = bagged\n")
     out_a = str(tmp_path / "a")
@@ -1085,14 +1115,20 @@ def test_experiment_smoke_run(tmp_path, capsys):
         assert "error" not in entry, f"{name}: {entry.get('error')}"
         assert entry["diverged"] is False
     # the replicated variants carry an iterate-average comparison and a
-    # stationary one over their pooled rows, which the closing table prints;
-    # each replicate alone is too short for a mixing time
+    # stationary one over their pooled rows, which the closing table prints
+    # in its cov.err and avg.err columns; each replicate alone is too short
+    # for a mixing time
     table = shown[shown.index("mixing times (epochs)"):].splitlines()
+    assert table[1].split() == ["variant", "Emp.", "Pred.", "cov.err", "avg.err"]
     for name, key in (("jhat_sgd_avg_m8", "8"), ("jhat_sgd_avg_m1", "1")):
-        assert isinstance(variants[name]["averages"][key], float)
+        avg = variants[name]["averages"][key]
+        assert isinstance(avg, float)
         err = variants[name]["stationary_rel_error"]
         row = next(line for line in table if line.split()[:1] == [name])
-        assert row.split()[1:] == ["short", "-", f"{err:.3f}"]
+        assert row.split()[1:] == ["short", "-", f"{err:.3f}", f"{avg:.3f}"]
+    # a single chain averages nothing: - under avg.err
+    row = next(line for line in table if line.split()[:1] == ["jhat_sgd"])
+    assert variants["jhat_sgd"]["averages"] == {} and row.split()[-1] == "-"
 
 
 def test_experiment_runs_through_the_commands_the_benchmark_clocks(tmp_path, monkeypatch):

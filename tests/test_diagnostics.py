@@ -281,10 +281,11 @@ def test_replicate_avg_cov_guards(tmp_path):
 def test_compare_equal_matrices_zero_error():
     m = np.array([[1.0, 0.2], [0.2, 2.0]])
     report = compare(m, m.copy())
-    assert report.rel_frobenius_error == 0.0
-    assert report.frobenius_error == 0.0
-    assert report.max_abs_error == 0.0
-    assert report.z_scores is None
+    assert report["rel_frobenius_error"] == 0.0
+    assert report["frobenius_error"] == 0.0
+    assert report["max_abs_error"] == 0.0
+    # without standard errors the block carries no z-scores
+    assert set(report) == {"frobenius_error", "rel_frobenius_error", "max_abs_error"}
 
 
 def test_compare_known_difference_and_z_scores():
@@ -292,23 +293,21 @@ def test_compare_known_difference_and_z_scores():
     empirical = predicted + np.array([[0.3, 0.0], [0.0, -0.4]])
     ses = np.full((2, 2), 0.1)
     report = compare(empirical, predicted, standard_errors=ses)
-    assert report.frobenius_error == pytest.approx(np.hypot(0.3, 0.4))
-    assert report.rel_frobenius_error == pytest.approx(
+    assert report["frobenius_error"] == pytest.approx(np.hypot(0.3, 0.4))
+    assert report["rel_frobenius_error"] == pytest.approx(
         np.hypot(0.3, 0.4) / np.linalg.norm(predicted)
     )
-    assert report.max_abs_error == pytest.approx(0.4)
-    assert report.z_scores[0, 0] == pytest.approx(3.0)
-    assert report.z_scores[1, 1] == pytest.approx(-4.0)
-    assert report.max_abs_z == pytest.approx(4.0)
-    blob = report.to_json_dict()
-    assert set(blob) == {"frobenius_error", "rel_frobenius_error", "max_abs_error",
-                         "z_scores", "max_abs_z"}
-    assert blob["max_abs_z"] == pytest.approx(4.0)
+    assert report["max_abs_error"] == pytest.approx(0.4)
+    assert report["z_scores"][0, 0] == pytest.approx(3.0)
+    assert report["z_scores"][1, 1] == pytest.approx(-4.0)
+    assert report["max_abs_z"] == pytest.approx(4.0)
+    assert set(report) == {"frobenius_error", "rel_frobenius_error", "max_abs_error",
+                           "z_scores", "max_abs_z"}
     # zero standard errors mark the entry as off-scale rather than dividing
     degenerate = compare(
         empirical, predicted, standard_errors=np.zeros((2, 2))
     )
-    assert np.all(np.isinf(degenerate.z_scores))
+    assert np.all(np.isinf(degenerate["z_scores"]))
 
 
 def test_compare_validation():

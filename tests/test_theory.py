@@ -654,3 +654,52 @@ def test_ou_prediction_against_the_exact_finite_n_law_with_noise(n, c_h, variant
         else:
             gap = np.linalg.norm(exact - q_inf) / np.linalg.norm(q_inf)
             assert band[0] <= gap * n / c_h <= band[1]
+
+
+def test_exact_average_cov_is_the_direct_lag_sum():
+    # the closed form against sum_{i,j} Cov(x_i, x_j) / T^2, lag-k covariance M^k Q
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((3, 3))
+    m = 0.5 * a / np.max(np.abs(np.linalg.eigvals(a)))
+    c = oracles.random_spd(rng, 3)
+    q = oracles.exact_linear_stationary_cov(m, c)
+    for t in (1, 2, 7):
+        lag = [np.linalg.matrix_power(m, k) @ q for k in range(t)]
+        direct = sum(lag[i - j] if i >= j else lag[j - i].T
+                     for i in range(t) for j in range(t)) / t**2
+        np.testing.assert_allclose(oracles.exact_linear_average_cov(m, c, t), direct,
+                                   rtol=0, atol=1e-12 * np.linalg.norm(q))
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+@pytest.mark.parametrize("c_h, m_epochs, band", [
+    # gap * n / c_h measured at n = 100 and 1000: 0.2119-0.2139, 0.07527-0.07547,
+    # 0.1310-0.1331 and 0.01668-0.01683, so the gap is O(c_h / n)
+    (1.0, 1.0, (0.210, 0.215)),
+    (1.0, 8.0, (0.0750, 0.0760)),
+    (4.0, 1.0, (0.130, 0.134)),
+    (4.0, 8.0, (0.0165, 0.0170)),
+])
+def test_average_prediction_against_the_exact_finite_n_law(n, c_h, m_epochs, band):
+    # plain SGD, b = 1 with replacement, Gamma = Jhat^-1: the mean of the
+    # m * n iterates after a stationary start, the window an averaging tree
+    # with init = stationary records
+    setup = config.resolve_setup({
+        "model": {"family": "gaussian_location", "n": n, "d": 10, "data_seed": 101},
+        "tuning": {"frak_h": 1.0, "frak_b": 0.0, "c_h": c_h, "c_b": 1.0, "gamma": "jhat_inv"},
+        "execution": {"epochs": 1.0},
+    })
+    cfg, info = setup.cfg, setup.prediction_info
+    h, b = cfg.step_size(n), cfg.batch_size(n)
+    assert b == 1 and cfg.policy == WITH_REPLACEMENT and not cfg.has_noise
+    m, c = oracles.gaussian_sgd_recursion(
+        setup.data.records, setup.model.params["weights"], cfg.gamma, h, b,
+    )
+    exact = n * oracles.exact_linear_average_cov(m, c, round(m_epochs * n / b))
+    predicted = avg_cov_rescaled(ou_params(cfg, info.j_mat, info.i_mat), m_epochs).matrix
+    # M is (1 - h/2) I, so the exact law is a multiple of the prediction
+    ratio = np.trace(exact) / np.trace(predicted)
+    scale = np.linalg.norm(predicted)
+    assert np.linalg.norm(exact - ratio * predicted) <= 1e-10 * scale
+    gap = np.linalg.norm(exact - predicted) / scale
+    assert band[0] <= gap * n / c_h <= band[1]
