@@ -8,13 +8,21 @@ the separate ``timings.json``.  The compare command relies on the embedded
 configuration hash to check that a prediction file and a set of traces came
 from the same configuration.
 
+The resolved tuning is written once per command, in ``predictions.json``
+(``report.config``), and ``manifest.json``'s configuration tree reproduces
+it.  A run manifest holds only its digest, ``run.tuning_hash``: the sha256
+of ``json.dumps(cfg.to_dict() without "seed", sort_keys=True)``, equal for
+every replicate of one tuning, beside the replicate's own ``run.seed``.
+
 Layout of an output directory::
 
     manifest.json        command-level manifest (config echo, hashes)
     predictions.json     large-sample predictions for the configured run
     trace_000.csv        thinned trajectory of replicate 0
-    manifest_000.json    per-replicate manifest (window average, final
-                         state, hashes)
+    manifest_000.json    per-replicate manifest: the replicate's seed,
+                         initial, final and window-average states and
+                         divergence step, the run's constants, and the
+                         configuration, data and tuning hashes
     acf_000.csv          per-coordinate autocorrelations of replicate 0, one
                          file for each of the first three replicates that
                          ran to the end, named by replicate index
@@ -81,7 +89,6 @@ import numpy as np
 
 from .engine import RunRecord
 from .errors import ArtifactMismatchError, DataError
-from .tuning import SCHEDULE
 
 FLOAT_FMT = "%.17g"
 
@@ -286,8 +293,6 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
     """
     payload = read_json(run_manifest_path(out_dir, index))
     run = payload["run"]
-    # the schedule as the engine's record holds it: the file spells infinity "inf"
-    run["config"].update((name, float(run["config"][name])) for name in SCHEDULE)
     state_dim = int(run["state_dim"])
     thin, diverged_at = int(run["thin"]), run["diverged_at"]
     rows = (int(run["n_steps"]) if diverged_at is None else diverged_at - 1) // thin

@@ -45,7 +45,11 @@ MAX_ACF_FILES = 3
 ACF_MAX_LAG = 2000
 
 #: Replicates per worker when ``--threads`` is not given, at most one worker per
-#: core: on 2 cores two workers lost to one below 60 replicates and won from 100.
+#: core.  On a 2-core host (``cmd_simulate`` on an n = 100, d = 10, 8-epoch
+#: tree, two sets of seven alternating rounds) two workers did not beat one at
+#: 600 replicates (median 1.32 against 1.26 s, and 1.48 against 1.46 s) and
+#: were 10-19% faster at 3000 (4.96 against 6.12 s, and 5.85 against 6.51 s),
+#: a gain smaller than the spread the file system adds between rounds.
 REPLICATES_PER_WORKER = 50
 
 
@@ -241,8 +245,12 @@ def _usable_runs(out: str, replicates: int, config_hash: str, data_hash: str) ->
 
 
 def _table_row(label: str, emp: float, pred: float, err: float, fmt: str = ".4g") -> None:
-    """One row of compare's table, each number under its column head."""
-    print(f"  {label:<29}{emp:<12{fmt}} {pred:<12{fmt}} {err:.3f}")
+    """One row of compare's table, each number under its column head.
+
+    A space always follows the label, so a label of 30 or more characters
+    pushes its numbers right rather than running into them.
+    """
+    print(f"  {label:<29} {emp:<12{fmt}} {pred:<12{fmt}} {err:.3f}")
 
 
 def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) -> int:
@@ -278,13 +286,13 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
         except DataError:
             continue
         # named by replicate, which runs at seed cfg.seed + replicate
-        replicate = record.manifest["config"]["seed"] - setup.cfg.seed
+        replicate = record.manifest["seed"] - setup.cfg.seed
         artifacts.save_acf(out, replicate, np.column_stack(rhos))
 
     if not quiet:
         norm = np.linalg.norm
         print(f"compare: {len(alive)} replicate(s) against predictions in {out}")
-        print("  quantity                     empirical    predicted    rel.error")
+        print("  quantity                      empirical    predicted    rel.error")
         stationary, mix = result["stationary"], result["mixing"]
         if stationary is None:
             print(f"  stationary block skipped: {result['trace_note']}")

@@ -183,8 +183,8 @@ def mixing_summary(record: RunRecord, ou: OuParams | None = None) -> MixingSumma
 
 
 def _manifest_key(record: RunRecord) -> tuple:
-    cfg = dict(record.manifest["config"], seed=None)
-    return cfg, record.manifest["data_hash"], record.n_steps, record.avg_window
+    manifest = record.manifest
+    return manifest["tuning_hash"], manifest["data_hash"], record.n_steps, record.avg_window
 
 
 def _check_one_configuration(records: list[RunRecord]) -> None:

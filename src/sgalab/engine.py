@@ -47,6 +47,8 @@ boundaries nor the grouping of replicates into commands affect results.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -473,11 +475,14 @@ def run_replicates(
 
     The keyword arguments are those of :func:`run`, and replicate ``r``
     equals ``run(model, data, cfg.with_seed(cfg.seed + r), ...)`` bit for
-    bit; no per-replicate config is built, and each manifest's ``"config"``
-    is one ``cfg.to_dict()`` per call with the replicate's seed.  Divergence
-    is returned, not raised: a replicate that diverges stops at its offending
-    iterate (its ``final_state``), its record has ``diverged_at`` set and
-    keeps what came before, and the other replicates go on.
+    bit; no per-replicate config is built.  Each manifest holds the
+    replicate's ``"seed"`` and the call's ``"tuning_hash"``: the sha256 of
+    ``json.dumps(cfg.to_dict() without "seed", sort_keys=True)``, computed
+    once per call, so replicates of one tuning share it and a change to any
+    other field changes it.  Divergence is returned, not raised: a
+    replicate that diverges stops at its offending iterate (its
+    ``final_state``), its record has ``diverged_at`` set and keeps what came
+    before, and the other replicates go on.
 
     Work is blocked twice.  Per draw block (about ``_DRAW_STEPS`` steps,
     fewer when many replicates would make the buffers large) each live
@@ -613,14 +618,17 @@ def run_replicates(
     final_states[active] = state
 
     wall_share = (time.perf_counter() - t_start) / replicates
-    cfg_dict = cfg.to_dict()
+    tuning = cfg.to_dict()
+    del tuning["seed"]
+    tuning_hash = hashlib.sha256(json.dumps(tuning, sort_keys=True).encode()).hexdigest()
     out = []
     for r, seed in enumerate(seeds):
         # steps kept: those before a diverging iterate, else all of them
         steps_done = n_steps if diverged_at[r] is None else diverged_at[r] - 1
         avg_count = steps_done - win_lo
         manifest = {
-            "config": {**cfg_dict, "seed": seed},
+            "seed": seed,
+            "tuning_hash": tuning_hash,
             "n": n,
             "dim": d,
             "state_dim": state_dim,

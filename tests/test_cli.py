@@ -461,6 +461,22 @@ def test_compare_notes_a_coordinate_pinned_by_the_box(tmp_path):
     assert not os.path.exists(os.path.join(out, "acf_000.csv"))
 
 
+def test_compare_table_keeps_a_space_after_a_full_width_label(capsys):
+    # exp2's window of 4 epochs prints as m=3.999, filling the label column
+    label = "iterate-average cov (m=3.999)"
+    assert len(label) == 29
+    cli._table_row(label, 0.123456, 0.1, 0.05)
+    cli._table_row("stationary cov (Frobenius)", 0.123456, 0.1, 0.05)
+    full, short = capsys.readouterr().out.splitlines()
+    assert full == f"  {label} 0.1235       0.1          0.050"
+    # a shorter label's numbers sit in the same columns
+    assert short.index("0.1235") == full.index("0.1235")
+    assert short.index("0.1 ") == full.index("0.1 ")
+    # a longer one still keeps its space, pushing the numbers right
+    cli._table_row(label + "99", 0.123456, 0.1, 0.05)
+    assert capsys.readouterr().out.startswith(f"  {label}99 0.1235 ")
+
+
 def test_compare_prints_a_constant_coordinate_as_its_mixing_row(tmp_path, capsys):
     rows = np.random.default_rng(4).standard_normal((100, 2))
     rows[:, 1] = 0.3
@@ -513,6 +529,39 @@ def test_acf_files_are_named_by_replicate_and_removed_by_simulate(tmp_path):
     # a simulate replaces every trace an ACF file describes
     assert cli.cmd_simulate(tree, out, threads=1, quiet=True) == cli.EXIT_DIVERGED
     assert acf_names() == []
+
+
+def test_run_manifests_of_one_simulate_differ_only_in_per_replicate_fields(tmp_path):
+    # a run manifest holds its replicate's own facts plus the run's scalar
+    # constants and digests; no shared block (such as the resolved tuning,
+    # written once in predictions.json) is repeated per replicate
+    tree = {
+        "model": {"family": "poisson", "n": 200, "d": 3, "data_seed": 4,
+                  "covariate_scales": [3.0, 3.0]},
+        "tuning": {"c_h": 24.0},
+        "execution": {"epochs": 20.0, "replicates": 8, "init": "overdispersed:2"},
+    }
+    out = str(tmp_path)
+    assert cli.cmd_simulate(tree, out, threads=1, quiet=True) == cli.EXIT_DIVERGED
+
+    def fields(index):
+        payload = _read_json(artifacts.run_manifest_path(out, index))
+        run = payload.pop("run")
+        return {**payload, **{f"run.{key}": value for key, value in run.items()}}
+
+    per_replicate = {"run.seed", "run.init_state", "avg_state", "final_state", "diverged",
+                     "run.diverged_at", "wall_time"}
+    shared = {"config_hash", "run.tuning_hash", "run.data_hash", "run.n", "run.dim",
+              "run.state_dim", "run.n_steps", "run.thin", "run.avg_window", "run.theta_hat",
+              "run.local_exponent", "run.step_size", "run.batch_size",
+              "run.inverse_temperature"}
+    manifests = [fields(r) for r in range(8)]
+    assert {m["diverged"] for m in manifests} == {True, False}
+    for other in manifests[1:]:
+        assert other.keys() == per_replicate | shared
+        assert {key: other[key] for key in shared} == {key: manifests[0][key] for key in shared}
+        assert other["run.seed"] != manifests[0]["run.seed"]
+        assert other["run.init_state"] != manifests[0]["run.init_state"]
 
 
 def test_artifacts_are_byte_identical_across_reruns(tmp_path):
@@ -838,8 +887,14 @@ def test_run_artifacts_round_trip_exactly(tmp_path):
 
 
 def test_reloaded_runs_of_a_noiseless_tree_pool_with_fresh_ones(tmp_path):
-    # the file spells the infinite temperature "inf"; the reloaded record's
-    # config holds math.inf, as the engine's does, so the two are one tree
+    # the resolved tuning is written once, in predictions.json, which spells
+    # the infinite temperature "inf"; a run manifest carries its digest, so a
+    # reloaded record and the engine's are one tree
+    tree = {"model": {"family": "gaussian_location", "n": 40, "d": 2, "data_seed": 111},
+            "tuning": {"frak_h": 1.0, "c_h": 1.0}, "execution": {"steps": 20, "seed": 3}}
+    assert cli.cmd_predict(tree, str(tmp_path), quiet=True) == cli.EXIT_OK
+    with open(tmp_path / "predictions.json", encoding="utf-8") as fh:
+        assert '"frak_t": "inf"' in fh.read()
     model, data, truth = models.generate_gaussian(40, 2, seed=111)
     cfg = TuningConfig(frak_h=1.0, c_h=1.0, seed=3)
     assert not cfg.has_noise
@@ -847,9 +902,11 @@ def test_reloaded_runs_of_a_noiseless_tree_pool_with_fresh_ones(tmp_path):
     for r, run in enumerate(runs):
         artifacts.save_run(str(tmp_path), r, run, "hash")
     with open(artifacts.run_manifest_path(str(tmp_path), 0), encoding="utf-8") as fh:
-        assert '"frak_t": "inf"' in fh.read()
+        assert '"frak_t"' not in fh.read()
     loaded = [artifacts.load_run(str(tmp_path), r)[0] for r in range(31)]
-    assert loaded[0].manifest["config"] == runs[0].manifest["config"]
+    assert [rec.manifest["seed"] for rec in loaded] == list(range(3, 34))
+    assert [rec.manifest["tuning_hash"] for rec in loaded] == [
+        rec.manifest["tuning_hash"] for rec in runs]
     mixed, _ = diagnostics.replicate_avg_cov(runs[:15] + loaded[15:])
     assert np.array_equal(mixed, diagnostics.replicate_avg_cov(loaded)[0])
 

@@ -7,6 +7,8 @@ preconditioned gradient descent with no randomness consumed.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -866,7 +868,7 @@ def test_run_replicates_seeds():
         model, data, cfg.with_seed(101), n_steps=10, init=np.zeros(2)
     )
     assert np.array_equal(recs[1].states, direct.states)
-    assert recs[0].manifest["config"]["seed"] == 100
+    assert [rec.manifest["seed"] for rec in recs] == [100, 101, 102]
     with pytest.raises(ConfigError):
         engine.run_replicates(model, data, cfg, 0, n_steps=1)
 
@@ -887,9 +889,39 @@ def test_run_replicates_builds_no_config_per_replicate(monkeypatch):
     monkeypatch.setattr(tuning, "_check_spd", counting_check_spd)
     recs = engine.run_replicates(model, data, cfg, 50, n_steps=3, init=np.zeros(2))
     assert checked == []
-    assert [rec.manifest["config"]["seed"] for rec in recs] == list(range(9, 59))
-    assert all(rec.manifest["config"] == dict(cfg.to_dict(), seed=9 + r)
-               for r, rec in enumerate(recs))
+    assert [rec.manifest["seed"] for rec in recs] == list(range(9, 59))
+    tuning_dict = {k: v for k, v in cfg.to_dict().items() if k != "seed"}
+    want = hashlib.sha256(json.dumps(tuning_dict, sort_keys=True).encode()).hexdigest()
+    assert [rec.manifest["tuning_hash"] for rec in recs] == [want] * 50
+    assert all("config" not in rec.manifest for rec in recs)
+
+
+def test_tuning_hash_changes_with_every_field_but_the_seed():
+    model, data, truth = _gaussian_case(n=10, d=2, seed=1)
+    base = TuningConfig(frak_h=1.0, c_h=1.0, frak_t=1.0, c_beta=1.0, seed=5)
+    spd = np.array([[1.0, 0.2], [0.2, 0.5]])
+    changed = {
+        "frak_h": 0.9, "frak_b": 0.1, "frak_t": 0.5, "c_h": 0.5, "c_b": 2.0, "c_beta": 2.0,
+        "gamma": spd, "lam": spd, "policy": WITHOUT_REPLACEMENT, "variant": CONTROL_VARIATE,
+        "boundary": (np.full(2, -5.0), np.full(2, 5.0)),
+    }
+    # every field of the tuning is covered, and only the seed is left out
+    assert set(changed) | {"seed"} == {f.name for f in dataclasses.fields(TuningConfig)}
+
+    def tuning_hash(cfg):
+        (rec,) = engine.run_replicates(model, data, cfg, 1, n_steps=1,
+                                       theta_hat=truth.theta_star)
+        return rec.manifest["tuning_hash"]
+
+    want = tuning_hash(base)
+    assert tuning_hash(base.with_seed(2**40)) == want
+    for name, value in changed.items():
+        assert tuning_hash(dataclasses.replace(base, **{name: value})) != want, name
+    # one entry of a matrix is enough
+    bent = spd.copy()
+    bent[0, 1] = bent[1, 0] = 0.25
+    assert tuning_hash(dataclasses.replace(base, gamma=bent)) != tuning_hash(
+        dataclasses.replace(base, gamma=spd))
 
 
 def test_run_replicates_rejects_seeds_past_64_bits():
@@ -901,7 +933,7 @@ def test_run_replicates_rejects_seeds_past_64_bits():
     # the last seed a replicate may take is 2**64 - 1
     recs = engine.run_replicates(model, data, TuningConfig(seed=2**64 - 3, **base), 3,
                                  n_steps=2, init=np.zeros(2))
-    assert recs[-1].manifest["config"]["seed"] == 2**64 - 1
+    assert [rec.manifest["seed"] for rec in recs] == [2**64 - 3, 2**64 - 2, 2**64 - 1]
 
 
 def test_step_requires_noise_draw_exactly_when_noisy():
