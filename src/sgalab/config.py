@@ -2,10 +2,11 @@
 
 A run configuration is a flat, typed, sectioned key-value file (INI syntax)
 or the equivalent JSON object.  Sections and keys are closed sets: any
-unknown section or key is an error naming the offender, so typos cannot
-silently change semantics.  ``resolve_setup`` turns a parsed configuration
-into live objects: model, dataset, fitted anchor, information matrices,
-and the tuning for the engine.
+unknown section or key is an error naming the offender, and so is a
+``[model]`` key that the chosen family and source do not read (the table
+``models.FAMILIES``), so typos cannot silently change semantics.
+``resolve_setup`` turns a parsed configuration into live objects: model,
+dataset, fitted anchor, information matrices, and the tuning for the engine.
 
 Grammar (INI form; every key optional unless marked required)::
 
@@ -13,16 +14,17 @@ Grammar (INI form; every key optional unless marked required)::
     family = gaussian_location | logistic | poisson      (required)
     source = synthetic | csv                             (default synthetic)
     n = <int>                 records to generate        (required if synthetic)
-    d = <int>                 parameter dimension (gaussian) or covariate
-                              count (logistic/poisson)
-    data_seed = <int>         generator seed
-    weights = auto | <floats> gaussian curvature weights
-    theta_star = <floats>     generator parameter
-    zero_inflation = <float>  poisson response zeroing probability
-    covariate_scales = <floats>  poisson covariate scale multipliers
+    d = <int>                 gaussian dimension (default 10, csv: columns),
+                              logistic/poisson covariate count (required if
+                              synthetic, csv: columns - 1)
+    data_seed = <int>         generator seed             (synthetic only)
+    weights = auto | <floats> curvature weights          (gaussian only)
+    theta_star = <floats>     generator parameter        (synthetic only)
+    zero_inflation = <float>  response zeroing probability   (poisson synthetic)
+    covariate_scales = <floats>  covariate scale multipliers (poisson synthetic)
     path = <str>              csv path                   (required if csv)
     columns = <int>           csv column count           (required if csv)
-    header = true | false     csv header flag
+    header = true | false     csv header flag            (csv only)
 
     [tuning]
     frak_h, frak_b, frak_t = <float>   (frak_t may be inf)
@@ -70,19 +72,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .inference import InfoMatrices, empirical_info, fit_mle, info_from_truth
 from .linalg import sym_inv
 from .models import (
+    FAMILIES,
+    SOURCES,
     CsvSchema,
     Dataset,
     ModelSpec,
     TruthSpec,
-    gaussian_location_model,
     generate,
     load_csv,
-    logistic_model,
-    poisson_model,
 )
 from .tuning import TuningConfig
 
@@ -265,51 +266,37 @@ class Setup:
 
 def _build_model_data(tree: dict) -> tuple[ModelSpec, Dataset, TruthSpec | None]:
     m = tree["model"]
-    family = m["family"]
-    source = m.get("source", "synthetic")
+    name, source = m["family"], m.get("source", "synthetic")
+    if name not in FAMILIES:
+        raise ConfigError(
+            f"unknown model family {name!r}; expected one of {sorted(FAMILIES)}"
+        )
+    if source not in SOURCES:
+        raise ConfigError(f"[model] source must be synthetic or csv, got {source!r}")
+    family = FAMILIES[name]
+    for key in m:
+        if key not in family.reads(source):
+            culprit = f"family {name}"
+            if any(key in family.reads(other) for other in SOURCES):
+                culprit = f"source {source}"  # read for this family, from the other source
+            raise ConfigError(f"[model] {key} is not read for {culprit}")
+    for key in SOURCES[source][0]:  # the keys the source requires
+        if key not in m:
+            raise ConfigError(f"[model] {key} is required for {source} data")
+    params = {
+        k: np.asarray(m[k], float) if isinstance(m[k], list) else m[k]
+        for k in (*family.model_keys, *family.data_keys)
+        if k in m and m[k] != "auto"
+    }
     if source == "synthetic":
-        if "n" not in m:
-            raise ConfigError("[model] n is required for synthetic data")
-        kwargs: dict = {}
-        if family == "gaussian_location":
-            if "d" in m:
-                kwargs["d"] = m["d"]
-            if m.get("weights") not in (None, "auto"):
-                kwargs["weights"] = np.asarray(m["weights"], float)
-        elif family in ("logistic", "poisson"):
-            if "d" not in m:
-                raise ConfigError(f"[model] d (covariate count) required for {family}")
-            kwargs["p"] = m["d"]
-            if family == "poisson":
-                if "zero_inflation" in m:
-                    kwargs["zero_inflation"] = m["zero_inflation"]
-                if "covariate_scales" in m:
-                    kwargs["covariate_scales"] = np.asarray(m["covariate_scales"], float)
-        else:
-            raise ConfigError(f"unknown model family {family!r}")
-        if "theta_star" in m:
-            kwargs["theta_star"] = np.asarray(m["theta_star"], float)
-        return generate(family, m["n"], seed=m.get("data_seed", 0), **kwargs)
-    if source == "csv":
-        for required in ("path", "columns"):
-            if required not in m:
-                raise ConfigError(f"[model] {required} is required for csv data")
-        schema = CsvSchema(columns=m["columns"], header=m.get("header", False))
-        data = load_csv(m["path"], schema)
-        if family == "gaussian_location":
-            model = gaussian_location_model(
-                m.get("d", m["columns"]),
-                None if m.get("weights") in (None, "auto") else np.asarray(m["weights"], float),
-            )
-        elif family == "logistic":
-            model = logistic_model(m.get("d", m["columns"] - 1))
-        elif family == "poisson":
-            model = poisson_model(m.get("d", m["columns"] - 1))
-        else:
-            raise ConfigError(f"unknown model family {family!r}")
-        model.check_records(data.records)
-        return model, data, None
-    raise ConfigError(f"[model] source must be synthetic or csv, got {source!r}")
+        dim = m.get("d", family.default_dim)
+        if dim is None:
+            raise ConfigError(f"[model] d (covariate count) required for {name}")
+        params[family.dim_param] = dim
+        return generate(name, m["n"], seed=m.get("data_seed", 0), **params)
+    data = load_csv(m["path"], CsvSchema(columns=m["columns"], header=m.get("header", False)))
+    model = family.model(m.get("d", m["columns"] - family.response_columns), **params)
+    return model, data, None
 
 
 def _resolve_matrix(
@@ -352,9 +339,7 @@ def resolve_setup(tree: dict) -> Setup:
                 "[prediction] matrices = truth, but ground truth is not"
                 " available for this data source"
             )
-        prediction_info = info_from_truth(
-            truth.theta_star, truth.j_star, truth.i_star, data.n
-        )
+        prediction_info = info_from_truth(truth.theta_star, truth.j_star, truth.i_star)
     else:
         raise ConfigError(
             f"[prediction] matrices must be empirical or truth, got {matrices!r}"

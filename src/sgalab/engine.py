@@ -161,6 +161,8 @@ class RunRecord:
     def from_manifest(cls, manifest: dict, states: np.ndarray, final_state: np.ndarray,
                       avg_state: np.ndarray | None, wall_time: float) -> RunRecord:
         """A run's record: the engine's fresh manifest, or one ``load_run`` read back."""
+        for key in ("local_exponent", "inverse_temperature"):  # JSON spells nan, inf as text
+            manifest[key] = float(manifest[key])
         theta_hat = manifest["theta_hat"]
         return cls(
             manifest=manifest, states=states, final_state=final_state, avg_state=avg_state,
@@ -169,7 +171,7 @@ class RunRecord:
             init_state=np.asarray(manifest["init_state"], float),
             avg_window=tuple(manifest["avg_window"]),
             theta_hat=None if theta_hat is None else np.asarray(theta_hat, float),
-            local_exponent=float(manifest["local_exponent"]),
+            local_exponent=manifest["local_exponent"],
             diverged_at=manifest["diverged_at"],
         )
 

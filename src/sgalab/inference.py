@@ -158,46 +158,38 @@ class InfoMatrices:
     j_mat: np.ndarray
     i_mat: np.ndarray
     sandwich: np.ndarray
-    grad_norm: float
-    n: int
 
 
 def empirical_info(model: ModelSpec, data: Dataset, theta: np.ndarray) -> InfoMatrices:
     """Evaluate the curvature and score-covariance matrices at ``theta``.
 
     Reductions run over fixed-size record blocks in data order, so repeated
-    calls are bit-identical.  Only the likelihood terms enter the matrices;
-    the prior contributes to the reported score norm but not to curvature,
-    matching the large-sample role these matrices play.
+    calls are bit-identical.  Only the likelihood terms enter the matrices,
+    not the prior, matching the large-sample role these matrices play.
     """
     records = model.check_records(data.records)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dim,):
         raise DimensionError(f"theta must have shape ({model.dim},)")
-    n = records.shape[0]
-
     j_mat = -_mean_hessian(model, records, theta)
 
     def outer(block: np.ndarray) -> np.ndarray:
         g = model.grad(theta, block)
         return g.T @ g
 
-    i_mat = _block_sum(records, outer) / n
+    i_mat = _block_sum(records, outer) / records.shape[0]
 
     j_mat = 0.5 * (j_mat + j_mat.T)
     i_mat = 0.5 * (i_mat + i_mat.T)
-    grad_norm = float(np.linalg.norm(_mean_score(model, records, theta)))
     return InfoMatrices(
         theta_hat=theta.copy(),
         j_mat=j_mat,
         i_mat=i_mat,
         sandwich=sandwich(j_mat, i_mat),
-        grad_norm=grad_norm,
-        n=n,
     )
 
 
-def info_from_truth(theta_star, j_star, i_star, n: int) -> InfoMatrices:
+def info_from_truth(theta_star, j_star, i_star) -> InfoMatrices:
     """Package exact ground-truth matrices in the same container."""
     j = np.asarray(j_star, dtype=float)
     i = np.asarray(i_star, dtype=float)
@@ -206,6 +198,4 @@ def info_from_truth(theta_star, j_star, i_star, n: int) -> InfoMatrices:
         j_mat=j.copy(),
         i_mat=i.copy(),
         sandwich=sandwich(j, i),
-        grad_norm=0.0,
-        n=n,
     )

@@ -4,12 +4,13 @@ A model is a bundle of vectorized callables: the score contribution of
 each data record at a parameter vector, the record-averaged Hessian, and
 an optional log-prior gradient.  Each family's docstring states the
 log-likelihood its score differentiates; nothing in the package evaluates
-the log-likelihood itself.  Three families are provided:
+the log-likelihood itself.  ``FAMILIES`` lists the three families with
+their generators and the configuration keys they read:
 
 * weighted Gaussian location: separable quadratic likelihood with per
   coordinate curvature weights, the workhorse for exact sanity checks;
-* logistic regression with binary responses;
-* Poisson log-linear regression with count responses.
+* logistic (binary responses) and Poisson log-linear (count responses)
+  regression, one canonical-link GLM with two mean functions.
 
 Generators return the dataset together with whatever ground truth is known
 in closed form (true parameter, curvature and score-covariance matrices),
@@ -34,6 +35,11 @@ DEFAULT_GAUSSIAN_DIM = 10
 ArrayFun = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def zero_prior(theta: np.ndarray) -> np.ndarray:
+    """Gradient of the flat log-prior; the engine skips the prior term for it."""
+    return np.zeros(np.shape(theta))
+
+
 @dataclass
 class ModelSpec:
     """A statistical model exposed through vectorized per-record callables.
@@ -46,15 +52,18 @@ class ModelSpec:
     many replicates at once.  ``hess_mean(theta, records) -> (dim, dim)`` is
     the record-averaged Hessian, computed without a per-record stack.
     ``grad_prior(theta (..., dim)) -> (..., dim)`` is the gradient of the
-    log-prior, :func:`zero_prior` for the default flat prior.
+    log-prior, :func:`zero_prior` for the default flat prior.  A record is
+    ``dim`` finite values, followed when ``response`` is set by one response
+    ``y`` that is valid where ``response[0](y)`` holds, a rule
+    ``response[1]`` states in words.
     """
 
     family: str
     dim: int
     grad: ArrayFun
     hess_mean: ArrayFun
-    grad_prior: Callable[[np.ndarray], np.ndarray]
-    validate: Callable[[np.ndarray], None]
+    grad_prior: Callable[[np.ndarray], np.ndarray] = zero_prior
+    response: tuple[Callable[[np.ndarray], np.ndarray], str] | None = None
     params: dict = field(default_factory=dict)
 
     def check_records(self, records: np.ndarray) -> np.ndarray:
@@ -63,7 +72,24 @@ class ModelSpec:
             raise DimensionError(
                 f"records must be a 2-d array, got shape {records.shape}"
             )
-        self.validate(records)
+        columns = self.dim + (self.response is not None)
+        if records.shape[1] != columns:
+            layout = " (covariates then response)" if self.response else ""
+            raise DataError(
+                f"{self.family} records need {columns} columns{layout},"
+                f" got {records.shape[1]}"
+            )
+        if not np.all(np.isfinite(records)):
+            raise DataError(f"{self.family} records contain non-finite values")
+        if self.response:
+            valid, rule = self.response
+            y = records[:, -1]
+            bad = np.nonzero(~valid(y))[0]
+            if bad.size:
+                raise DataError(
+                    f"{self.family} response must be {rule};"
+                    f" row {bad[0] + 1} has {float(y[bad[0]])!r}"
+                )
         return records
 
 
@@ -118,9 +144,12 @@ class TruthSpec:
     available: bool = False
 
 
-def zero_prior(theta: np.ndarray) -> np.ndarray:
-    """Gradient of the flat log-prior; the engine skips the prior term for it."""
-    return np.zeros(np.shape(theta))
+def _vector(name: str, value, dim: int) -> np.ndarray:
+    """``value`` as a float vector, which must have length ``dim``."""
+    value = np.asarray(value, float)
+    if value.shape != (dim,):
+        raise DimensionError(f"{name} must have shape ({dim},), got {value.shape}")
+    return value
 
 
 def default_location_weights(d: int) -> np.ndarray:
@@ -139,9 +168,7 @@ def gaussian_location_model(
     """
     if d < 1:
         raise DimensionError("gaussian location model needs d >= 1")
-    w = default_location_weights(d) if weights is None else np.asarray(weights, float)
-    if w.shape != (d,):
-        raise DimensionError(f"weights must have shape ({d},), got {w.shape}")
+    w = default_location_weights(d) if weights is None else _vector("weights", weights, d)
     if np.any(w <= 0):
         raise DataError("location weights must be strictly positive")
     neg_diag = -np.diag(w)
@@ -152,27 +179,50 @@ def gaussian_location_model(
     def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         return neg_diag.copy()
 
-    def validate(records: np.ndarray) -> None:
-        if records.shape[1] != d:
-            raise DataError(
-                f"gaussian location records need {d} columns, got {records.shape[1]}"
-            )
-        if not np.all(np.isfinite(records)):
-            raise DataError("gaussian location records contain non-finite values")
-
     return ModelSpec(
         family="gaussian_location",
         dim=d,
         grad=grad,
         hess_mean=hess_mean,
-        grad_prior=zero_prior,
-        validate=validate,
         params={"weights": w},
     )
 
 
-def _split_xy(records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return records[..., :-1], records[..., -1]
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # Branchless stable sigmoid through the tails.
+    return np.exp(-np.logaddexp(0.0, -z))
+
+
+def _glm_model(
+    family: str,
+    p: int,
+    mean: Callable[[np.ndarray], np.ndarray],
+    variance: Callable[[np.ndarray], np.ndarray],
+    response: tuple[Callable[[np.ndarray], np.ndarray], str],
+) -> ModelSpec:
+    """Canonical-link GLM on records ``(x_1..x_p, y)``.
+
+    The score is ``(y - mu) * x`` and the mean Hessian is
+    ``-mean(variance(mu) * x x^T)``, with ``mu = mean(x.theta)``.
+    """
+    if p < 1:
+        raise DimensionError(f"{family} model needs p >= 1 covariates")
+
+    def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
+        x, y = records[..., :-1], records[..., -1]
+        return (y - mean(np.matvec(x, theta)))[..., None] * x
+
+    def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
+        x = records[:, :-1]
+        return -(x.T * variance(mean(x @ theta))) @ x / records.shape[0]
+
+    return ModelSpec(
+        family=family,
+        dim=p,
+        grad=grad,
+        hess_mean=hess_mean,
+        response=response,
+    )
 
 
 def logistic_model(p: int) -> ModelSpec:
@@ -182,48 +232,8 @@ def logistic_model(p: int) -> ModelSpec:
     sigmoid is evaluated with log-sum-exp so large linear predictors never
     overflow.
     """
-    if p < 1:
-        raise DimensionError("logistic model needs p >= 1 covariates")
-
-    def _sigmoid(z: np.ndarray) -> np.ndarray:
-        # Branchless stable sigmoid through the tails.
-        return np.exp(-np.logaddexp(0.0, -z))
-
-    def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        x, y = _split_xy(records)
-        return (y - _sigmoid(np.matvec(x, theta)))[..., None] * x
-
-    def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        x, _ = _split_xy(records)
-        s = _sigmoid(x @ theta)
-        v = s * (1.0 - s)
-        return -(x.T * v) @ x / records.shape[0]
-
-    def validate(records: np.ndarray) -> None:
-        if records.shape[1] != p + 1:
-            raise DataError(
-                f"logistic records need {p + 1} columns (covariates then"
-                f" response), got {records.shape[1]}"
-            )
-        if not np.all(np.isfinite(records)):
-            raise DataError("logistic records contain non-finite values")
-        y = records[:, -1]
-        bad = np.nonzero((y != 0.0) & (y != 1.0))[0]
-        if bad.size:
-            raise DataError(
-                "logistic response must be 0 or 1;"
-                f" row {bad[0] + 1} has {float(y[bad[0]])!r}"
-            )
-
-    return ModelSpec(
-        family="logistic",
-        dim=p,
-        grad=grad,
-        hess_mean=hess_mean,
-        grad_prior=zero_prior,
-        validate=validate,
-        params={"p": p},
-    )
+    return _glm_model("logistic", p, _sigmoid, lambda mu: mu * (1.0 - mu),
+                      (lambda y: (y == 0.0) | (y == 1.0), "0 or 1"))
 
 
 def poisson_model(p: int) -> ModelSpec:
@@ -239,44 +249,8 @@ def poisson_model(p: int) -> ModelSpec:
     :mod:`sgalab.inference`) run them under ``np.errstate(over="ignore")``,
     once per loop rather than once per call.
     """
-    if p < 1:
-        raise DimensionError("poisson model needs p >= 1 covariates")
-
-    def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        x, y = _split_xy(records)
-        mu = np.exp(np.matvec(x, theta))
-        return (y - mu)[..., None] * x
-
-    def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        x, _ = _split_xy(records)
-        mu = np.exp(x @ theta)
-        return -(x.T * mu) @ x / records.shape[0]
-
-    def validate(records: np.ndarray) -> None:
-        if records.shape[1] != p + 1:
-            raise DataError(
-                f"poisson records need {p + 1} columns (covariates then"
-                f" response), got {records.shape[1]}"
-            )
-        if not np.all(np.isfinite(records)):
-            raise DataError("poisson records contain non-finite values")
-        y = records[:, -1]
-        bad = np.nonzero((y < 0) | (y != np.floor(y)))[0]
-        if bad.size:
-            raise DataError(
-                "poisson response must be a nonnegative integer;"
-                f" row {bad[0] + 1} has {float(y[bad[0]])!r}"
-            )
-
-    return ModelSpec(
-        family="poisson",
-        dim=p,
-        grad=grad,
-        hess_mean=hess_mean,
-        grad_prior=zero_prior,
-        validate=validate,
-        params={"p": p},
-    )
+    return _glm_model("poisson", p, np.exp, lambda mu: mu,
+                      (lambda y: (y >= 0) & (y == np.floor(y)), "a nonnegative integer"))
 
 
 def equicorrelated_covariance(d: int, base: float = 0.5) -> np.ndarray:
@@ -289,22 +263,18 @@ def generate_gaussian(
     d: int = DEFAULT_GAUSSIAN_DIM,
     seed: int = 0,
     weights: np.ndarray | None = None,
-    sigma: np.ndarray | None = None,
     theta_star: np.ndarray | None = None,
 ) -> tuple[ModelSpec, Dataset, TruthSpec]:
     """Draw ``n`` records from ``N(theta_star, sigma)``; full truth is known.
 
-    The score covariance is ``diag(w) sigma diag(w)`` and the curvature is
-    ``diag(w)`` exactly, so this family supports truth-based predictions.
+    ``sigma`` is :func:`equicorrelated_covariance`.  The score covariance is
+    ``diag(w) sigma diag(w)`` and the curvature is ``diag(w)`` exactly, so
+    this family supports truth-based predictions.
     """
     model = gaussian_location_model(d, weights)
     w = model.params["weights"]
-    sigma = equicorrelated_covariance(d) if sigma is None else np.asarray(sigma, float)
-    if sigma.shape != (d, d):
-        raise DimensionError(f"sigma must be {d}x{d}, got {sigma.shape}")
-    theta_star = (
-        np.zeros(d) if theta_star is None else np.asarray(theta_star, float)
-    )
+    sigma = equicorrelated_covariance(d)
+    theta_star = np.zeros(d) if theta_star is None else _vector("theta_star", theta_star, d)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     records = rng.multivariate_normal(theta_star, sigma, size=n, method="cholesky")
     dmat = np.diag(w)
@@ -335,14 +305,33 @@ def _design_matrix(
     if p > 1:
         u = rng.uniform(-1.0, 1.0, size=(n, p - 1))
         if covariate_scales is not None:
-            scales = np.asarray(covariate_scales, float)
-            if scales.shape != (p - 1,):
-                raise DimensionError(
-                    f"covariate_scales must have shape ({p - 1},), got {scales.shape}"
-                )
-            u = u * scales
+            u = u * _vector("covariate_scales", covariate_scales, p - 1)
         x[:, 1:] = u
     return x
+
+
+def _generate_glm(
+    model: ModelSpec,
+    n: int,
+    seed: int,
+    theta_star: np.ndarray | None,
+    default: float,
+    respond: Callable[[np.random.Generator, np.ndarray], np.ndarray],
+    covariate_scales: np.ndarray | None = None,
+) -> tuple[ModelSpec, Dataset, TruthSpec]:
+    """Responses ``respond(rng, x.theta_star)`` over an intercept-plus-uniform design.
+
+    ``theta_star`` is ``default`` in every coordinate unless given.
+    """
+    p = model.dim
+    theta_star = np.full(p, default) if theta_star is None else _vector("theta_star", theta_star, p)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    x = _design_matrix(rng, n, p, covariate_scales)
+    data = Dataset(
+        np.column_stack([x, respond(rng, x @ theta_star)]),
+        provenance={"family": model.family, "n": n, "p": p, "seed": seed},
+    )
+    return model, data, TruthSpec(theta_star=theta_star, available=False)
 
 
 def generate_logistic(
@@ -352,21 +341,12 @@ def generate_logistic(
     theta_star: np.ndarray | None = None,
 ) -> tuple[ModelSpec, Dataset, TruthSpec]:
     """Binary responses from a logistic law over an intercept-plus-uniform design."""
-    model = logistic_model(p)
-    theta_star = (
-        np.full(p, 0.5) if theta_star is None else np.asarray(theta_star, float)
-    )
-    if theta_star.shape != (p,):
-        raise DimensionError(f"theta_star must have shape ({p},)")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x = _design_matrix(rng, n, p, None)
-    prob = 1.0 / (1.0 + np.exp(-(x @ theta_star)))
-    y = (rng.uniform(size=n) < prob).astype(float)
-    data = Dataset(
-        np.column_stack([x, y]),
-        provenance={"family": "logistic", "n": n, "p": p, "seed": seed},
-    )
-    return model, data, TruthSpec(theta_star=theta_star, available=False)
+
+    def respond(rng: np.random.Generator, eta: np.ndarray) -> np.ndarray:
+        prob = 1.0 / (1.0 + np.exp(-eta))
+        return (rng.uniform(size=n) < prob).astype(float)
+
+    return _generate_glm(logistic_model(p), n, seed, theta_star, 0.5, respond)
 
 
 def generate_poisson(
@@ -387,53 +367,81 @@ def generate_poisson(
     """
     if not 0.0 <= zero_inflation < 1.0:
         raise DataError("zero_inflation must lie in [0, 1)")
-    model = poisson_model(p)
-    theta_star = (
-        np.full(p, 0.1) if theta_star is None else np.asarray(theta_star, float)
+
+    def respond(rng: np.random.Generator, eta: np.ndarray) -> np.ndarray:
+        y = rng.poisson(np.exp(eta)).astype(float)
+        if zero_inflation > 0.0:
+            y[rng.uniform(size=n) < zero_inflation] = 0.0
+        return y
+
+    model, data, truth = _generate_glm(
+        poisson_model(p), n, seed, theta_star, 0.1, respond, covariate_scales
     )
-    if theta_star.shape != (p,):
-        raise DimensionError(f"theta_star must have shape ({p},)")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    x = _design_matrix(rng, n, p, covariate_scales)
-    rate = np.exp(x @ theta_star)
-    y = rng.poisson(rate).astype(float)
-    if zero_inflation > 0.0:
-        y[rng.uniform(size=n) < zero_inflation] = 0.0
-    pseudo_true = theta_star.copy()
+    pseudo_true = truth.theta_star.copy()
     if zero_inflation > 0.0:
         pseudo_true[0] += math.log(1.0 - zero_inflation)
-    data = Dataset(
-        np.column_stack([x, y]),
-        provenance={
-            "family": "poisson",
-            "n": n,
-            "p": p,
-            "seed": seed,
-            "zero_inflation": zero_inflation,
-            "pseudo_true": pseudo_true.tolist(),
-        },
-    )
-    return model, data, TruthSpec(theta_star=theta_star, available=False)
+    data.provenance.update(zero_inflation=zero_inflation, pseudo_true=pseudo_true.tolist())
+    return model, data, truth
+
+
+@dataclass(frozen=True)
+class Family:
+    """One model family, as the ``[model]`` section of a run configuration reads it.
+
+    ``model(d, **params)`` fits records of ``d + response_columns`` columns,
+    and ``generate(n, seed=..., **{dim_param: d}, **params)`` draws synthetic
+    ones; ``default_dim`` is the ``d`` of synthetic data that sets none.
+    ``model_keys`` name the ``[model]`` keys both take as ``params``, and
+    ``data_keys`` those only the generator takes.
+    """
+
+    model: Callable[..., ModelSpec]
+    generate: Callable[..., tuple[ModelSpec, Dataset, TruthSpec]]
+    dim_param: str
+    response_columns: int
+    default_dim: int | None = None
+    model_keys: tuple[str, ...] = ()
+    data_keys: tuple[str, ...] = ("theta_star",)
+
+    def reads(self, source: str) -> set[str]:
+        """Every ``[model]`` key read for this family's data from ``source``."""
+        required, optional = SOURCES[source]
+        generated = self.data_keys if source == "synthetic" else ()
+        return {"family", "source", "d", *self.model_keys, *generated, *required, *optional}
+
+
+FAMILIES = {
+    "gaussian_location": Family(
+        gaussian_location_model, generate_gaussian, "d", 0,
+        default_dim=DEFAULT_GAUSSIAN_DIM, model_keys=("weights",),
+    ),
+    "logistic": Family(logistic_model, generate_logistic, "p", 1),
+    "poisson": Family(
+        poisson_model, generate_poisson, "p", 1,
+        data_keys=("theta_star", "zero_inflation", "covariate_scales"),
+    ),
+}
+
+#: Per data source: the ``[model]`` keys it requires, then those it may read.
+SOURCES = {
+    "synthetic": (("n",), ("data_seed",)),
+    "csv": (("path", "columns"), ("header",)),
+}
 
 
 def generate(
     family: str, n: int, seed: int = 0, **params
 ) -> tuple[ModelSpec, Dataset, TruthSpec]:
     """Dispatch to the family-specific generator by name."""
-    generators = {
-        "gaussian_location": generate_gaussian,
-        "logistic": generate_logistic,
-        "poisson": generate_poisson,
-    }
-    if family not in generators:
+    if family not in FAMILIES:
         raise DataError(
-            f"unknown model family {family!r}; expected one of {sorted(generators)}"
+            f"unknown model family {family!r}; expected one of {sorted(FAMILIES)}"
         )
     if n < 1:
         raise DataError(f"sample size n must be at least 1, got {n}")
     if seed < 0:
         raise DataError(f"data seed must be a nonnegative integer, got {seed}")
-    return generators[family](n, seed=seed, **params)
+    return FAMILIES[family].generate(n, seed=seed, **params)
 
 
 @dataclass

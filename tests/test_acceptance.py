@@ -114,7 +114,7 @@ def test_a2_tuning_recommendations_close_on_their_targets(capfd):
                 sand = 0.5 * (sand + sand.T)
                 info = inference.InfoMatrices(
                     theta_hat=np.zeros(d), j_mat=j, i_mat=i,
-                    sandwich=sand, grad_norm=0.0, n=1000,
+                    sandwich=sand,
                 )
                 rec = theory.recommend_tuning(target, info)
                 assert rec.closure_residual <= 1e-9

@@ -137,6 +137,41 @@ def test_config_grammar_lists_exactly_the_schema_keys():
     assert documented == {section: set(keys) for section, keys in config._SCHEMA.items()}
 
 
+def test_model_schema_keys_are_exactly_those_the_family_table_reads():
+    # a key the schema accepts but no family or source reads would be ignored
+    # silently; a key the table reads but the schema refuses could never be set
+    read = set().union(*(family.reads(source) for family in models.FAMILIES.values()
+                         for source in models.SOURCES))
+    assert read == set(config._SCHEMA["model"])
+
+
+@pytest.mark.parametrize(
+    "model, key, reader",
+    [
+        ({"family": "logistic", "d": 2}, "zero_inflation", "family logistic"),
+        ({"family": "logistic", "d": 2}, "covariate_scales", "family logistic"),
+        ({"family": "logistic", "d": 2}, "weights", "family logistic"),
+        ({"family": "gaussian_location"}, "zero_inflation", "family gaussian_location"),
+        ({"family": "gaussian_location"}, "header", "source synthetic"),
+        ({"family": "poisson", "source": "csv", "columns": 3}, "zero_inflation",
+         "source csv"),
+        ({"family": "gaussian_location", "source": "csv", "columns": 2}, "theta_star",
+         "source csv"),
+        ({"family": "logistic", "source": "csv", "columns": 3}, "data_seed", "source csv"),
+    ],
+    ids=["logistic-zero_inflation", "logistic-covariate_scales", "logistic-weights",
+         "gaussian-zero_inflation", "synthetic-header", "csv-zero_inflation",
+         "csv-theta_star", "csv-data_seed"],
+)
+def test_model_key_the_family_or_source_does_not_read_is_an_error(model, key, reader):
+    value = {"zero_inflation": 0.3, "covariate_scales": [2.0], "weights": [1.0, 1.0],
+             "header": True, "theta_star": [0.0, 0.0], "data_seed": 3}[key]
+    source = {"n": 50} if model.get("source") != "csv" else {"path": "data.csv"}
+    tree = {"model": {**model, **source, key: value}, "execution": {"steps": 10}}
+    with pytest.raises(ConfigError, match=rf"^\[model\] {key} is not read for {reader}$"):
+        config.resolve_setup(tree)
+
+
 def test_config_value_type_errors_name_the_offender(tmp_path):
     bad = BASE_INI.replace("epochs = 20", "epochs = soon")
     path = _write(tmp_path, "bad3.ini", bad)
@@ -179,6 +214,8 @@ def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
          "average_start_epochs"),
         ("thin = 5", "thin = 0", "predict", "thin"),
         ("thin = 5", "thin = -2", "simulate", "thin"),
+        ("d = 3", "d = 3\ntheta_star = 1, 2", "predict",
+         "theta_star must have shape (3,), got (2,)"),
     ] + [
         ("init = mle", f"init = overdispersed:{scale}", "simulate", "[execution] init")
         for scale in ("abc", "", "nan", "inf", "1e400", "-2", "0")
@@ -188,6 +225,7 @@ def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
         "n-negative", "data_seed-negative", "frak_t-minus-inf-simulate",
         "frak_t-minus-inf-predict", "average_start_epochs-nan",
         "average_start_epochs-negative", "thin-zero-predict", "thin-negative-simulate",
+        "theta_star-wrong-length",
         "init-scale-abc", "init-scale-empty",
         "init-scale-nan", "init-scale-inf", "init-scale-1e400", "init-scale-negative",
         "init-scale-zero",
@@ -223,7 +261,7 @@ def test_ground_truth_routes_use_the_exact_matrices(tmp_path):
     out = str(tmp_path)
     assert cli.cmd_predict(tree, out, quiet=True) == 0
     written = _read_json(os.path.join(out, "predictions.json"))["report"]["q_inf"]
-    info = inference.info_from_truth(truth.theta_star, truth.j_star, truth.i_star, data.n)
+    info = inference.info_from_truth(truth.theta_star, truth.j_star, truth.i_star)
     want = theory.predict(setup.cfg, info.j_mat, info.i_mat, data.n,
                           m_values=setup.m_values, t_grid=setup.t_grid).q_inf
     assert np.array_equal(np.asarray(written), want)
@@ -907,6 +945,7 @@ def test_reloaded_runs_of_a_noiseless_tree_pool_with_fresh_ones(tmp_path):
     assert [rec.manifest["seed"] for rec in loaded] == list(range(3, 34))
     assert [rec.manifest["tuning_hash"] for rec in loaded] == [
         rec.manifest["tuning_hash"] for rec in runs]
+    assert [rec.manifest for rec in loaded] == [rec.manifest for rec in runs]
     mixed, _ = diagnostics.replicate_avg_cov(runs[:15] + loaded[15:])
     assert np.array_equal(mixed, diagnostics.replicate_avg_cov(loaded)[0])
 

@@ -85,7 +85,7 @@ def test_info_from_truth_wraps_matrices():
     rng = np.random.default_rng(57)
     j = oracles.random_spd(rng, 3)
     i = oracles.random_spd(rng, 3)
-    info = inference.info_from_truth(np.zeros(3), j, i, 100)
+    info = inference.info_from_truth(np.zeros(3), j, i)
     assert np.array_equal(info.j_mat, j)
     assert np.array_equal(info.i_mat, i)
     want = np.linalg.solve(j, i) @ np.linalg.inv(j)

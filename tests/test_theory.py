@@ -40,15 +40,13 @@ from sgalab.tuning import (
 )
 
 
-def _info(j_mat: np.ndarray, i_mat: np.ndarray, n: int = 1000):
+def _info(j_mat: np.ndarray, i_mat: np.ndarray):
     sand = np.linalg.solve(j_mat, np.linalg.solve(j_mat, i_mat).T)
     return inference.InfoMatrices(
         theta_hat=np.zeros(j_mat.shape[0]),
         j_mat=j_mat,
         i_mat=i_mat,
         sandwich=0.5 * (sand + sand.T),
-        grad_norm=0.0,
-        n=n,
     )
 
 
