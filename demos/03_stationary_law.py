@@ -11,7 +11,7 @@ benchmark (n=1000 there, n=300 here).  Run:
 
 import numpy as np
 
-from sgalab import diagnostics, engine, inference, models, theory
+from sgalab import diagnostics, engine, inference, linalg, models, theory
 from sgalab.tuning import TuningConfig
 
 n, d = 300, 5
@@ -47,4 +47,4 @@ for name, cfg in runs:
 
 print("the noiseless prediction equals the empirical sandwich:")
 q = theory.stationary_cov(theory.ou_params(runs[0][1], info.j_mat, info.i_mat))
-print(f"  |Q - sandwich| = {np.linalg.norm(q - info.sandwich):.2e}")
+print(f"  |Q - sandwich| = {np.linalg.norm(q - linalg.sandwich(info.j_mat, info.i_mat)):.2e}")

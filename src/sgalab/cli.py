@@ -95,8 +95,9 @@ def cmd_predict(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
     setup = resolve_setup(tree)
     out = _out_dir(tree, out_flag)
     report = _prediction_report(setup)
-    if setup.m_values and not report.averages:
-        # every requested average landed outside the stated regime
+    if setup.tree.get("prediction", {}).get("m_values") and not report.averages:
+        # every average the tree requests lies outside the stated regime; the
+        # default m_values only report theirs as unavailable
         raise RegimeError(next(iter(report.average_errors.values())))
     payload = {
         "config_hash": setup.hash,
@@ -334,7 +335,7 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
 def cmd_tune(tree: dict, out_flag: str | None = None, quiet: bool = False) -> int:
     setup = resolve_setup(tree)
     out = _out_dir(tree, out_flag)
-    kwargs = recommend_kwargs(tree)
+    kwargs = recommend_kwargs(setup.tree)
     rec = theory.recommend_tuning(info=setup.info, **kwargs)
     payload = {
         "config_hash": setup.hash,

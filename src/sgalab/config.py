@@ -5,7 +5,8 @@ or the equivalent JSON object.  Sections and keys are closed sets: any
 unknown section or key is an error naming the offender, and so is a
 ``[model]`` key that the chosen family and source do not read (the table
 ``models.FAMILIES``), so typos cannot silently change semantics.
-``resolve_setup`` turns a parsed configuration into live objects: model,
+``resolve_setup`` validates every tree it is given, parsed from a file or
+built in code, the same way, then turns it into live objects: model,
 dataset, fitted anchor, information matrices, and the tuning for the engine.
 
 Grammar (INI form; every key optional unless marked required)::
@@ -46,7 +47,9 @@ Grammar (INI form; every key optional unless marked required)::
 
     [prediction]
     matrices = empirical | truth
-    m_values = <floats>
+    m_values = <floats>       iterate-average lengths in epochs (default 1, 8);
+                              predict fails if none set here can be given,
+                              and reports the default's as unavailable
     t_grid = <floats>
 
     [recommend]
@@ -73,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .inference import InfoMatrices, empirical_info, fit_mle, info_from_truth
+from .inference import InfoMatrices, empirical_info, fit_mle
 from .linalg import sym_inv
 from .models import (
     FAMILIES,
@@ -310,7 +313,7 @@ def _resolve_matrix(
     if token in ("jhat_inv", "ihat_inv"):
         base = info.j_mat if token == "jhat_inv" else info.i_mat
     elif token in ("jstar_inv", "istar_inv"):
-        if truth is None or not truth.available:
+        if truth is None or truth.j_star is None:
             raise ConfigError(
                 f"{what} = {token}: ground-truth matrices are not available"
                 " for this data source"
@@ -324,7 +327,8 @@ def _resolve_matrix(
 
 
 def resolve_setup(tree: dict) -> Setup:
-    """Build every live object a command needs from a validated tree."""
+    """Validate ``tree`` and build every live object a command needs from it."""
+    tree = _validate_tree(tree)
     model, data, truth = _build_model_data(tree)
     mle = fit_mle(model, data)
     info = empirical_info(model, data, mle.theta_hat)
@@ -334,12 +338,12 @@ def resolve_setup(tree: dict) -> Setup:
     if matrices == "empirical":
         prediction_info = info
     elif matrices == "truth":
-        if truth is None or not truth.available:
+        if truth is None or truth.j_star is None:
             raise ConfigError(
                 "[prediction] matrices = truth, but ground truth is not"
                 " available for this data source"
             )
-        prediction_info = info_from_truth(truth.theta_star, truth.j_star, truth.i_star)
+        prediction_info = InfoMatrices(truth.j_star, truth.i_star)
     else:
         raise ConfigError(
             f"[prediction] matrices must be empirical or truth, got {matrices!r}"

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, NonConvergenceError, NonFiniteError
-from .linalg import sandwich, sym
+from .linalg import sym
 from .models import Dataset, ModelSpec
 
 #: Rows per accumulation block; fixed so reductions are deterministic.
@@ -146,18 +146,17 @@ def fit_mle(model: ModelSpec, data: Dataset) -> MleResult:
 
 @dataclass
 class InfoMatrices:
-    """Curvature and score-covariance matrices at an anchor point.
+    """Curvature ``j_mat`` (J) and score covariance ``i_mat`` (I) at an anchor.
 
-    ``j_mat`` is minus the mean per-record Hessian, ``i_mat`` the mean outer
-    product of per-record score rows, and ``sandwich`` the composition
-    ``j_mat^-1 i_mat j_mat^-1`` computed through two linear solves (no
-    explicit inverse is ever formed).
+    :func:`empirical_info` estimates them from data: minus the mean
+    per-record Hessian and the mean outer product of per-record score rows.
+    ``[prediction] matrices = truth`` takes a family's exact ``j_star`` and
+    ``i_star`` instead.  :func:`sgalab.linalg.sandwich` composes the pair
+    into ``J^-1 I J^-1``.
     """
 
-    theta_hat: np.ndarray
     j_mat: np.ndarray
     i_mat: np.ndarray
-    sandwich: np.ndarray
 
 
 def empirical_info(model: ModelSpec, data: Dataset, theta: np.ndarray) -> InfoMatrices:
@@ -178,24 +177,4 @@ def empirical_info(model: ModelSpec, data: Dataset, theta: np.ndarray) -> InfoMa
         return g.T @ g
 
     i_mat = _block_sum(records, outer) / records.shape[0]
-
-    j_mat = 0.5 * (j_mat + j_mat.T)
-    i_mat = 0.5 * (i_mat + i_mat.T)
-    return InfoMatrices(
-        theta_hat=theta.copy(),
-        j_mat=j_mat,
-        i_mat=i_mat,
-        sandwich=sandwich(j_mat, i_mat),
-    )
-
-
-def info_from_truth(theta_star, j_star, i_star) -> InfoMatrices:
-    """Package exact ground-truth matrices in the same container."""
-    j = np.asarray(j_star, dtype=float)
-    i = np.asarray(i_star, dtype=float)
-    return InfoMatrices(
-        theta_hat=np.asarray(theta_star, dtype=float).copy(),
-        j_mat=j.copy(),
-        i_mat=i.copy(),
-        sandwich=sandwich(j, i),
-    )
+    return InfoMatrices(sym(j_mat), sym(i_mat))

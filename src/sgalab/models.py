@@ -95,10 +95,9 @@ class ModelSpec:
 
 @dataclass
 class Dataset:
-    """Data records (one row per observation) plus provenance metadata."""
+    """Data records, one row per observation."""
 
     records: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -133,15 +132,14 @@ def dataset_hash(records: np.ndarray) -> str:
 class TruthSpec:
     """Ground truth for synthetic data, when known in closed form.
 
-    ``available`` is True only when the curvature matrix ``j_star`` and the
-    score covariance ``i_star`` at ``theta_star`` are exact; generators that
-    only know the sampling parameter leave it False.
+    ``theta_star`` is the sampling parameter.  The curvature matrix
+    ``j_star`` and the score covariance ``i_star`` at it are set only when
+    they are exact; generators that know only ``theta_star`` leave both None.
     """
 
     theta_star: np.ndarray
     j_star: np.ndarray | None = None
     i_star: np.ndarray | None = None
-    available: bool = False
 
 
 def _vector(name: str, value, dim: int) -> np.ndarray:
@@ -282,18 +280,8 @@ def generate_gaussian(
         theta_star=theta_star,
         j_star=dmat.copy(),
         i_star=dmat @ sigma @ dmat,
-        available=True,
     )
-    data = Dataset(
-        records,
-        provenance={
-            "family": "gaussian_location",
-            "n": n,
-            "d": d,
-            "seed": seed,
-        },
-    )
-    return model, data, truth
+    return model, Dataset(records), truth
 
 
 def _design_matrix(
@@ -327,11 +315,8 @@ def _generate_glm(
     theta_star = np.full(p, default) if theta_star is None else _vector("theta_star", theta_star, p)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = _design_matrix(rng, n, p, covariate_scales)
-    data = Dataset(
-        np.column_stack([x, respond(rng, x @ theta_star)]),
-        provenance={"family": model.family, "n": n, "p": p, "seed": seed},
-    )
-    return model, data, TruthSpec(theta_star=theta_star, available=False)
+    data = Dataset(np.column_stack([x, respond(rng, x @ theta_star)]))
+    return model, data, TruthSpec(theta_star=theta_star)
 
 
 def generate_logistic(
@@ -361,9 +346,9 @@ def generate_poisson(
 
     With ``zero_inflation = pi > 0`` each response is replaced by 0 with
     probability pi, which misspecifies the fitted Poisson model: the
-    pseudo-true parameter shifts the intercept by ``log(1 - pi)`` and the
-    curvature and score-covariance matrices separate.  The pseudo-true
-    vector is recorded in the dataset provenance.
+    pseudo-true parameter is ``theta_star`` with ``log(1 - pi)`` added to
+    the intercept ``theta_star[0]``, and the curvature and score-covariance
+    matrices separate.
     """
     if not 0.0 <= zero_inflation < 1.0:
         raise DataError("zero_inflation must lie in [0, 1)")
@@ -374,14 +359,7 @@ def generate_poisson(
             y[rng.uniform(size=n) < zero_inflation] = 0.0
         return y
 
-    model, data, truth = _generate_glm(
-        poisson_model(p), n, seed, theta_star, 0.1, respond, covariate_scales
-    )
-    pseudo_true = truth.theta_star.copy()
-    if zero_inflation > 0.0:
-        pseudo_true[0] += math.log(1.0 - zero_inflation)
-    data.provenance.update(zero_inflation=zero_inflation, pseudo_true=pseudo_true.tolist())
-    return model, data, truth
+    return _generate_glm(poisson_model(p), n, seed, theta_star, 0.1, respond, covariate_scales)
 
 
 @dataclass(frozen=True)
@@ -489,5 +467,5 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
             rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return Dataset(np.array(rows, dtype=float), provenance={"path": path})
+    return Dataset(np.array(rows, dtype=float))
 

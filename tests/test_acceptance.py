@@ -112,10 +112,7 @@ def test_a2_tuning_recommendations_close_on_their_targets(capfd):
                 i = oracles.random_spd(rng, d)
                 sand = np.linalg.solve(j, np.linalg.solve(j, i).T)
                 sand = 0.5 * (sand + sand.T)
-                info = inference.InfoMatrices(
-                    theta_hat=np.zeros(d), j_mat=j, i_mat=i,
-                    sandwich=sand,
-                )
+                info = inference.InfoMatrices(j_mat=j, i_mat=i)
                 rec = theory.recommend_tuning(target, info)
                 assert rec.closure_residual <= 1e-9
                 jinv = np.linalg.inv(j)
@@ -165,9 +162,10 @@ def test_a4_stationary_law_matches_long_runs(capfd, lab):
         frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=1.0, frak_t=1.0, c_beta=2.0,
         gamma=lab.jinv, lam=lab.jinv, seed=8,
     )
+    sandwich = linalg.sandwich(lab.info.j_mat, lab.info.i_mat)
     cases = [
-        (lab.sgd_cfg(seed=7), lab.info.sandwich, "preconditioned noiseless"),
-        (sgld, 0.5 * lab.info.sandwich + 0.5 * lab.jinv, "tempered"),
+        (lab.sgd_cfg(seed=7), sandwich, "preconditioned noiseless"),
+        (sgld, 0.5 * sandwich + 0.5 * lab.jinv, "tempered"),
     ]
     with _verdict(capfd, 4, "empirical stationary covariance and mixing, 1000 epochs", 240.0):
         for cfg, closed_form, tag in cases:

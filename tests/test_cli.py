@@ -16,7 +16,7 @@ import pytest
 import oracles
 import sgalab
 from sgalab import (
-    artifacts, cli, config, diagnostics, engine, inference, linalg, models, theory,
+    artifacts, cli, config, diagnostics, engine, linalg, models, theory,
 )
 from sgalab.errors import ConfigError, DivergenceError
 from sgalab.tuning import MOMENTUM, TuningConfig
@@ -172,6 +172,15 @@ def test_model_key_the_family_or_source_does_not_read_is_an_error(model, key, re
         config.resolve_setup(tree)
 
 
+@pytest.mark.parametrize("section, key", [("tuning", "gama"), ("execution", "replicate")])
+def test_resolve_setup_checks_a_tree_built_in_code_against_the_schema(section, key):
+    # the same typos in a file are refused by parse_config; a tree handed to
+    # resolve_setup directly must not fall back to the defaults instead
+    tree = dict(BASE_TREE, **{section: dict(BASE_TREE[section], **{key: 30})})
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in section \[{section}\]"):
+        config.resolve_setup(tree)
+
+
 def test_config_value_type_errors_name_the_offender(tmp_path):
     bad = BASE_INI.replace("epochs = 20", "epochs = soon")
     path = _write(tmp_path, "bad3.ini", bad)
@@ -261,8 +270,7 @@ def test_ground_truth_routes_use_the_exact_matrices(tmp_path):
     out = str(tmp_path)
     assert cli.cmd_predict(tree, out, quiet=True) == 0
     written = _read_json(os.path.join(out, "predictions.json"))["report"]["q_inf"]
-    info = inference.info_from_truth(truth.theta_star, truth.j_star, truth.i_star)
-    want = theory.predict(setup.cfg, info.j_mat, info.i_mat, data.n,
+    want = theory.predict(setup.cfg, truth.j_star, truth.i_star, data.n,
                           m_values=setup.m_values, t_grid=setup.t_grid).q_inf
     assert np.array_equal(np.asarray(written), want)
 
@@ -844,6 +852,27 @@ def test_predict_out_of_regime_average_request(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 2
     assert "frak_t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tuning, init", [
+    ({"variant": "momentum"}, "mle"),
+    ({"variant": "control_variate", "frak_t": 1.0, "c_beta": 2.0}, "zero"),
+], ids=["momentum", "control_variate"])
+def test_default_m_values_leave_predict_simulate_compare_working(tmp_path, capsys, tuning,
+                                                                 init):
+    # iterate averages are predicted for the plain variant only: the default
+    # m_values report theirs as unavailable instead of failing predict
+    tree = dict(BASE_TREE, tuning=dict(BASE_TREE["tuning"], **tuning),
+                execution=dict(BASE_TREE["execution"], init=init))
+    del tree["prediction"]
+    cfg = _write(tmp_path, "run.json", json.dumps(tree))
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out]) == 0
+    assert "iterate average at m=8: unavailable" in capsys.readouterr().out
+    assert _read_json(os.path.join(out, "predictions.json"))["report"]["averages"] == {}
+    assert cli.main(["simulate", "--config", cfg, "--out", out, "--threads", "1",
+                     "--quiet"]) == 0
+    assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == 0
 
 
 def test_simulate_divergence_exit_code_and_partial_trace(tmp_path, capsys):

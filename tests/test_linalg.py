@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sgalab import linalg
+from sgalab import inference, linalg, models
 from sgalab.errors import StabilityError
 
 
@@ -38,6 +38,22 @@ def test_is_hurwitz():
     assert linalg.is_hurwitz(np.diag([-1.0, -2.0]))
     assert not linalg.is_hurwitz(np.diag([-1.0, 2.0]))
     assert not linalg.is_hurwitz(np.zeros((2, 2)))
+
+
+def test_sandwich_matches_the_naive_inverse_product():
+    rng = np.random.default_rng(57)
+    j = oracles.random_spd(rng, 3)
+    i = oracles.random_spd(rng, 3)
+    want = np.linalg.solve(j, i) @ np.linalg.inv(j)
+    assert np.allclose(linalg.sandwich(j, i), want, atol=1e-12)
+    # curvature and score covariance of a logistic fit, from per-record loops
+    model, data, _ = models.generate_logistic(250, 3, seed=55)
+    theta = inference.fit_mle(model, data).theta_hat
+    scores = model.grad(theta, data.records)
+    j = -np.mean(oracles.per_record_hess(model, theta, data.records), axis=0)
+    i = scores.T @ scores / data.n
+    want = np.linalg.solve(j, i) @ np.linalg.inv(j)
+    assert np.allclose(linalg.sandwich(j, i), want, atol=1e-10)
 
 
 def test_expm_against_taylor_oracle():

@@ -41,13 +41,7 @@ from sgalab.tuning import (
 
 
 def _info(j_mat: np.ndarray, i_mat: np.ndarray):
-    sand = np.linalg.solve(j_mat, np.linalg.solve(j_mat, i_mat).T)
-    return inference.InfoMatrices(
-        theta_hat=np.zeros(j_mat.shape[0]),
-        j_mat=j_mat,
-        i_mat=i_mat,
-        sandwich=0.5 * (sand + sand.T),
-    )
+    return inference.InfoMatrices(j_mat=j_mat, i_mat=i_mat)
 
 
 def _random_instance(rng, d, noisy=False, frak_b=0.0):
@@ -450,7 +444,7 @@ def test_recommend_local_fiducial():
     assert not rec.cfg.has_noise
     assert rec.cfg.c_h == pytest.approx(4.0)
     assert np.allclose(rec.cfg.gamma @ info.j_mat, np.eye(3), atol=1e-10)
-    assert np.allclose(rec.target_cov, info.sandwich, atol=1e-10)
+    assert np.allclose(rec.target_cov, linalg.sandwich(info.j_mat, info.i_mat), atol=1e-10)
     assert np.allclose(rec.achieved_cov, rec.target_cov, atol=1e-9)
 
 
@@ -458,7 +452,8 @@ def test_recommend_bagged_and_weighted():
     info = _random_info(17)
     rec = recommend_tuning("bagged", info)
     inv_j = np.linalg.inv(info.j_mat)
-    want = 0.5 * info.sandwich + 0.5 * inv_j
+    sandwich = linalg.sandwich(info.j_mat, info.i_mat)
+    want = 0.5 * sandwich + 0.5 * inv_j
     assert np.allclose(rec.target_cov, want, atol=1e-10)
     assert rec.cfg.c_beta == pytest.approx(2.0)
     assert rec.cfg.frak_t == 1.0
@@ -466,7 +461,7 @@ def test_recommend_bagged_and_weighted():
     assert rec.closure_residual <= 1e-9
 
     rec2 = recommend_tuning("sandwich_weighted", info, w1=0.3, w2=0.7)
-    want2 = 0.3 * info.sandwich + 0.7 * inv_j
+    want2 = 0.3 * sandwich + 0.7 * inv_j
     assert np.allclose(rec2.target_cov, want2, atol=1e-10)
     assert rec2.cfg.c_beta == pytest.approx(1.0 / 0.7)
     assert rec2.closure_residual <= 1e-9
