@@ -62,11 +62,11 @@ failed or killed write leaves the previous file whole.  Run manifests
 (``write_json_in_place``), traces and ACF files, which a simulate writes by
 the hundred, are written in place.
 
-Reading refuses a cut artifact with ``DataError``: a JSON file that does not
-parse, a trace that does not end in a line feed, or a trace whose line count
-is not its header plus the rows its manifest implies (``n_steps // thin``,
-or ``(diverged_at - 1) // thin`` for a diverged run).  A missing file is an
-``ArtifactMismatchError``.
+Reading refuses a cut or stale artifact with ``DataError``: a JSON file that
+does not parse or lacks a key its reader asks for, a trace that does not end
+in a line feed, or a trace whose line count is not its header plus the rows
+its manifest implies (``n_steps // thin``, or ``(diverged_at - 1) // thin``
+for a diverged run).  A missing file is an ``ArtifactMismatchError``.
 
 The simulate command owns the numbered files.  Before writing it deletes
 every ACF file, whose trace it replaces, and the trace and run manifest of
@@ -221,12 +221,23 @@ def write_json_in_place(path: str, payload: dict) -> None:
         fh.write(text)
 
 
+class _Artifact(dict):
+    """A JSON object read from ``path``: a key that it lacks is a ``DataError`` naming both."""
+
+    def __init__(self, path: str, pairs):
+        super().__init__(pairs)
+        self.path = path
+
+    def __missing__(self, key):
+        raise DataError(f"{self.path}: no key {key!r}; written by an older sgalab?")
+
+
 def read_json(path: str) -> dict:
     if not os.path.exists(path):
         raise ArtifactMismatchError(f"missing artifact: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=lambda pairs: _Artifact(path, pairs))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: cannot parse JSON: {exc}") from None
 
@@ -293,6 +304,9 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
     """
     payload = read_json(run_manifest_path(out_dir, index))
     run = payload["run"]
+    # keys read only after loading, where a DataError may pass for a too-short trace
+    for key in ("seed", "tuning_hash", "data_hash", "batch_size"):
+        run[key]
     state_dim = int(run["state_dim"])
     thin, diverged_at = int(run["thin"]), run["diverged_at"]
     rows = (int(run["n_steps"]) if diverged_at is None else diverged_at - 1) // thin

@@ -5,9 +5,9 @@ grammar), the only input that sets a run, and write artifacts into an output
 directory.  Artifacts embed the configuration hash so downstream commands
 can refuse mismatched inputs.
 
-Exit codes: 0 success; 1 usage or configuration problem; 2 scaling-regime
-violation (including unreachable tuning targets); 3 no stationary law
-(drift not Hurwitz); 4 artifact mismatch; 5 divergence.
+Exit codes: 0 on success, else the ``exit_code`` of the error raised; the
+table lives on the error classes in :mod:`sgalab.errors`.  ``experiment``
+exits with the largest code among its failed variants; divergence is recorded.
 """
 
 from __future__ import annotations
@@ -27,19 +27,13 @@ from .errors import (
     ConfigError,
     DataError,
     DivergenceError,
-    RecommendationError,
     RegimeError,
     SgaLabError,
-    StabilityError,
 )
 from .experiments import EXPERIMENT_NAMES, experiment_trees
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_REGIME = 2
-EXIT_STABILITY = 3
-EXIT_MISMATCH = 4
-EXIT_DIVERGED = 5
+EXIT_DIVERGED = DivergenceError.exit_code
 
 MAX_ACF_FILES = 3
 ACF_MAX_LAG = 2000
@@ -268,11 +262,7 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
         raise ArtifactMismatchError("predictions.json was produced from different data")
     alive, diverged = _usable_runs(out, setup.replicates, setup.hash, setup.data.digest)
     if not alive:
-        raise DivergenceError(
-            "all replicates diverged; nothing to compare",
-            step=diverged[0].diverged_at,
-            last_iterate=diverged[0].final_state,
-        )
+        raise DivergenceError("all replicates diverged; nothing to compare")
 
     result = diagnostics.compare_runs(alive, _prediction_report(setup), setup.burnin_fraction)
     artifacts.write_json(os.path.join(out, "comparison.json"), {
@@ -433,7 +423,7 @@ def cmd_experiment(
                 }
         except SgaLabError as exc:
             entry["error"] = f"{type(exc).__name__}: {exc}"
-            worst_exit = max(worst_exit, EXIT_USAGE)
+            worst_exit = max(worst_exit, exc.exit_code)
             if not quiet:
                 print(f"  {variant}: failed ({entry['error']})")
         summary["variants"][variant] = entry
@@ -528,33 +518,13 @@ def main(argv: list[str] | None = None) -> int:
                 quiet=args.quiet,
             )
         tree = parse_config(args.config)
-        if args.command == "predict":
-            return cmd_predict(tree, args.out, quiet=args.quiet)
         if args.command == "simulate":
             return cmd_simulate(tree, args.out, threads=args.threads, quiet=args.quiet)
-        if args.command == "compare":
-            return cmd_compare(tree, args.out, quiet=args.quiet)
-        if args.command == "tune":
-            return cmd_tune(tree, args.out, quiet=args.quiet)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, DataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (RegimeError, RecommendationError) as exc:
-        print(f"regime error: {exc}", file=sys.stderr)
-        return EXIT_REGIME
-    except StabilityError as exc:
-        print(f"stability error: {exc}", file=sys.stderr)
-        return EXIT_STABILITY
-    except ArtifactMismatchError as exc:
-        print(f"artifact mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        command = {"predict": cmd_predict, "compare": cmd_compare, "tune": cmd_tune}[args.command]
+        return command(tree, args.out, quiet=args.quiet)
     except SgaLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

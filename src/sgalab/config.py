@@ -88,6 +88,7 @@ from .models import (
     generate,
     load_csv,
 )
+from .theory import DEFAULT_M_VALUES
 from .tuning import TuningConfig
 
 _SCHEMA: dict[str, dict[str, str]] = {
@@ -418,7 +419,7 @@ def resolve_setup(tree: dict) -> Setup:
         init_token=init_token,
         average_start=average_start,
         burnin_fraction=burnin,
-        m_values=[float(v) for v in p.get("m_values", [1.0, 8.0])],
+        m_values=[float(v) for v in p.get("m_values", DEFAULT_M_VALUES)],
         t_grid=[float(v) for v in p.get("t_grid", [])],
         hash=config_hash(tree),
     )

@@ -1,7 +1,9 @@
 """Exception taxonomy shared across the package.
 
-Every failure mode that callers are expected to branch on gets its own class;
-the command-line layer maps these onto process exit codes.
+Every failure mode that callers are expected to branch on gets its own class.
+The exit-code table lives on the classes: each declares the process
+``exit_code`` and the stderr ``label`` that :func:`sgalab.cli.main` reports,
+and a subclass inherits both unless it states its own.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import numpy as np
 
 class SgaLabError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code, label = 1, "error"
 
 
 class DimensionError(SgaLabError, ValueError):
@@ -22,20 +26,13 @@ class NonFiniteError(SgaLabError, ValueError):
 
 
 class NumericalError(SgaLabError, RuntimeError):
-    """An iterative numerical routine failed to reach its tolerance.
-
-    Carries the best estimate produced so far (when one exists) together
-    with a residual bound so callers can decide whether to accept it.
-    """
-
-    def __init__(self, message: str, best_estimate=None, residual: float | None = None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.residual = residual
+    """An iterative numerical routine failed to reach its tolerance."""
 
 
 class StabilityError(SgaLabError, ValueError):
     """The drift matrix is not stable, so no stationary covariance exists."""
+
+    exit_code, label = 3, "stability error"
 
 
 class RegimeError(SgaLabError, ValueError):
@@ -43,6 +40,8 @@ class RegimeError(SgaLabError, ValueError):
 
     The message names the violated inequality.
     """
+
+    exit_code, label = 2, "regime error"
 
 
 class ConfigError(SgaLabError, ValueError):
@@ -54,18 +53,15 @@ class DataError(SgaLabError, ValueError):
 
 
 class NonConvergenceError(NumericalError):
-    """An optimizer ran out of iterations; carries the last iterate."""
-
-    def __init__(self, message: str, last_iterate=None, grad_norm: float | None = None):
-        super().__init__(message, best_estimate=last_iterate, residual=grad_norm)
-        self.last_iterate = last_iterate
-        self.grad_norm = grad_norm
+    """An optimizer ran out of iterations."""
 
 
 class DivergenceError(SgaLabError, RuntimeError):
-    """An iterate left the trust region; carries where and when."""
+    """An iterate left the trust region; a single run's says when and where."""
 
-    def __init__(self, message: str, step: int, last_iterate=None):
+    exit_code, label = 5, "divergence"
+
+    def __init__(self, message: str, step: int | None = None, last_iterate=None):
         super().__init__(message)
         self.step = step
         self.last_iterate = last_iterate
@@ -74,9 +70,13 @@ class DivergenceError(SgaLabError, RuntimeError):
 class RecommendationError(SgaLabError, ValueError):
     """A tuning target is unreachable under the stated preferences."""
 
+    exit_code, label = 2, "regime error"
+
 
 class ArtifactMismatchError(SgaLabError, ValueError):
     """Artifacts being combined were produced from different configurations."""
+
+    exit_code, label = 4, "artifact mismatch"
 
 
 def require_finite(name: str, arr) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 
 from .errors import ConfigError
+from .theory import DEFAULT_M_VALUES
 
 EXPERIMENT_NAMES = ("exp1", "exp2-synthetic", "exp3-synthetic")
 
@@ -49,12 +50,12 @@ def _exp1_trees(scale: float, seed: int, override: float | None):
     epochs = _scaled_epochs(1000.0, scale, override)
     model = {"family": "gaussian_location", "n": n, "d": 10, "data_seed": 101}
 
-    def tree(tuning: dict, execution: dict, m_values=(1.0, 8.0)) -> dict:
+    def tree(tuning: dict, execution: dict) -> dict:
         return {
             "model": dict(model),
             "tuning": tuning,
             "execution": execution,
-            "prediction": {"matrices": "empirical", "m_values": list(m_values)},
+            "prediction": {"matrices": "empirical", "m_values": list(DEFAULT_M_VALUES)},
         }
 
     long_run = {"epochs": epochs, "seed": seed, "thin": 50, "init": "mle"}
@@ -100,7 +101,7 @@ def _exp2_trees(scale: float, seed: int, override: float | None):
                 "thin": 4,
                 "init": "stationary",
             },
-            "prediction": {"matrices": "empirical", "m_values": [1.0, 8.0]},
+            "prediction": {"matrices": "empirical", "m_values": list(DEFAULT_M_VALUES)},
         }
 
     h10 = {"frak_h": 1.0, "frak_b": 0.0, "c_h": 80.0, "c_b": 20.0,
@@ -132,7 +133,7 @@ def _exp3_trees(scale: float, seed: int, override: float | None):
             "model": dict(model),
             "tuning": tuning,
             "execution": {"epochs": epochs, "seed": seed, "thin": 2, "init": "mle"},
-            "prediction": {"matrices": "empirical", "m_values": [1.0, 8.0]},
+            "prediction": {"matrices": "empirical", "m_values": list(DEFAULT_M_VALUES)},
         }
 
     base = {"frak_h": 1.0, "frak_b": 0.0, "c_h": 100.0, "c_b": 25.0,

@@ -73,7 +73,7 @@ def fit_mle(model: ModelSpec, data: Dataset) -> MleResult:
     (accepting a step of length s only if it shrinks the norm by at least a
     ``1 - s/4`` factor); a singular curvature matrix falls back to a
     least-squares direction.  Failure to converge raises
-    :class:`NonConvergenceError` carrying the last iterate and score norm,
+    :class:`NonConvergenceError`, its message stating where the solver stopped,
     which is how an estimate escaping to infinity (e.g. separable logistic
     data) is reported rather than silently iterated on.  A solution where
     the curvature has numerically collapsed (the score can underflow to
@@ -101,9 +101,7 @@ def fit_mle(model: ModelSpec, data: Dataset) -> MleResult:
                 "mean-score solver stopped at a point with numerically"
                 f" singular curvature (min eigenvalue {lam_min:.3e}); the"
                 " estimate may lie at infinity (e.g. separable"
-                " classification data)",
-                last_iterate=theta,
-                grad_norm=norm,
+                " classification data)"
             )
         return MleResult(theta, norm, iterations)
 
@@ -127,9 +125,7 @@ def fit_mle(model: ModelSpec, data: Dataset) -> MleResult:
                 raise NonConvergenceError(
                     "mean-score solver stalled: no step length reduces the"
                     f" score norm below {norm:.3e}; the estimate may lie at"
-                    " infinity (e.g. separable classification data)",
-                    last_iterate=theta,
-                    grad_norm=norm,
+                    " infinity (e.g. separable classification data)"
                 )
         theta, score, norm = candidate, cand_score, cand_norm
 
@@ -138,9 +134,7 @@ def fit_mle(model: ModelSpec, data: Dataset) -> MleResult:
     raise NonConvergenceError(
         f"mean-score solver did not reach tolerance {tol:.3e} in {MAX_NEWTON_STEPS}"
         f" iterations (score norm {norm:.3e}); the estimate may lie at"
-        " infinity (e.g. separable classification data)",
-        last_iterate=theta,
-        grad_norm=norm,
+        " infinity (e.g. separable classification data)"
     )
 
 

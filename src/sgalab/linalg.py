@@ -153,9 +153,5 @@ def solve_lyapunov(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     q = 0.5 * (q + q.T)
     residual = np.linalg.norm(0.5 * (b @ q + q @ b.T) - a)
     if residual > 1e-9 * (1.0 + np.linalg.norm(a)):
-        raise NumericalError(
-            f"lyapunov solve residual {residual:.3e} exceeds tolerance",
-            best_estimate=q,
-            residual=residual,
-        )
+        raise NumericalError(f"lyapunov solve residual {residual:.3e} exceeds tolerance")
     return q

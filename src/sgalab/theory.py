@@ -50,6 +50,9 @@ from .tuning import (
 
 _FLAG_TOL = 1e-12
 
+#: Iterate-average lengths in epochs that a prediction reports when none are asked for.
+DEFAULT_M_VALUES = (1.0, 8.0)
+
 
 @dataclass
 class ScalingLaw:
@@ -595,7 +598,7 @@ def predict(
     j_mat: np.ndarray,
     i_mat: np.ndarray,
     n: int,
-    m_values: Sequence[float] = (1.0, 8.0),
+    m_values: Sequence[float] = DEFAULT_M_VALUES,
     t_grid: Sequence[float] = (),
 ) -> PredictionReport:
     """Compute the full prediction bundle for one configuration."""

@@ -844,6 +844,32 @@ def test_cut_artifact_fails_compare_naming_the_file(tmp_path, capsys, name, keep
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, block, keys", [
+    # a run manifest as written before it held its seed and tuning hash
+    ("manifest_000.json", "run", ("tuning_hash", "seed")),
+    # read first by the mixing time, whose short-trace note must not hide it
+    ("manifest_000.json", "run", ("batch_size",)),
+    ("predictions.json", None, ("config_hash",)),
+], ids=["run-manifest", "run-manifest-batch-size", "predictions-json"])
+def test_stale_artifact_fails_compare_naming_the_file_and_key(tmp_path, name, block, keys):
+    cfg = _write(tmp_path, "run.ini", BASE_INI)
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert cli.main(
+        ["simulate", "--config", cfg, "--out", out, "--threads", "1", "--quiet"]
+    ) == 0
+    path = os.path.join(out, name)
+    payload = _read_json(path)
+    for key in keys:
+        del (payload[block] if block else payload)[key]
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    proc = _fresh_process(["-m", "sgalab", "compare", "--config", cfg, "--out", out, "--quiet"])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert path in proc.stderr and any(repr(key) in proc.stderr for key in keys)
+
+
 def test_predict_out_of_regime_average_request(tmp_path, capsys):
     cold = BASE_INI.replace(
         "frak_h = 1.0", "frak_h = 1.0\nfrak_t = 0.5\nc_beta = 1.0"
@@ -892,6 +918,28 @@ def test_simulate_divergence_exit_code_and_partial_trace(tmp_path, capsys):
     timings = _read_json(os.path.join(out, "timings.json"))
     assert timings["steps"] == run0["run"]["diverged_at"]
     assert timings["steps_per_s"] > 0
+
+
+def test_unstable_drift_exits_3_with_its_label(tmp_path, capsys):
+    # unpreconditioned, a near-flat direction (weight 1e-7) and a tiny step
+    # constant put B's smallest eigenvalue, 1e-13, inside the Hurwitz margin
+    ini = (BASE_INI.replace("d = 3", "d = 2\nweights = 1e-7 1")
+           .replace("c_h = 4.0", "c_h = 1e-6").replace("jhat_inv", "identity"))
+    cfg = _write(tmp_path, "flat.ini", ini)
+    assert cli.main(["predict", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("stability error: no stationary covariance")
+
+
+def test_compare_with_every_replicate_diverged_exits_5(tmp_path, capsys):
+    wild = BASE_INI.replace("c_h = 4.0", "c_h = 1.0e8").replace("epochs = 20", "epochs = 1")
+    cfg = _write(tmp_path, "wild.ini", wild)
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--out", out, "--threads", "1",
+                     "--quiet"]) == 5
+    capsys.readouterr()
+    assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == 5
+    assert capsys.readouterr().err == "divergence: all replicates diverged; nothing to compare\n"
 
 
 def test_tune_writes_recommendation(tmp_path):
@@ -1283,6 +1331,26 @@ def test_experiment_records_the_divergence_steps_of_its_run_manifests(tmp_path):
     assert all(isinstance(step, int) for step in entry["diverged_at_steps"])
 
 
+def test_experiment_exits_with_the_code_of_its_failed_variant(tmp_path, monkeypatch):
+    # frak_h = 0 violates the regime, an error of code 2; exp3's sgd variant
+    # diverges, which is recorded and does not count as a failure
+    experiment_trees = cli.experiment_trees
+
+    def trees(*args, **kwargs):
+        found = experiment_trees(*args, **kwargs)
+        dict(found)["jhat_sgd"]["tuning"]["frak_h"] = 0.0
+        return found
+
+    monkeypatch.setattr(cli, "experiment_trees", trees)
+    out = str(tmp_path / "exp")
+    assert cli.main(["experiment", "exp3-synthetic", "--out", out, "--scale", "0.1",
+                     "--epochs", "2", "--seed", "1", "--threads", "1", "--quiet"]) == 2
+    variants = _read_json(os.path.join(out, "summary.json"))["variants"]
+    assert variants["jhat_sgd"]["error"].startswith("RegimeError: invalid regime")
+    assert variants["sgd"]["diverged"] is True and "error" not in variants["sgd"]
+    assert "error" not in variants["jhat_sgld"]
+
+
 # ------------------------------------------------------------------- misc
 
 
@@ -1292,12 +1360,17 @@ def test_version_flag():
     assert info.value.code == 0
 
 
-def _fresh_python(argv, cwd=None):
+def _fresh_process(argv, cwd=None):
     """Run ``python argv`` in a new interpreter that imports this checkout's sgalab."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path),
+    return subprocess.run([sys.executable, *argv], env=dict(os.environ, PYTHONPATH=path),
                           cwd=cwd, capture_output=True, text=True, timeout=60)
+
+
+def _fresh_python(argv, cwd=None):
+    """``_fresh_process`` that must exit 0: its standard output."""
+    proc = _fresh_process(argv, cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -1348,6 +1421,24 @@ def test_first_solve_in_fresh_process_matches_in_process():
     assert (before, after) == (False, True)
     assert q == linalg.solve_lyapunov(b, a).tobytes().hex()
     assert x == linalg.expm(e).tobytes().hex()
+
+
+def test_every_exported_error_exits_with_a_code_the_readme_lists():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        paragraph = re.search(r"^Exit codes:.*?(?=\n\n)", fh.read(), re.M | re.S).group()
+    documented = {int(code) for code in re.findall(r"\b\d\b", paragraph)}
+    assert documented == {0, 1, 2, 3, 4, 5}
+
+    def error_classes(values):
+        return {v for v in values if isinstance(v, type) and issubclass(v, sgalab.SgaLabError)}
+
+    errors = error_classes(getattr(sgalab, name) for name in sgalab.__all__)
+    # every class the errors module defines is exported, so the walk sees them all
+    assert errors == error_classes(vars(sgalab.errors).values())
+    for error in errors:
+        assert error.exit_code in documented - {0}, error.__name__
 
 
 def test_no_subcommand_is_usage_error(capsys):
