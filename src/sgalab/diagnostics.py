@@ -26,6 +26,10 @@ from .theory import OuParams, PredictionReport, avg_cov_rescaled
 MIN_SAMPLES_PER_DIM = 10
 
 
+class _ShortTrace(DataError):
+    """A trace too short to measure, or a constant coordinate: compare notes it, not fails."""
+
+
 def _kept_rows(record: RunRecord, burnin_fraction: float) -> np.ndarray:
     """Rescaled parameter rows of a run after its leading ``burnin_fraction``."""
     if not 0.0 <= burnin_fraction < 1.0:
@@ -37,7 +41,7 @@ def _kept_rows(record: RunRecord, burnin_fraction: float) -> np.ndarray:
 def _require_rows(rows: int, dim: int, what: str) -> None:
     need = MIN_SAMPLES_PER_DIM * dim
     if rows < need:
-        raise DataError(f"too few post-burn-in samples ({rows}) for {what}; need at least {need}")
+        raise _ShortTrace(f"too few post-burn-in samples ({rows}) for {what}; need at least {need}")
 
 
 def _pooled_cov(kept: list[np.ndarray], dim: int) -> np.ndarray:
@@ -62,7 +66,7 @@ def _autocorrelation(series: np.ndarray) -> np.ndarray:
     """Sample autocorrelation at all lags via FFT, rho(0) = 1."""
     # tested before centring: the mean of a constant series can round off it
     if series.min() == series.max():
-        raise DataError("series is constant; autocorrelation time undefined")
+        raise _ShortTrace("series is constant; autocorrelation time undefined")
     x = series - series.mean()
     t = x.size
     size = 1
@@ -261,7 +265,8 @@ def compare_runs(
     grand mean: centring each run on its own would read a run of T epochs
     low by about its autocorrelation time over T.  Mixing is measured on the
     first run, which needs ``10 * dim`` kept rows by itself.  Traces too
-    short or constant for either leave ``trace_note``.  30 or more
+    short or constant for either leave ``trace_note``; any other error, such
+    as a manifest that lacks a key read here, propagates.  30 or more
     replicates that record an average are compared with the prediction for
     their window's epochs.
     """
@@ -283,7 +288,7 @@ def compare_runs(
             "predicted_epochs_iact": report.mixing.epochs_iact,
             "predicted_epochs_gap": report.mixing.epochs_gap,
         }
-    except DataError as exc:
+    except _ShortTrace as exc:
         trace_note = str(exc)
 
     averages = {}

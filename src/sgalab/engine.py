@@ -32,17 +32,16 @@ one-replicate case.  Every replicate keeps its own streams, and every
 product in the update is a per-replicate matrix-vector product, so
 replicate ``r`` equals its solo run bit for bit.  The loop works at two
 block sizes.  A draw block gives each replicate one :func:`sample_batch`
-call (O(b) per batch row, or O(n) in numpy's tail-shuffle branch) and one
-noise draw covering up to ``_DRAW_STEPS`` steps.  Gather blocks split it
-so that each gathers at most about ``BLOCK_ROWS`` records over all
-replicates; per gather block the records, the control-variate anchor
-scores of the same indices and the noise term ``L xi`` are computed once,
-stacked over steps and replicates, and the compiled transition then runs
-step by step, adding them and writing each iterate into its row of the
-block buffer.  Every stream is consumed in step order, each iterate average
-is a running sum in step order, and each replicate stops at its own first
-diverging iterate (dropping the rest of its draws), so neither block
-boundaries nor the grouping of replicates into commands affect results.
+call and one noise draw covering up to ``_DRAW_STEPS`` steps.  Gather
+blocks split it so that each gathers at most about ``BLOCK_ROWS`` records
+over all replicates; per gather block the records, the control-variate
+anchor scores of the same indices and the noise term ``L xi`` are computed
+once, stacked over steps and replicates, and one call of the compiled step
+loop runs the block, writing each iterate into its row of the block
+buffer.  Every stream is consumed in step order, each iterate average is a
+running sum in step order, and each replicate stops at its own first
+diverging iterate, so neither block boundaries nor the grouping of
+replicates into commands affect results.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -226,7 +226,7 @@ class _Context:
     local_exponent: float
     anchor_grads: np.ndarray | None = None
     anchor_mean: np.ndarray | None = None
-    transition: Callable | None = field(default=None, repr=False)
+    advance: Callable | None = field(default=None, repr=False)
 
 
 def _build_context(
@@ -287,37 +287,32 @@ def _build_context(
         with np.errstate(over="ignore"):  # as in the step loop
             ctx.anchor_grads = model.grad(anchor, records)
             ctx.anchor_mean = ctx.anchor_grads.mean(axis=0)
-    ctx.transition = _make_transition(ctx)
+    ctx.advance = _make_advance(ctx)
     return ctx
 
 
-def _batch_mean(g: np.ndarray) -> np.ndarray:
-    """Mean over the batch axis of ``g (..., b, dim)``: bitwise ``mean``, cheaper.
+_ZERO = np.zeros(())  # 0-d: a Python float operand costs a conversion per ufunc call
 
-    For ``b = 1`` the sum is the single row plus the reduction's starting
-    ``+0.0`` (so ``-0.0`` becomes ``+0.0``, as ``mean`` gives), and dividing
-    by one is exact.
-    """
+
+def _batch_mean(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bitwise ``mean`` over the batch axis of ``g (R, b, dim)``, into ``out (R, 1, dim)``.
+
+    For ``b = 1``: the row plus ``+0.0``, where the sum starts, so ``-0.0`` becomes ``+0.0``."""
     b = g.shape[-2]
     if b == 1:
-        return g[..., 0, :] + 0.0
-    return np.add.reduce(g, axis=-2) / b
+        return np.add(g, _ZERO, out)
+    return np.divide(np.add.reduce(g, axis=-2, keepdims=True, out=out), b, out)
 
 
-def _make_transition(ctx: _Context) -> Callable:
-    """Compile the per-step update into a closure with bound constants.
+def _make_advance(ctx: _Context) -> Callable:
+    """Compile the step loop of one gather block into a closure with bound constants.
 
-    The closure maps ``state (R, state_dim)``, the gathered ``rows
-    (R, b, k)``, their anchor scores ``anchor_rows (R, b, dim)`` (or None
-    outside the control-variate variant) and the noise term
-    ``noise_factor @ xi`` as ``noise_term (R, dim)`` (or None when the
-    configuration is noiseless) to the next ``(R, state_dim)`` state, one
-    replicate per row, written into and returned as ``out``: a row of the
-    caller's block buffer, apart from ``state`` and written before it is read.
-    """
-    model = ctx.model
-    grad_fn = model.grad
-    prior_fn = model.grad_prior
+    ``advance(state, rows_block, anchor_block, noise_block, buf)`` runs step ``s``
+    from the previous iterate (first ``state (R, state_dim)``, never written) on
+    ``rows_block[s] (R, b, k)``, ``anchor_block[s]`` and ``noise_block[s] (R, dim)``
+    (None where unused) into ``buf[s]``, returning the last.  Temporaries are made once
+    per block; arithmetic outputs go positionally, which numpy parses faster than ``out=``."""
+    grad_fn, prior_fn = ctx.model.grad, ctx.model.grad_prior
     inv_n = 1.0 / ctx.n
     # Identity, not a probe: a prior whose gradient vanishes at one point
     # (any prior centred there) still pulls everywhere else.
@@ -332,47 +327,57 @@ def _make_transition(ctx: _Context) -> Callable:
     if ctx.cfg.variant == MOMENTUM:
         # unit mass, kept a matvec: ``half_h * psi`` differs at -0.0 and inf
         half_h_minv = 0.5 * ctx.h * np.eye(d)
-        half_h = 0.5 * ctx.h
+        half_h = np.array(0.5 * ctx.h)  # 0-d, as _ZERO
 
-        def transition(state, rows, anchor_rows, noise_term, out):
+        def advance(state, rows_block, anchor_block, noise_block, buf):
+            g_like, moved = np.empty((2, len(state), d))
+            mean = g_like[:, None]
+            noises = repeat(None) if noise_block is None else noise_block
             theta, psi = state[:, :d], state[:, d:]
-            new_theta, new_psi = out[:, :d], out[:, d:]
-            g_like = _batch_mean(grad_fn(theta, rows))
-            # np.matvec runs one gemv per row, as an unstacked ``a @ v`` does, so
-            # rows equal solo runs bitwise; a gemm or einsum would round otherwise.
-            np.add(theta, np.matvec(half_h_minv, psi), out=new_theta)
-            if box is not None:
-                np.maximum(new_theta, box[0], out=new_theta)
-                np.minimum(new_theta, box[1], out=new_theta)
-            np.add(psi, half_h * g_like, out=new_psi)
-            np.subtract(new_psi, np.matvec(half_h_gamma, psi), out=new_psi)
-            if not flat_prior:
-                np.add(new_psi, half_h * (inv_n * prior_fn(theta)), out=new_psi)
-            if noise_term is not None:
-                np.add(new_psi, noise_term, out=new_psi)
-            return out
+            thetas, psis = buf[:, :, :d], buf[:, :, d:]
+            for new_theta, new_psi, rows, noise_term in zip(thetas, psis, rows_block, noises):
+                _batch_mean(grad_fn(theta, rows), mean)
+                # np.matvec runs one gemv per row, as an unstacked ``a @ v`` does, so
+                # rows equal solo runs bitwise; a gemm or einsum would round otherwise.
+                np.add(theta, np.matvec(half_h_minv, psi, moved), new_theta)
+                if box is not None:
+                    np.maximum(new_theta, box[0], out=new_theta)
+                    np.minimum(new_theta, box[1], out=new_theta)
+                np.add(psi, np.multiply(half_h, g_like, moved), new_psi)
+                np.subtract(new_psi, np.matvec(half_h_gamma, psi, moved), new_psi)
+                if not flat_prior:
+                    np.add(new_psi, half_h * (inv_n * prior_fn(theta)), new_psi)
+                if noise_term is not None:
+                    np.add(new_psi, noise_term, new_psi)
+                theta, psi = new_theta, new_psi
+            return buf[-1]
 
-        return transition
+        return advance
 
     anchor_mean = ctx.anchor_mean
-    control_variate = ctx.cfg.variant == CONTROL_VARIATE
 
-    def transition(state, rows, anchor_rows, noise_term, out):
-        if control_variate:
-            g_like = _batch_mean(grad_fn(state, rows) - anchor_rows) + anchor_mean
-        else:
-            g_like = _batch_mean(grad_fn(state, rows))
-        np.add(state, np.matvec(half_h_gamma, g_like), out=out)
-        if not flat_prior:
-            np.add(out, np.matvec(half_h_gamma, inv_n * prior_fn(state)), out=out)
-        if noise_term is not None:
-            np.add(out, noise_term, out=out)
-        if box is not None:
-            np.maximum(out, box[0], out=out)
-            np.minimum(out, box[1], out=out)
-        return out
+    def advance(state, rows_block, anchor_block, noise_block, buf):
+        g_like, moved = np.empty((2, len(state), d))
+        mean = g_like[:, None]
+        anchors, noises = (repeat(None) if a is None else a for a in (anchor_block, noise_block))
+        for out, rows, anchor_rows, noise_term in zip(buf, rows_block, anchors, noises):
+            if anchor_rows is None:
+                _batch_mean(grad_fn(state, rows), mean)
+            else:
+                _batch_mean(grad_fn(state, rows) - anchor_rows, mean)
+                np.add(g_like, anchor_mean, g_like)
+            np.add(state, np.matvec(half_h_gamma, g_like, moved), out)
+            if not flat_prior:
+                np.add(out, np.matvec(half_h_gamma, inv_n * prior_fn(state), moved), out)
+            if noise_term is not None:
+                np.add(out, noise_term, out)
+            if box is not None:
+                np.maximum(out, box[0], out=out)
+                np.minimum(out, box[1], out=out)
+            state = out
+        return state
 
-    return transition
+    return advance
 
 
 def _init_states(
@@ -492,9 +497,8 @@ def run_replicates(
     gather block (about ``BLOCK_ROWS`` records over all replicates, never
     crossing a draw block) the records, the control-variate anchor scores
     of the same indices and the noise term ``noise_factor @ xi`` are
-    computed once for all its steps, so each step runs only the
-    state-dependent part of the update, into its ``out`` row of the block
-    buffer.  A replicate that stops leaves the rest of its draws unused.
+    computed once for all its steps, and one ``ctx.advance`` call runs the
+    steps.  A replicate that stops leaves the rest of its draws unused.
     """
     t_start = time.perf_counter()
     if replicates < 1:
@@ -530,8 +534,7 @@ def run_replicates(
     final_states = np.empty((replicates, state_dim))
     diverged_at: list[int | None] = [None] * replicates
 
-    transition = ctx.transition
-    noise, anchor_grads = ctx.noise_factor, ctx.anchor_grads
+    advance, noise, anchor_grads = ctx.advance, ctx.noise_factor, ctx.anchor_grads
     # Exhaustive batches (b = n without replacement) are the whole dataset in
     # natural order every step, so their records are viewed, never gathered.
     exhaustive = b == n and cfg.policy == WITHOUT_REPLACEMENT
@@ -542,7 +545,7 @@ def run_replicates(
     draw_steps = block_steps * max(1, -(-wanted // block_steps))
 
     active = np.arange(replicates)  # replicates still running, one per state row
-    state = init_states.copy()
+    state = init_states  # never written: ctx.advance writes its iterates to buf
     step_global = 0  # steps completed before the current gather block
     draw_pos = draw_len = 0  # steps of the current draw block used, and drawn
     # Runaway trajectories legitimately produce overflow/nan in the steps
@@ -574,13 +577,10 @@ def run_replicates(
                 return table[idx_draw[now]]
 
             # State-independent terms of the whole block, stacked over steps.
-            rows_block = gather(records)
-            anchor_block = [None] * blk if anchor_grads is None else gather(anchor_grads)
-            noise_block = [None] * blk if noise is None else np.matvec(noise, xi_draw[now])
-
+            anchor_block = None if anchor_grads is None else gather(anchor_grads)
+            noise_block = None if noise is None else np.matvec(noise, xi_draw[now])
             buf = np.empty((blk, live, state_dim))
-            for out, rows, anchors, noise_t in zip(buf, rows_block, anchor_block, noise_block):
-                state = transition(state, rows, anchors, noise_t, out)
+            state = advance(state, gather(records), anchor_block, noise_block, buf)
 
             # Divergence scan before any accumulation uses the block: each
             # replicate keeps only its steps before its first bad iterate.

@@ -324,13 +324,14 @@ def stochastic_gradient(
 
 
 def expression_transition(ctx, flat_prior: bool):
-    """The engine's compiled step in expression form, returning a new array.
+    """One step of the engine's compiled step loop in expression form, returning a new array.
 
     ``ctx`` is the engine's resolved run context; the result maps ``(state,
     rows, anchor_rows, noise_term)`` to the next state with the same numpy
-    operations in the same order as the engine's transition, each producing
-    a fresh array (momentum joins its halves with ``np.concatenate``), so
-    the engine's in-place form must equal it bit for bit.  ``flat_prior``
+    operations in the same order as one step of ``ctx.advance``, the loop
+    that runs a whole gather block in place, each producing a fresh array
+    (momentum joins its halves with ``np.concatenate``), so row ``s`` of the
+    block buffer must equal ``s + 1`` chained calls bit for bit.  ``flat_prior``
     says whether the model's prior gradient is the zero function, which the
     engine skips without adding.  The batch mean is ``np.add.reduce`` over
     the batch axis divided by ``b``.
@@ -390,16 +391,17 @@ def step(model, data, cfg, state, batch, xi=None, anchor=None) -> np.ndarray:
 
     ``batch`` is the index tuple for this step and ``xi`` the standard
     Gaussian innovation (required exactly when the configuration has noise).
-    It applies the engine's own compiled update to one replicate, so a
-    manual loop of ``step`` calls reproduces a run bit for bit given the
-    same draws; what it checks is the run loop around that update.
+    It runs the engine's own compiled block closure on a one-step block of
+    one replicate, so a manual loop of ``step`` calls reproduces a run bit
+    for bit given the same draws; what it checks is the run loop around
+    that update.
     """
     records = model.check_records(data.records)
     ctx = _build_context(model, records, cfg, records.shape[0], anchor)
     state = np.asarray(state, dtype=float)
     if state.shape != (ctx.state_dim,):
         raise DimensionError(f"state must have shape ({ctx.state_dim},)")
-    batch = np.sort(np.asarray(batch))[None]
+    batch = np.sort(np.asarray(batch))[None, None]
     anchor_rows = None if ctx.anchor_grads is None else ctx.anchor_grads[batch]
     noise_term = None
     if ctx.noise_factor is not None:
@@ -408,9 +410,9 @@ def step(model, data, cfg, state, batch, xi=None, anchor=None) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         if xi.shape != (ctx.dim,):
             raise DimensionError(f"xi must have shape ({ctx.dim},)")
-        noise_term = np.matvec(ctx.noise_factor, xi[None])
-    out = np.empty((1, ctx.state_dim))
-    return ctx.transition(state[None], records[batch], anchor_rows, noise_term, out)[0]
+        noise_term = np.matvec(ctx.noise_factor, xi[None, None])
+    buf = np.empty((1, 1, ctx.state_dim))
+    return ctx.advance(state[None], records[batch], anchor_rows, noise_term, buf)[0]
 
 
 # ------------------------------------------------- exact linear-chain law

@@ -438,6 +438,24 @@ def test_compare_runs_is_the_body_of_comparison_json(tmp_path, execution, blocks
         assert fh.read() == artifacts.json_text({**head, **result})
 
 
+def test_compare_runs_raises_on_a_manifest_without_a_key_it_reads():
+    # only a trace too short or constant becomes trace_note; a run manifest
+    # read back without batch_size (read through steps_per_epoch) is an error
+    setup = config.resolve_setup(BASE_TREE)
+    records = engine.run_replicates(
+        setup.model, setup.data, setup.cfg, setup.replicates,
+        n_steps=setup.n_steps, theta_hat=setup.mle_theta,
+        recording=engine.RecordingPlan(thin=setup.thin),
+    )
+    report = cli._prediction_report(setup)
+    assert diagnostics.compare_runs(records, report, setup.burnin_fraction)["mixing"]
+    for record in records:
+        stale = {key: value for key, value in record.manifest.items() if key != "batch_size"}
+        record.manifest = artifacts._Artifact("manifest_000.json", stale)
+    with pytest.raises(sgalab.errors.DataError, match="manifest_000.json: no key 'batch_size'"):
+        diagnostics.compare_runs(records, report, setup.burnin_fraction)
+
+
 def test_stationary_block_pools_short_replicates_about_their_grand_mean(tmp_path, capsys):
     # 200 replicates of 4 epochs from the predicted law, d = 2, 18 kept rows
     # each; the predicted mixing time is 1 epoch.  Centring each run on its

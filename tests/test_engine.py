@@ -622,13 +622,16 @@ def test_batch_mean_is_bitwise_the_reduced_mean():
     awkward = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1.5, 2.0])
     rng = np.random.default_rng(3)
     for b in (1, 3):
-        g = rng.choice(awkward, size=(4, 7, b, 5))
-        with np.errstate(invalid="ignore"):  # inf - inf
-            want = np.add.reduce(g, axis=-2) / b
-            got = engine._batch_mean(g)
-        assert got.shape == want.shape
-        assert np.array_equal(np.signbit(got), np.signbit(want)), b
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), b
+        for replicates in (2, 7):
+            g = rng.choice(awkward, size=(replicates, b, 5))
+            g[0] = -0.0  # a whole batch of -0.0, whose mean is +0.0
+            out = np.full((replicates, 1, 5), np.nan)
+            with np.errstate(invalid="ignore"):  # inf - inf
+                want = np.add.reduce(g, axis=-2) / b
+                got = engine._batch_mean(g, out)
+            assert got is out, b
+            assert np.array_equal(np.signbit(got[:, 0]), np.signbit(want)), b
+            assert np.array_equal(got[:, 0].view(np.int64), want.view(np.int64)), b
 
 
 def _transition_cases():
@@ -658,8 +661,9 @@ def _transition_cases():
 
 
 def test_transitions_equal_expression_form_bitwise():
-    # the in-place transition against the expression form it replaced, on
-    # awkward states and noise, writing into an out row pre-filled with NaN
+    # each block closure against chained calls of the expression form it
+    # replaced, on awkward states and noise, over blocks of 1, 2 and 3 steps
+    # written into a buffer whose rows outside the block hold NaN
     awkward = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300])
     rng = np.random.default_rng(12)
     replicates = 6
@@ -669,27 +673,33 @@ def test_transitions_equal_expression_form_bitwise():
         ctx = engine._build_context(model, records, cfg, n, anchor)
         oracle = oracles.expression_transition(ctx, model.grad_prior is models.zero_prior)
         for trial in range(20):
+            blk = 1 + trial % 3
             state = rng.normal(size=(replicates, ctx.state_dim))
             mask = rng.random(state.shape) < 0.3
             state[mask] = rng.choice(awkward, size=mask.sum())
             state[0] = -0.0
-            idx = np.sort(rng.integers(0, n, size=(replicates, ctx.b)), axis=1)
-            anchor_rows = None if ctx.anchor_grads is None else ctx.anchor_grads[idx]
-            noise_term = None
+            idx = np.sort(rng.integers(0, n, size=(blk, replicates, ctx.b)), axis=2)
+            anchor_block = None if ctx.anchor_grads is None else ctx.anchor_grads[idx]
+            noise_block = None
             if ctx.noise_factor is not None:
-                noise_term = rng.normal(size=(replicates, ctx.dim))
-                noise_term[rng.random(noise_term.shape) < 0.2] = -0.0
-                noise_term[1] = rng.choice(awkward, size=ctx.dim)
+                noise_block = rng.normal(size=(blk, replicates, ctx.dim))
+                noise_block[rng.random(noise_block.shape) < 0.2] = -0.0
+                noise_block[:, 1] = rng.choice(awkward, size=(blk, ctx.dim))
             before = state.copy()
-            buf = np.full((2, replicates, ctx.state_dim), np.nan)
-            out = buf[1]
+            full = np.full((blk + 2, replicates, ctx.state_dim), np.nan)
+            buf = full[1:-1]
             with np.errstate(all="ignore"):
-                want = oracle(state, records[idx], anchor_rows, noise_term)
-                got = ctx.transition(state, records[idx], anchor_rows, noise_term, out)
-            assert got is out, name
+                got = ctx.advance(state, records[idx], anchor_block, noise_block, buf)
+                want = state
+                for s in range(blk):
+                    want = oracle(want, records[idx[s]],
+                                  None if anchor_block is None else anchor_block[s],
+                                  None if noise_block is None else noise_block[s])
+                    assert np.array_equal(buf[s].view(np.int64), want.view(np.int64)), (
+                        name, trial, s)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, trial)
             assert np.array_equal(state.view(np.int64), before.view(np.int64)), name
-            assert np.isnan(buf[0]).all(), name
+            assert np.isnan(full[0]).all() and np.isnan(full[-1]).all(), name
 
 
 def test_stationary_init_factors_its_covariance_once(monkeypatch):
