@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__, artifacts, diagnostics, engine, theory
-from .config import Setup, parse_config, recommend_kwargs, resolve_setup
+from .config import Setup, parse_config, resolve_setup
 from .engine import RecordingPlan
 from .errors import (
     ArtifactMismatchError,
@@ -325,8 +325,10 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
 def cmd_tune(tree: dict, out_flag: str | None = None, quiet: bool = False) -> int:
     setup = resolve_setup(tree)
     out = _out_dir(tree, out_flag)
-    kwargs = recommend_kwargs(setup.tree)
-    rec = theory.recommend_tuning(info=setup.info, **kwargs)
+    prefs = setup.tree.get("recommend", {})
+    if "target" not in prefs:
+        raise ConfigError("[recommend] target is required for the tune command")
+    rec = theory.recommend_tuning(info=setup.info, **prefs)
     payload = {
         "config_hash": setup.hash,
         "target": rec.target,

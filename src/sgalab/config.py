@@ -19,7 +19,7 @@ Grammar (INI form; every key optional unless marked required)::
                               logistic/poisson covariate count (required if
                               synthetic, csv: columns - 1)
     data_seed = <int>         generator seed             (synthetic only)
-    weights = auto | <floats> curvature weights          (gaussian only)
+    weights = <floats>        curvature weights          (gaussian only)
     theta_star = <floats>     generator parameter        (synthetic only)
     zero_inflation = <float>  response zeroing probability   (poisson synthetic)
     covariate_scales = <floats>  covariate scale multipliers (poisson synthetic)
@@ -81,7 +81,6 @@ from .linalg import sym_inv
 from .models import (
     FAMILIES,
     SOURCES,
-    CsvSchema,
     Dataset,
     ModelSpec,
     TruthSpec,
@@ -98,7 +97,7 @@ _SCHEMA: dict[str, dict[str, str]] = {
         "n": "int",
         "d": "int",
         "data_seed": "int",
-        "weights": "floats_or_auto",
+        "weights": "floats",
         "theta_star": "floats",
         "zero_inflation": "float",
         "covariate_scales": "floats",
@@ -172,9 +171,7 @@ def _coerce(section: str, key: str, kind: str, value) -> object:
             if text in ("false", "no", "0"):
                 return False
             raise ValueError
-        if kind in ("floats", "floats_or_auto"):
-            if kind == "floats_or_auto" and str(value).strip().lower() == "auto":
-                return "auto"
+        if kind == "floats":
             if isinstance(value, (list, tuple)):
                 return [float(v) for v in value]
             parts = [p for p in str(value).replace(",", " ").split() if p]
@@ -234,8 +231,8 @@ def parse_config(path: str) -> dict:
 
 
 def config_hash(tree: dict) -> str:
-    """Stable digest of everything that affects results (output dir aside)."""
-    hashed = {k: v for k, v in sorted(tree.items()) if k != "output"}
+    """Stable digest of everything that affects results ([output], [recommend] aside)."""
+    hashed = {k: v for k, v in sorted(tree.items()) if k not in ("output", "recommend")}
     blob = json.dumps(hashed, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -290,7 +287,7 @@ def _build_model_data(tree: dict) -> tuple[ModelSpec, Dataset, TruthSpec | None]
     params = {
         k: np.asarray(m[k], float) if isinstance(m[k], list) else m[k]
         for k in (*family.model_keys, *family.data_keys)
-        if k in m and m[k] != "auto"
+        if k in m
     }
     if source == "synthetic":
         dim = m.get("d", family.default_dim)
@@ -298,7 +295,7 @@ def _build_model_data(tree: dict) -> tuple[ModelSpec, Dataset, TruthSpec | None]
             raise ConfigError(f"[model] d (covariate count) required for {name}")
         params[family.dim_param] = dim
         return generate(name, m["n"], seed=m.get("data_seed", 0), **params)
-    data = load_csv(m["path"], CsvSchema(columns=m["columns"], header=m.get("header", False)))
+    data = load_csv(m["path"], m["columns"], header=m.get("header", False))
     model = family.model(m.get("d", m["columns"] - family.response_columns), **params)
     return model, data, None
 
@@ -424,12 +421,3 @@ def resolve_setup(tree: dict) -> Setup:
         hash=config_hash(tree),
     )
 
-
-def recommend_kwargs(tree: dict) -> dict:
-    """Translate the [recommend] section into recommend_tuning arguments."""
-    r = dict(tree.get("recommend", {}))
-    if "target" not in r:
-        raise ConfigError("[recommend] target is required for the tune command")
-    kwargs: dict = {"target": r.pop("target")}
-    kwargs.update(r)
-    return kwargs

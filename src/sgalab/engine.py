@@ -449,7 +449,8 @@ def run(
     control-variate anchor.  Divergence (a coordinate beyond
     ``DIVERGENCE_LIMIT`` or non-finite) raises :class:`DivergenceError`
     whose ``partial_record`` attribute holds everything recorded up to the
-    offending step.  This is the one-replicate case of
+    offending step: ``diverged_at`` is that step and ``final_state`` the
+    offending iterate.  This is the one-replicate case of
     :func:`run_replicates`.
     """
     (record,) = run_replicates(
@@ -458,9 +459,7 @@ def run(
     )
     if record.diverged_at is not None:
         err = DivergenceError(
-            f"iterate exceeded {DIVERGENCE_LIMIT:.0e} at step {record.diverged_at}",
-            step=record.diverged_at,
-            last_iterate=record.final_state.copy(),
+            f"iterate exceeded {DIVERGENCE_LIMIT:.0e} at step {record.diverged_at}"
         )
         err.partial_record = record
         raise err

@@ -57,14 +57,9 @@ class NonConvergenceError(NumericalError):
 
 
 class DivergenceError(SgaLabError, RuntimeError):
-    """An iterate left the trust region; a single run's says when and where."""
+    """An iterate left the trust region; a single run's ``partial_record`` says when and where."""
 
     exit_code, label = 5, "divergence"
-
-    def __init__(self, message: str, step: int | None = None, last_iterate=None):
-        super().__init__(message)
-        self.step = step
-        self.last_iterate = last_iterate
 
 
 class RecommendationError(SgaLabError, ValueError):

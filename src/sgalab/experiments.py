@@ -30,8 +30,6 @@ import math
 from .errors import ConfigError
 from .theory import DEFAULT_M_VALUES
 
-EXPERIMENT_NAMES = ("exp1", "exp2-synthetic", "exp3-synthetic")
-
 _MIN_N = 50
 
 
@@ -147,6 +145,10 @@ def _exp3_trees(scale: float, seed: int, override: float | None):
     ]
 
 
+_BUILDERS = {"exp1": _exp1_trees, "exp2-synthetic": _exp2_trees, "exp3-synthetic": _exp3_trees}
+EXPERIMENT_NAMES = tuple(_BUILDERS)
+
+
 def experiment_trees(
     name: str,
     scale: float = 1.0,
@@ -156,12 +158,8 @@ def experiment_trees(
     """Configuration trees for one named experiment, in run order."""
     if not (scale > 0.0 and math.isfinite(scale)):
         raise ConfigError(f"scale must be a positive finite number, got {scale}")
-    if name == "exp1":
-        return _exp1_trees(scale, seed, epochs_override)
-    if name == "exp2-synthetic":
-        return _exp2_trees(scale, seed, epochs_override)
-    if name == "exp3-synthetic":
-        return _exp3_trees(scale, seed, epochs_override)
-    raise ConfigError(
-        f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
-    )
+    if name not in _BUILDERS:
+        raise ConfigError(
+            f"unknown experiment {name!r}; expected one of {EXPERIMENT_NAMES}"
+        )
+    return _BUILDERS[name](scale, seed, epochs_override)

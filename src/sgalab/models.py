@@ -422,16 +422,8 @@ def generate(
     return FAMILIES[family].generate(n, seed=seed, **params)
 
 
-@dataclass
-class CsvSchema:
-    """Expected layout of a numeric CSV file: column count and header flag."""
-
-    columns: int
-    header: bool = False
-
-
-def load_csv(path: str, schema: CsvSchema) -> Dataset:
-    """Read a comma-separated numeric file into a dataset.
+def load_csv(path: str, columns: int, header: bool = False) -> Dataset:
+    """Read a comma-separated numeric file of ``columns`` fields a row.
 
     Every field must parse as a finite decimal float; failures are reported
     with 1-based row and column coordinates.  A declared header row is
@@ -443,11 +435,11 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
         for i, raw in enumerate(reader, start=1):
             if not raw:
                 continue
-            if schema.header and i == 1:
+            if header and i == 1:
                 continue
-            if len(raw) != schema.columns:
+            if len(raw) != columns:
                 raise DataError(
-                    f"{path}: row {i} has {len(raw)} fields, expected {schema.columns}"
+                    f"{path}: row {i} has {len(raw)} fields, expected {columns}"
                 )
             parsed = []
             for j, field_ in enumerate(raw, start=1):

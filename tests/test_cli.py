@@ -98,6 +98,7 @@ def test_config_hash_excludes_output_and_is_order_stable():
     tree_a = {k: dict(v) for k, v in BASE_TREE.items()}
     tree_b = {k: dict(v) for k, v in reversed(list(BASE_TREE.items()))}
     tree_a["output"] = {"dir": "somewhere"}
+    tree_a["recommend"] = {"target": "bagged"}
     assert config.config_hash(tree_a) == config.config_hash(tree_b)
     tree_c = {k: dict(v) for k, v in BASE_TREE.items()}
     tree_c["tuning"]["c_h"] = 2.0
@@ -186,6 +187,26 @@ def test_config_value_type_errors_name_the_offender(tmp_path):
     path = _write(tmp_path, "bad3.ini", bad)
     with pytest.raises(ConfigError, match=r"\[execution\] epochs"):
         config.parse_config(path)
+
+
+def test_weights_auto_is_not_a_spelling_of_the_default(tmp_path):
+    path = _write(tmp_path, "auto.ini", BASE_INI.replace("d = 3", "d = 3\nweights = auto"))
+    with pytest.raises(ConfigError, match=r"\[model\] weights"):
+        config.parse_config(path)
+
+
+def test_csv_header_flag_reaches_the_reader(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    oracles.save_csv(str(data), np.random.default_rng(8).standard_normal((60, 2)),
+                     header=["x", "y"])
+    ini = (f"[model]\nfamily = gaussian_location\nsource = csv\npath = {data}\n"
+           "columns = 2\nheader = {}\n\n[tuning]\nc_h = 4.0\n\n[execution]\nepochs = 5\n")
+    cfg = _write(tmp_path, "csv.ini", ini.format("true"))
+    assert cli.main(["predict", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert "predict: n=60 " in capsys.readouterr().out
+    cfg = _write(tmp_path, "csv.ini", ini.format("false"))
+    assert cli.main(["predict", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "row 1, column 1" in capsys.readouterr().err
 
 
 def test_unlisted_library_error_is_a_message_not_a_traceback(tmp_path, capsys):
@@ -779,6 +800,16 @@ def test_compare_refuses_mismatched_artifacts(tmp_path, capsys):
     assert cli.main(["predict", "--config", other, "--out", out, "--quiet"]) == 0
     assert cli.main(["compare", "--config", other, "--out", out, "--quiet"]) == 4
     assert "trace" in capsys.readouterr().err
+
+
+def test_editing_recommend_keeps_predictions_and_traces_comparable(tmp_path):
+    # only tune reads [recommend], so the config hash leaves it out
+    cfg = _write(tmp_path, "run.ini", BASE_INI + "\n[recommend]\ntarget = bagged\n")
+    common = ["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]
+    assert cli.main(["predict", *common]) == 0
+    assert cli.main(["simulate", *common, "--threads", "1"]) == 0
+    _write(tmp_path, "run.ini", BASE_INI + "\n[recommend]\ntarget = local_fiducial\n")
+    assert cli.main(["compare", *common]) == 0
 
 
 def test_compare_refuses_predictions_from_other_data(tmp_path, capsys):

@@ -393,9 +393,7 @@ def test_divergence_truncates_and_reports():
             model, data, cfg, n_steps=500,
             init=np.array([1.0, 1.0]), recording=RecordingPlan(thin=1),
         )
-    err = info.value
-    rec = err.partial_record
-    assert err.step == rec.diverged_at
+    rec = info.value.partial_record
     assert rec.diverged_at is not None and rec.diverged_at <= 500
     assert rec.manifest["diverged_at"] == rec.diverged_at
     assert rec.states.shape[0] == (rec.diverged_at - 1) // rec.thin
@@ -408,7 +406,6 @@ def test_divergence_truncates_and_reports():
     prev = rec.states[-1] if rec.states.size else rec.init_state
     with np.errstate(over="ignore", invalid="ignore"):
         offending = oracles.step(model, data, cfg, prev, batch)
-    assert np.array_equal(err.last_iterate, offending)
     assert np.array_equal(rec.final_state, offending)
 
 
@@ -460,7 +457,6 @@ def _run_outputs(model, data, truth, cfg):
         )
     except DivergenceError as err:
         rec = err.partial_record
-        assert np.array_equal(err.last_iterate, rec.final_state, equal_nan=True)
     return rec
 
 

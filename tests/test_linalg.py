@@ -13,31 +13,17 @@ def test_eigenvalues_against_charpoly_oracle():
     for trial in range(20):
         d = int(rng.integers(2, 9))
         m = rng.standard_normal((d, d))
-        got = linalg.eigenvalues(m)
+        got = linalg.min_real_eig(m)
         want = oracles.charpoly_eigenvalues(m)
         scale = 1.0 + np.abs(want).max()
-        assert np.max(np.abs(got - want)) / scale < 1e-7, f"trial {trial}"
-
-
-def test_eigenvalues_sorted_lexicographically():
-    m = np.diag([3.0, -1.0, 2.0])
-    vals = linalg.eigenvalues(m)
-    assert np.allclose(vals.real, [-1.0, 2.0, 3.0])
-
-
-def test_min_real_eig_matches_spectrum():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        m = rng.standard_normal((5, 5))
-        assert linalg.min_real_eig(m) == pytest.approx(
-            np.linalg.eigvals(m).real.min(), rel=1e-9, abs=1e-9
-        )
+        assert abs(got - want.real.min()) / scale < 1e-7, f"trial {trial}"
 
 
 def test_is_hurwitz():
-    assert linalg.is_hurwitz(np.diag([-1.0, -2.0]))
-    assert not linalg.is_hurwitz(np.diag([-1.0, 2.0]))
-    assert not linalg.is_hurwitz(np.zeros((2, 2)))
+    # m is Hurwitz exactly when min_real_eig(-m) exceeds HURWITZ_EPS
+    assert linalg.min_real_eig(-np.diag([-1.0, -2.0])) > linalg.HURWITZ_EPS
+    assert not linalg.min_real_eig(-np.diag([-1.0, 2.0])) > linalg.HURWITZ_EPS
+    assert not linalg.min_real_eig(-np.zeros((2, 2))) > linalg.HURWITZ_EPS
 
 
 def test_sandwich_matches_the_naive_inverse_product():
@@ -151,6 +137,19 @@ def test_solve_lyapunov_against_quadrature_oracle():
 def test_solve_lyapunov_non_hurwitz_raises():
     with pytest.raises(StabilityError, match="Hurwitz"):
         linalg.solve_lyapunov(np.diag([1.0, -1.0]), np.eye(2))
+
+
+@pytest.mark.parametrize("eps, unstable",
+                         [(0.0, True), (5e-13, True), (2e-12, False), (1e-3, False)])
+def test_solve_lyapunov_raises_exactly_where_the_stability_test_fails(eps, unstable):
+    b = np.diag([eps, 1.0])
+    assert (linalg.min_real_eig(b) <= linalg.HURWITZ_EPS) == unstable
+    if unstable:
+        with pytest.raises(StabilityError, match=r"not Hurwitz \(min real eigenvalue of B is "):
+            linalg.solve_lyapunov(b, np.eye(2))
+    else:
+        q = linalg.solve_lyapunov(b, np.eye(2))
+        assert np.allclose(q, np.diag([1.0 / eps, 1.0]))
 
 
 def test_solve_lyapunov_warns_on_asymmetric_rhs():

@@ -176,7 +176,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     records = rng.standard_normal((20, 3)) * np.array([1.0, 1e-8, 1e12])
     path = tmp_path / "data.csv"
     oracles.save_csv(path, records, header=["a", "b", "c"])
-    loaded = models.load_csv(path, models.CsvSchema(columns=3, header=True))
+    loaded = models.load_csv(path, 3, header=True)
     assert np.array_equal(loaded.records, records)
 
 
@@ -184,18 +184,18 @@ def test_csv_parse_error_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\n1.0,oops\n")
     with pytest.raises(DataError, match="row 2"):
-        models.load_csv(path, models.CsvSchema(columns=2, header=False))
+        models.load_csv(path, 2, header=False)
 
 
 def test_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("1.0,nan\n")
     with pytest.raises(DataError):
-        models.load_csv(path, models.CsvSchema(columns=2, header=False))
+        models.load_csv(path, 2, header=False)
 
 
 def test_csv_wrong_column_count(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("1.0,2.0,3.0\n1.0,2.0\n")
     with pytest.raises(DataError, match="row 2"):
-        models.load_csv(path, models.CsvSchema(columns=3, header=False))
+        models.load_csv(path, 3, header=False)
