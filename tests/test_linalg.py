@@ -19,6 +19,15 @@ def test_eigenvalues_against_charpoly_oracle():
         assert abs(got - want.real.min()) / scale < 1e-7, f"trial {trial}"
 
 
+def test_min_real_eig_matches_spectrum():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        m = rng.standard_normal((5, 5))
+        assert linalg.min_real_eig(m) == pytest.approx(
+            np.linalg.eigvals(m).real.min(), rel=1e-9, abs=1e-9
+        )
+
+
 def test_is_hurwitz():
     # m is Hurwitz exactly when min_real_eig(-m) exceeds HURWITZ_EPS
     assert linalg.min_real_eig(-np.diag([-1.0, -2.0])) > linalg.HURWITZ_EPS
