@@ -231,8 +231,14 @@ def parse_config(path: str) -> dict:
 
 
 def config_hash(tree: dict) -> str:
-    """Stable digest of everything that affects results ([output], [recommend] aside)."""
+    """Stable digest of everything that affects results.
+
+    ``[output]``, ``[recommend]`` and ``[execution] burnin_fraction`` are left out:
+    only the output directory, ``tune`` and ``compare`` read them."""
     hashed = {k: v for k, v in sorted(tree.items()) if k not in ("output", "recommend")}
+    if "burnin_fraction" in hashed.get("execution", {}):
+        hashed["execution"] = {k: v for k, v in hashed["execution"].items()
+                               if k != "burnin_fraction"}
     blob = json.dumps(hashed, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()
 

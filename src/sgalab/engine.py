@@ -38,7 +38,10 @@ over all replicates; per gather block the records, the control-variate
 anchor scores of the same indices and the noise term ``L xi`` are computed
 once, stacked over steps and replicates, and one call of the compiled step
 loop runs the block, writing each iterate into its row of the block
-buffer.  Every stream is consumed in step order, each iterate average is a
+buffer.  A gather block of one live replicate (every long chain) drops the
+replicate axis and takes its matrix-vector products with ``np.dot``, whose
+gemv gives ``np.matvec``'s bits without its gufunc dispatch; at ``dim = 1``
+the two differ in the sign of zero, so such blocks stay stacked.  Every stream is consumed in step order, each iterate average is a
 running sum in step order, and each replicate stops at its own first
 diverging iterate, so neither block boundaries nor the grouping of
 replicates into commands affect results.
@@ -291,17 +294,28 @@ def _build_context(
     return ctx
 
 
-_ZERO = np.zeros(())  # 0-d: a Python float operand costs a conversion per ufunc call
+_ZERO = np.zeros(())  # 0-d: a Python scalar operand costs a conversion per ufunc call
+
+
+def _summed_mean(g: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.divide(np.add.reduce(g, axis=-2, keepdims=True, out=out), b, out)
+
+
+def _mean_op(b: int) -> tuple[Callable, np.ndarray]:
+    """``(op, operand)`` with ``op(g, operand, out)`` the bitwise batch mean of ``g (..., b, dim)``.
+
+    The mean goes into ``out (..., 1, dim)``.  For ``b = 1`` the op is the ufunc ``np.add``
+    with ``+0.0``, where the sum starts, so ``-0.0`` becomes ``+0.0``; otherwise the sum
+    over the batch axis divided by ``b`` as a 0-d array, like ``_ZERO``."""
+    if b == 1:
+        return np.add, _ZERO
+    return _summed_mean, np.array(float(b))
 
 
 def _batch_mean(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Bitwise ``mean`` over the batch axis of ``g (R, b, dim)``, into ``out (R, 1, dim)``.
-
-    For ``b = 1``: the row plus ``+0.0``, where the sum starts, so ``-0.0`` becomes ``+0.0``."""
-    b = g.shape[-2]
-    if b == 1:
-        return np.add(g, _ZERO, out)
-    return np.divide(np.add.reduce(g, axis=-2, keepdims=True, out=out), b, out)
+    """Bitwise ``mean`` over the batch axis of ``g (R, b, dim)``, into ``out (R, 1, dim)``."""
+    op, operand = _mean_op(g.shape[-2])
+    return op(g, operand, out)
 
 
 def _make_advance(ctx: _Context) -> Callable:
@@ -310,10 +324,18 @@ def _make_advance(ctx: _Context) -> Callable:
     ``advance(state, rows_block, anchor_block, noise_block, buf)`` runs step ``s``
     from the previous iterate (first ``state (R, state_dim)``, never written) on
     ``rows_block[s] (R, b, k)``, ``anchor_block[s]`` and ``noise_block[s] (R, dim)``
-    (None where unused) into ``buf[s]``, returning the last.  Temporaries are made once
-    per block; arithmetic outputs go positionally, which numpy parses faster than ``out=``."""
+    (None where unused) into ``buf[s]``, returning ``buf[-1]``.  Temporaries are made once
+    per block; arithmetic outputs go positionally, which numpy parses faster than ``out=``.
+
+    A block of one replicate (``R = 1``) with ``dim >= 2`` runs the same loop body on
+    the arrays without their replicate axis, and its matrix-vector products are
+    ``np.dot`` rather than ``np.matvec``: both run one gemv and give the same bits, and
+    ``np.dot`` skips the gufunc dispatch, a third of a product's cost on 10x10
+    operands.  At ``dim = 1`` ``np.dot`` does not call gemv and can return ``-0.0``
+    where ``np.matvec`` returns ``+0.0``, so those blocks stay stacked."""
     grad_fn, prior_fn = ctx.model.grad, ctx.model.grad_prior
-    inv_n = 1.0 / ctx.n
+    inv_n = np.array(1.0 / ctx.n)  # 0-d, as _ZERO
+    mean_op, mean_by = _mean_op(ctx.b)
     # Identity, not a probe: a prior whose gradient vanishes at one point
     # (any prior centred there) still pulls everywhere else.
     flat_prior = prior_fn is zero_prior
@@ -324,27 +346,38 @@ def _make_advance(ctx: _Context) -> Callable:
     box = ctx.box
     d = ctx.dim
 
+    def view(state, rows_block, anchor_block, noise_block, buf):
+        """The block's arrays, without the replicate axis for one replicate at d >= 2,
+        and the matvec for them."""
+        if len(state) > 1 or d == 1:
+            return state, rows_block, anchor_block, noise_block, buf, np.matvec
+        anchor_block, noise_block = (None if a is None else a[:, 0]
+                                     for a in (anchor_block, noise_block))
+        return state[0], rows_block[:, 0], anchor_block, noise_block, buf[:, 0], np.dot
+
     if ctx.cfg.variant == MOMENTUM:
         # unit mass, kept a matvec: ``half_h * psi`` differs at -0.0 and inf
         half_h_minv = 0.5 * ctx.h * np.eye(d)
         half_h = np.array(0.5 * ctx.h)  # 0-d, as _ZERO
 
         def advance(state, rows_block, anchor_block, noise_block, buf):
-            g_like, moved = np.empty((2, len(state), d))
-            mean = g_like[:, None]
+            state, rows_block, _, noise_block, iterates, mv = view(
+                state, rows_block, anchor_block, noise_block, buf)
+            g_like, moved = np.empty((2, *state.shape[:-1], d))
+            mean = g_like[..., None, :]
             noises = repeat(None) if noise_block is None else noise_block
-            theta, psi = state[:, :d], state[:, d:]
-            thetas, psis = buf[:, :, :d], buf[:, :, d:]
+            theta, psi = state[..., :d], state[..., d:]
+            thetas, psis = iterates[..., :d], iterates[..., d:]
             for new_theta, new_psi, rows, noise_term in zip(thetas, psis, rows_block, noises):
-                _batch_mean(grad_fn(theta, rows), mean)
-                # np.matvec runs one gemv per row, as an unstacked ``a @ v`` does, so
-                # rows equal solo runs bitwise; a gemm or einsum would round otherwise.
-                np.add(theta, np.matvec(half_h_minv, psi, moved), new_theta)
+                mean_op(grad_fn(theta, rows), mean_by, mean)
+                # mv runs one gemv per row, as an unstacked ``a @ v`` does, so rows
+                # equal solo runs bitwise; a gemm or einsum would round otherwise.
+                np.add(theta, mv(half_h_minv, psi, moved), new_theta)
                 if box is not None:
                     np.maximum(new_theta, box[0], out=new_theta)
                     np.minimum(new_theta, box[1], out=new_theta)
                 np.add(psi, np.multiply(half_h, g_like, moved), new_psi)
-                np.subtract(new_psi, np.matvec(half_h_gamma, psi, moved), new_psi)
+                np.subtract(new_psi, mv(half_h_gamma, psi, moved), new_psi)
                 if not flat_prior:
                     np.add(new_psi, half_h * (inv_n * prior_fn(theta)), new_psi)
                 if noise_term is not None:
@@ -357,25 +390,27 @@ def _make_advance(ctx: _Context) -> Callable:
     anchor_mean = ctx.anchor_mean
 
     def advance(state, rows_block, anchor_block, noise_block, buf):
-        g_like, moved = np.empty((2, len(state), d))
-        mean = g_like[:, None]
+        state, rows_block, anchor_block, noise_block, iterates, mv = view(
+            state, rows_block, anchor_block, noise_block, buf)
+        g_like, moved = np.empty((2, *state.shape[:-1], d))
+        mean = g_like[..., None, :]
         anchors, noises = (repeat(None) if a is None else a for a in (anchor_block, noise_block))
-        for out, rows, anchor_rows, noise_term in zip(buf, rows_block, anchors, noises):
+        for out, rows, anchor_rows, noise_term in zip(iterates, rows_block, anchors, noises):
             if anchor_rows is None:
-                _batch_mean(grad_fn(state, rows), mean)
+                mean_op(grad_fn(state, rows), mean_by, mean)
             else:
-                _batch_mean(grad_fn(state, rows) - anchor_rows, mean)
+                mean_op(grad_fn(state, rows) - anchor_rows, mean_by, mean)
                 np.add(g_like, anchor_mean, g_like)
-            np.add(state, np.matvec(half_h_gamma, g_like, moved), out)
+            np.add(state, mv(half_h_gamma, g_like, moved), out)
             if not flat_prior:
-                np.add(out, np.matvec(half_h_gamma, inv_n * prior_fn(state), moved), out)
+                np.add(out, mv(half_h_gamma, inv_n * prior_fn(state), moved), out)
             if noise_term is not None:
                 np.add(out, noise_term, out)
             if box is not None:
                 np.maximum(out, box[0], out=out)
                 np.minimum(out, box[1], out=out)
             state = out
-        return state
+        return buf[-1]
 
     return advance
 

@@ -812,6 +812,28 @@ def test_editing_recommend_keeps_predictions_and_traces_comparable(tmp_path):
     assert cli.main(["compare", *common]) == 0
 
 
+def test_editing_burnin_fraction_reruns_only_compare(tmp_path, capsys):
+    # only compare reads [execution] burnin_fraction, so the config hash leaves
+    # it out; thin shapes the traces and stays in
+    cfg = _write(tmp_path, "run.ini", BASE_INI)
+    out = str(tmp_path / "out")
+    common = ["--config", cfg, "--out", out, "--quiet"]
+    assert cli.main(["predict", *common]) == 0
+    assert cli.main(["simulate", *common, "--threads", "1"]) == 0
+    errors = []
+    for burnin in ("0.2", "0.3"):
+        _write(tmp_path, "run.ini", BASE_INI.replace("burnin_fraction = 0.2",
+                                                      f"burnin_fraction = {burnin}"))
+        assert cli.main(["compare", *common]) == 0
+        comparison = _read_json(os.path.join(out, "comparison.json"))
+        errors.append(comparison["stationary"]["rel_frobenius_error"])
+    assert errors[0] != errors[1]
+    _write(tmp_path, "run.ini", BASE_INI.replace("thin = 5", "thin = 4"))
+    capsys.readouterr()
+    assert cli.main(["compare", *common]) == 4
+    assert "config hash" in capsys.readouterr().err
+
+
 def test_compare_refuses_predictions_from_other_data(tmp_path, capsys):
     # a csv config names its file, not the file's contents
     rows = np.random.default_rng(4).standard_normal((100, 2))

@@ -654,6 +654,14 @@ def _transition_cases():
     yield "prior_momentum", prior, data, TuningConfig(**momentum), None
     yield "box_plain", model, data, TuningConfig(c_b=2.0, boundary=box, **sgld), None
     yield "box_momentum", prior, data, TuningConfig(boundary=box, **momentum), None
+    # d = 1, where np.dot and np.matvec differ: a record of -5e-324 from a
+    # -0.0 state makes a step product that rounds to -0.0
+    line = models.gaussian_location_model(1, np.array([1.0]))
+    tiny = models.Dataset(np.array([[-5e-324], [-0.0], [0.0], [0.7], [-1.3], [2.1]]))
+    one = np.array([[0.8]])
+    line_sgld = dict(frak_h=1.0, c_h=2.0, frak_t=1.0, c_beta=2.0, gamma=one, lam=one)
+    yield "d1_sgld", line, tiny, TuningConfig(**line_sgld), None
+    yield "d1_momentum", line, tiny, TuningConfig(variant=MOMENTUM, **line_sgld), None
 
 
 def test_transitions_equal_expression_form_bitwise():
@@ -693,6 +701,52 @@ def test_transitions_equal_expression_form_bitwise():
                                   None if noise_block is None else noise_block[s])
                     assert np.array_equal(buf[s].view(np.int64), want.view(np.int64)), (
                         name, trial, s)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, trial)
+            assert np.array_equal(state.view(np.int64), before.view(np.int64)), name
+            assert np.isnan(full[0]).all() and np.isnan(full[-1]).all(), name
+
+
+def test_one_replicate_block_equals_expression_form_bitwise():
+    # a block of one replicate runs the loop without the replicate axis (and
+    # np.dot for np.matvec where d >= 2): every case against chained calls of
+    # the expression form, on the same awkward states and noise, the d = 1
+    # cases with all--0.0 states and noise every other trial
+    awkward = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e300])
+    rng = np.random.default_rng(13)
+    for name, model, data, cfg, anchor in _transition_cases():
+        records = model.check_records(data.records)
+        n = records.shape[0]
+        ctx = engine._build_context(model, records, cfg, n, anchor)
+        oracle = oracles.expression_transition(ctx, model.grad_prior is models.zero_prior)
+        for trial in range(40):
+            blk = 1 + trial % 3
+            state = rng.normal(size=(1, ctx.state_dim))
+            mask = rng.random(state.shape) < 0.3
+            state[mask] = rng.choice(awkward, size=mask.sum())
+            if trial % 2:
+                state[:] = -0.0
+            idx = np.sort(rng.integers(0, n, size=(blk, 1, ctx.b)), axis=2)
+            anchor_block = None if ctx.anchor_grads is None else ctx.anchor_grads[idx]
+            noise_block = None
+            if ctx.noise_factor is not None:
+                noise_block = rng.normal(size=(blk, 1, ctx.dim))
+                mask = rng.random(noise_block.shape) < 0.3
+                noise_block[mask] = rng.choice(awkward, size=mask.sum())
+                if trial % 2:
+                    noise_block[:] = -0.0
+            before = state.copy()
+            full = np.full((blk + 2, 1, ctx.state_dim), np.nan)
+            buf = full[1:-1]
+            with np.errstate(all="ignore"):
+                got = ctx.advance(state, records[idx], anchor_block, noise_block, buf)
+                want = state
+                for s in range(blk):
+                    want = oracle(want, records[idx[s]],
+                                  None if anchor_block is None else anchor_block[s],
+                                  None if noise_block is None else noise_block[s])
+                    assert np.array_equal(buf[s].view(np.int64), want.view(np.int64)), (
+                        name, trial, s)
+            assert got.shape == (1, ctx.state_dim), name
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, trial)
             assert np.array_equal(state.view(np.int64), before.view(np.int64)), name
             assert np.isnan(full[0]).all() and np.isnan(full[-1]).all(), name
