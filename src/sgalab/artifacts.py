@@ -30,8 +30,9 @@ Layout of an output directory::
                          metrics, each compared matrix once
                          (``empirical_cov``, ``predicted_cov``, at the
                          top level and in each ``averages`` block)
-    timings.json         wall-clock seconds, executed steps and steps/s
-                         (excluded from reproducibility)
+    timings.json         wall-clock seconds of set-up and of simulation,
+                         executed steps and steps/s (excluded from
+                         reproducibility)
 
 Trace and ACF files share one table format: a header line of
 comma-separated column names, then one line per row holding the integer

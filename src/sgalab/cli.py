@@ -170,7 +170,9 @@ def cmd_simulate(
     threads: int | None = None,
     quiet: bool = False,
 ) -> int:
+    t_setup = time.perf_counter()
     setup = resolve_setup(tree)
+    setup_seconds = time.perf_counter() - t_setup
     out = _out_dir(tree, out_flag)
     replicates = setup.replicates
     artifacts.remove_runs_from(out, replicates)
@@ -197,6 +199,7 @@ def cmd_simulate(
     artifacts.write_json(
         os.path.join(out, "timings.json"),
         {
+            "setup_seconds": setup_seconds,
             "simulate_seconds": elapsed,
             "replicates": replicates,
             "steps": steps,
@@ -310,11 +313,12 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
                            block["comparison"]["rel_frobenius_error"])
             else:
                 print(f"  iterate-average cov (m={key}): {block['error']}")
-        timings = os.path.join(out, "timings.json")
-        rate = ""
-        if os.path.exists(timings):
-            rate = f", {artifacts.read_json(timings)['steps_per_s']:.0f} steps/s"
+        timings_path = os.path.join(out, "timings.json")
+        timings = artifacts.read_json(timings_path) if os.path.exists(timings_path) else {}
+        rate = f", {timings['steps_per_s']:.0f} steps/s" if timings else ""
         print(f"  health: {len(alive)} replicate(s) used, {len(diverged)} diverged{rate}")
+        if "setup_seconds" in timings:
+            print(f"  {'':8}set-up {timings['setup_seconds']:.3g} s before simulating")
         print(f"  wrote {out}/comparison.json")
     return EXIT_OK
 

@@ -8,6 +8,9 @@ unknown section or key is an error naming the offender, and so is a
 ``resolve_setup`` validates every tree it is given, parsed from a file or
 built in code, the same way, then turns it into live objects: model,
 dataset, fitted anchor, information matrices, and the tuning for the engine.
+A process keeps its last synthetic dataset with its fit and matrices, so
+commands that share a ``[model]`` section build and fit it once; CSV data
+is read again on every call.
 
 Grammar (INI form; every key optional unless marked required)::
 
@@ -330,12 +333,47 @@ def _resolve_matrix(
     return sym_inv(base)
 
 
-def resolve_setup(tree: dict) -> Setup:
-    """Validate ``tree`` and build every live object a command needs from it."""
-    tree = _validate_tree(tree)
+#: The last synthetic fit of this process: at most one entry, keyed as
+#: ``_fitted_model`` describes.
+_FITTED: dict[tuple, tuple] = {}
+
+
+def _fitted_model(
+    tree: dict,
+) -> tuple[ModelSpec, Dataset, TruthSpec | None, np.ndarray, InfoMatrices]:
+    """Model, dataset, truth, MLE and information matrices of ``tree``'s ``[model]``.
+
+    A synthetic section fully determines its data, so its fit is kept for
+    the next call with an equal section, every array of it read-only so no
+    command writes through to the next.  CSV data is read and fitted on
+    every call, since the file may change while the process runs.  A miss
+    releases the kept fit before building, so the process never holds two
+    datasets at once.  The functions that make the fit are part of the key,
+    so a fit is not reused once one of them has been replaced (by a test
+    double or a timing wrapper, say) and the replacement is called instead.
+    """
+    section = tree["model"]
+    key = (json.dumps(section, sort_keys=True), generate, fit_mle, empirical_info)
+    if key in _FITTED:
+        return _FITTED[key]
+    _FITTED.clear()
     model, data, truth = _build_model_data(tree)
     mle = fit_mle(model, data)
     info = empirical_info(model, data, mle.theta_hat)
+    fitted = (model, data, truth, mle.theta_hat, info)
+    if section.get("source", "synthetic") == "synthetic":
+        for array in (data.records, mle.theta_hat, info.j_mat, info.i_mat,
+                      truth.theta_star, truth.j_star, truth.i_star):
+            if array is not None:  # truth matrices a family does not know
+                array.flags.writeable = False
+        _FITTED[key] = fitted
+    return fitted
+
+
+def resolve_setup(tree: dict) -> Setup:
+    """Validate ``tree`` and build every live object a command needs from it."""
+    tree = _validate_tree(tree)
+    model, data, truth, mle_theta, info = _fitted_model(tree)
 
     p = tree.get("prediction", {})
     matrices = p.get("matrices", "empirical")
@@ -412,7 +450,7 @@ def resolve_setup(tree: dict) -> Setup:
         tree=tree,
         model=model,
         data=data,
-        mle_theta=mle.theta_hat,
+        mle_theta=mle_theta,
         info=info,
         prediction_info=prediction_info,
         cfg=cfg,

@@ -379,6 +379,19 @@ def test_compare_health_line_counts_replicates_and_reads_timings(tmp_path, capsy
     assert "  health: 1 replicate(s) used, 1 diverged\n" in capsys.readouterr().out
 
 
+def test_simulate_times_its_set_up_and_compare_prints_it(tmp_path, capsys):
+    cfg = _write(tmp_path, "run.ini", BASE_INI.replace("epochs = 20", "epochs = 1"))
+    common = ["--config", cfg, "--out", str(tmp_path / "out")]
+    assert cli.main(["predict", *common, "--quiet"]) == 0
+    assert cli.main(["simulate", *common, "--threads", "1", "--quiet"]) == 0
+    timings = _read_json(str(tmp_path / "out" / "timings.json"))
+    assert timings["setup_seconds"] >= 0.0
+    assert cli.main(["compare", *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    health = next(i for i, line in enumerate(lines) if line.startswith("  health: "))
+    assert lines[health + 1] == f"          set-up {timings['setup_seconds']:.3g} s before simulating"
+
+
 def test_compare_summary_prints_iterate_average_norms(tmp_path, capsys):
     ini = BASE_INI.replace("epochs = 20", "epochs = 2").replace(
         "replicates = 2", "replicates = 30"
@@ -736,25 +749,92 @@ def test_stationary_init_is_solved_once_per_simulate(tmp_path, monkeypatch):
 def test_each_command_hashes_its_dataset_once(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "run.ini", BASE_INI.replace("epochs = 20", "epochs = 1"))
     out = str(tmp_path / "out")
-    hashed = []
-    real_hash = models.dataset_hash
-
-    def counted(records):
-        hashed.append(records.shape)
-        return real_hash(records)
-
-    monkeypatch.setattr(models, "dataset_hash", counted)
+    calls = []
+    for module, name in ((config, "generate"), (config, "fit_mle"), (models, "dataset_hash")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     for command, extra in (("predict", []), ("simulate", ["--threads", "1"]),
                            ("compare", [])):
-        hashed.clear()
         assert cli.main([command, "--config", cfg, "--out", out, "--quiet", *extra]) == 0
-        assert hashed == [(200, 3)], command
+    # one process: the three commands share one build, fit and digest
+    assert calls == ["generate", "fit_mle", "dataset_hash"]
     # the command manifests and the run manifests carry one digest
     manifest = _read_json(os.path.join(out, "manifest.json"))
     assert manifest["data_hash"] == _read_json(
         os.path.join(out, "comparison.json"))["data_hash"]
     assert manifest["data_hash"] == _read_json(
         os.path.join(out, "manifest_000.json"))["run"]["data_hash"]
+
+
+def _count_fits(monkeypatch) -> list:
+    fits = []
+    fit_mle = config.fit_mle
+    monkeypatch.setattr(config, "fit_mle", lambda *args: fits.append(1) or fit_mle(*args))
+    return fits
+
+
+def test_trees_sharing_a_synthetic_model_section_share_one_fit(monkeypatch):
+    config.resolve_setup(BASE_TREE)
+    # a fit made before fit_mle was replaced is not reused: the replacement runs
+    fits = _count_fits(monkeypatch)
+    first = config.resolve_setup(BASE_TREE)
+    assert len(fits) == 1
+    other = json.loads(json.dumps(BASE_TREE))
+    other["tuning"].update(c_h=2.0, gamma="identity")
+    other["execution"].update(seed=3, replicates=5, epochs=4.0)
+    second = config.resolve_setup(other)
+    assert len(fits) == 1
+    assert second.data is first.data and second.info is first.info
+    assert second.cfg.c_h == 2.0 and second.cfg.gamma is None and second.n_steps != first.n_steps
+    # another [model] section replaces the kept fit; going back fits again
+    reseeded = json.loads(json.dumps(BASE_TREE))
+    reseeded["model"]["data_seed"] = 6
+    config.resolve_setup(reseeded)
+    config.resolve_setup(BASE_TREE)
+    assert len(fits) == 3 and len(config._FITTED) == 1
+
+
+def test_a_changed_data_seed_refits_and_writes_another_data_hash(tmp_path, monkeypatch):
+    fits = _count_fits(monkeypatch)
+    hashes = []
+    for seed in (5, 6):
+        cfg = _write(tmp_path, f"run{seed}.ini",
+                     BASE_INI.replace("data_seed = 5", f"data_seed = {seed}"))
+        out = str(tmp_path / f"out{seed}")
+        assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+        hashes.append(_read_json(os.path.join(out, "predictions.json"))["data_hash"])
+    assert len(fits) == 2 and hashes[0] != hashes[1]
+
+
+def test_csv_data_is_read_again_by_each_command(tmp_path, monkeypatch):
+    fits = _count_fits(monkeypatch)
+    data = str(tmp_path / "data.csv")
+    cfg = _write(tmp_path, "csv.ini",
+                 f"[model]\nfamily = gaussian_location\nsource = csv\npath = {data}\n"
+                 "columns = 2\n\n[tuning]\nc_h = 4.0\n\n[execution]\nepochs = 5\n")
+    out = str(tmp_path / "out")
+    hashes = []
+    for seed in (1, 2):  # the file is rewritten between two predicts of one process
+        oracles.save_csv(data, np.random.default_rng(seed).standard_normal((60, 2)))
+        assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+        hashes.append(_read_json(os.path.join(out, "predictions.json"))["data_hash"])
+    assert len(fits) == 2 and hashes[0] != hashes[1]
+    assert config._FITTED == {}
+
+
+def test_a_kept_fit_is_read_only():
+    setup = config.resolve_setup(BASE_TREE)
+    truth = config.resolve_setup(dict(BASE_TREE, prediction={"matrices": "truth"}))
+    for array in (setup.data.records, setup.mle_theta, setup.info.j_mat, setup.info.i_mat,
+                  truth.prediction_info.j_mat, truth.prediction_info.i_mat):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    # the next command reads what the first one was given
+    again = config.resolve_setup(BASE_TREE)
+    assert again.data.digest == setup.data.digest
+    assert again.mle_theta is setup.mle_theta
 
 
 def test_seed_and_replicates_come_from_the_config_only(tmp_path, capsys):
