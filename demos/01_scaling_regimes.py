@@ -2,9 +2,9 @@
 
 A schedule picks polynomial rates in n for the step size (h = c_h n^-frak_h),
 batch size (b = c_b n^frak_b), and inverse temperature (beta = c_beta
-n^frak_t).  The scaling law decides the local rescaling exponent, the time
-slowdown, and which of the two noise sources (minibatch resampling, injected
-Gaussian) still matters in the limit.  Run:
+n^frak_t).  The scaling law decides the local rescaling exponent and which of
+the two noise sources (minibatch resampling, injected Gaussian) still matters
+in the limit; one unit of limit time is always n^frak_h iterations.  Run:
 
     python3 demos/01_scaling_regimes.py
 """
@@ -26,15 +26,14 @@ SCHEDULES = [
           variant="control_variate")),
 ]
 
-print(f"{'schedule':<28}{'rescale':>9}{'slowdown':>10}"
-      f"{'minibatch':>11}{'gaussian':>10}")
+print(f"{'schedule':<28}{'rescale':>9}{'minibatch':>11}{'gaussian':>10}")
 for name, kw in SCHEDULES:
     law = theory.scaling_law(TuningConfig(**kw))
-    print(f"{name:<28}{law.local_exponent:>9.3g}{law.slowdown:>10.3g}"
+    print(f"{name:<28}{law.local_exponent:>9.3g}"
           f"{str(law.minibatch_active):>11}{str(law.gaussian_active):>10}")
 
 print()
-print("a schedule with no slowdown left over is refused:")
+print("a schedule whose local exponent w = (frak_b + frak_h) / 2 reaches 1 is refused:")
 try:
     theory.scaling_law(TuningConfig(frak_h=1.0, frak_b=1.0, c_h=1.0, c_b=1.0))
 except RegimeError as exc:

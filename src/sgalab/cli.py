@@ -101,12 +101,11 @@ def cmd_predict(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
     artifacts.write_json(os.path.join(out, "predictions.json"), payload)
     artifacts.write_json(os.path.join(out, "manifest.json"), _command_manifest(setup))
     if not quiet:
-        law = report.law
-        print(f"predict: n={setup.n} dim={setup.model.dim} variant={setup.cfg.variant}")
+        cfg, law = setup.cfg, report.ou.law
+        print(f"predict: n={setup.n} dim={setup.model.dim} variant={cfg.variant}")
         print(
-            f"  exponents: step={law.frak_h} batch={law.frak_b}"
-            f" temperature={law.frak_t} local={law.local_exponent:.4g}"
-            f" slowdown={law.slowdown:.4g}"
+            f"  exponents: step={cfg.frak_h} batch={cfg.frak_b}"
+            f" temperature={cfg.temperature_exponent} local={law.local_exponent:.4g}"
         )
         print(
             f"  noise terms active: minibatch={law.minibatch_active}"

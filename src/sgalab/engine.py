@@ -312,12 +312,6 @@ def _mean_op(b: int) -> tuple[Callable, np.ndarray]:
     return _summed_mean, np.array(float(b))
 
 
-def _batch_mean(g: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Bitwise ``mean`` over the batch axis of ``g (R, b, dim)``, into ``out (R, 1, dim)``."""
-    op, operand = _mean_op(g.shape[-2])
-    return op(g, operand, out)
-
-
 def _make_advance(ctx: _Context) -> Callable:
     """Compile the step loop of one gather block into a closure with bound constants.
 

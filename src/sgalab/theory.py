@@ -5,8 +5,11 @@ behaves like a discretized linear diffusion with drift matrix ``-B/2`` and
 diffusion matrix ``A``.  This module computes, from the tuning and a pair of
 information matrices (curvature ``J`` and score covariance ``I``):
 
-* the scaling regime itself: the local scale exponent, the slowdown
-  exponent, and which noise sources survive in the limit;
+* the scaling regime itself, in closed form: with ``t`` the temperature
+  exponent, the local scale exponent is ``w = min(frak_b + frak_h, t) / 2``
+  (``t / 2`` with control variates), one limit-time unit is ``n**frak_h``
+  iterations, the injected noise survives when ``t <= frak_b + frak_h`` and
+  the minibatch noise when ``frak_b + frak_h <= t``;
 * the limit matrices ``(B, A)``, including the doubled-state momentum lift
   and the control-variate variant whose minibatch noise is always
   lower-order;
@@ -56,44 +59,40 @@ DEFAULT_M_VALUES = (1.0, 8.0)
 
 @dataclass
 class ScalingLaw:
-    """Exponent bookkeeping for one tuning configuration.
+    """The scaling regime of one tuning configuration, in closed form.
 
-    ``local_exponent`` is the rescaling power: fluctuations of size
-    ``n**-local_exponent`` around the anchor are order one after rescaling.
-    ``slowdown`` is the exponent separating algorithmic time from limit
-    time (one limit-time unit is ``n**slowdown`` iterations up to the step
-    constant).  The three activity flags say which terms survive in the
-    limit drift/diffusion; each is paired with its limit constant
-    (``c_drift``, ``c_gauss``, ``c_minibatch``), zero when inactive.
-    ``batch_correction`` is the without-replacement factor, reaching zero
-    exactly for full-batch sampling.
+    With ``t`` the temperature exponent (``+inf`` without injected noise),
+    the local exponent is ``w = min(frak_b + frak_h, t) / 2``, or ``t / 2``
+    for control variates: fluctuations of size ``n**-w`` around the anchor
+    are order one after rescaling.  One limit-time unit is ``n**frak_h``
+    iterations up to the step constant, so the drift always survives.
+    Injected Gaussian noise survives when ``t <= frak_b + frak_h`` and
+    minibatch noise when ``frak_b + frak_h <= t`` (never for control
+    variates); each flag is paired with its limit constant (``c_gauss``,
+    ``c_minibatch``), zero when inactive.  ``batch_correction`` is the
+    without-replacement factor, reaching zero exactly for full-batch
+    sampling.  The schedule itself stays on the ``TuningConfig``.
     """
 
-    frak_h: float
-    frak_b: float
-    frak_t: float
     local_exponent: float
-    slowdown: float
-    drift_active: bool
     gaussian_active: bool
     minibatch_active: bool
-    c_drift: float
     c_gauss: float
     c_minibatch: float
     batch_correction: float
-    variant: str
 
 
 def scaling_law(cfg: TuningConfig) -> ScalingLaw:
     """Derive the scaling regime of a tuning configuration.
 
     Raises :class:`RegimeError` (naming the violated inequality) when the
-    configuration sits outside the valid region: the slowdown exponent must
-    be positive and the local scale exponent must lie strictly inside
-    (0, 1).  Infinite temperature is handled as a genuine +inf, never as a
-    numeric sentinel.
+    configuration sits outside the valid region: the step exponent must be
+    positive and the local scale exponent must lie strictly inside (0, 1).
+    Infinite temperature is handled as a genuine +inf, never as a numeric
+    sentinel.
     """
-    h_exp, b_exp = cfg.frak_h, cfg.frak_b
+    h_exp = cfg.frak_h
+    bh_exp = cfg.frak_b + h_exp
     t_exp = cfg.temperature_exponent
 
     if cfg.variant == CONTROL_VARIATE:
@@ -104,24 +103,16 @@ def scaling_law(cfg: TuningConfig) -> ScalingLaw:
                 " so frak_t < +inf must hold"
             )
         w = 0.5 * t_exp
-        slowdown = h_exp  # minibatch noise is always lower-order here
-        drift_active = True
-        gaussian_active = True
-        minibatch_active = False
+        gaussian_active, minibatch_active = True, False
     else:
-        w = 0.5 * min(b_exp + h_exp, t_exp)
-        cand_gauss = (h_exp + t_exp - 2.0 * w) if math.isfinite(t_exp) else math.inf
-        cand_minibatch = b_exp + 2.0 * h_exp - 2.0 * w
-        slowdown = min(h_exp, cand_gauss, cand_minibatch)
-        drift_active = h_exp <= slowdown + _FLAG_TOL
-        gaussian_active = cand_gauss <= slowdown + _FLAG_TOL
-        minibatch_active = cand_minibatch <= slowdown + _FLAG_TOL
+        w = 0.5 * min(bh_exp, t_exp)
+        gaussian_active = t_exp <= bh_exp + _FLAG_TOL
+        minibatch_active = bh_exp <= t_exp + _FLAG_TOL
 
-    if not slowdown > 0.0:
+    if not h_exp > 0.0:
         raise RegimeError(
-            f"invalid regime: slowdown exponent min(frak_h, frak_h + frak_t"
-            f" - 2w, frak_b + 2 frak_h - 2w) = {slowdown} violates"
-            " slowdown > 0"
+            f"invalid regime: step exponent frak_h = {h_exp} violates"
+            " frak_h > 0 (one limit-time unit is n**frak_h iterations)"
         )
     if not 0.0 < w < 1.0:
         raise RegimeError(
@@ -130,7 +121,7 @@ def scaling_law(cfg: TuningConfig) -> ScalingLaw:
         )
 
     full_batch_wo = (
-        b_exp == 1.0 and cfg.policy == WITHOUT_REPLACEMENT
+        cfg.frak_b == 1.0 and cfg.policy == WITHOUT_REPLACEMENT
     )
     batch_correction = 1.0 - cfg.c_b if full_batch_wo else 1.0
     if batch_correction < 0.0:
@@ -140,25 +131,17 @@ def scaling_law(cfg: TuningConfig) -> ScalingLaw:
             " replacement)"
         )
 
-    c_drift = cfg.c_h if drift_active else 0.0
-    c_gauss = (cfg.c_h / cfg.c_beta) if (gaussian_active and cfg.has_noise) else 0.0
+    c_gauss = cfg.c_h / cfg.c_beta if gaussian_active else 0.0
     c_minibatch = (
         cfg.c_h**2 * batch_correction / (4.0 * cfg.c_b) if minibatch_active else 0.0
     )
     return ScalingLaw(
-        frak_h=h_exp,
-        frak_b=b_exp,
-        frak_t=t_exp,
         local_exponent=w,
-        slowdown=slowdown,
-        drift_active=drift_active,
         gaussian_active=gaussian_active,
         minibatch_active=minibatch_active,
-        c_drift=c_drift,
         c_gauss=c_gauss,
         c_minibatch=c_minibatch,
         batch_correction=batch_correction,
-        variant=cfg.variant,
     )
 
 
@@ -201,9 +184,9 @@ def ou_params(
     """Assemble the limit matrices for a tuning and information pair.
 
     Plain variant: ``B = c_h Gamma J`` and
-    ``A = c_mb Gamma I Gamma' + c_g Lambda`` with each term present exactly
-    when its noise source is active.  Control-variate: the minibatch term
-    is dropped regardless of exponents.  Momentum: the doubled-state lift
+    ``A = c_mb Gamma I Gamma' + c_g Lambda``, each constant zero when its
+    noise source is inactive.  Control-variate: the minibatch constant is
+    zero regardless of exponents.  Momentum: the doubled-state lift
     with unit mass, ``B = c_h [[0, -I], [J, Gamma]]``, and zero upper-left
     diffusion block, carrying ``I`` (not its preconditioned form) in the
     lower-right minibatch block and ``Gamma`` in the Gaussian block.
@@ -222,21 +205,14 @@ def ou_params(
         b_mat[d:, d:] = gamma
         b_mat *= cfg.c_h
         a_mat = np.zeros((2 * d, 2 * d))
-        if law.minibatch_active:
-            a_mat[d:, d:] += law.c_minibatch * i_mat
-        if law.gaussian_active and cfg.has_noise:
-            a_mat[d:, d:] += law.c_gauss * gamma
+        a_mat[d:, d:] += law.c_minibatch * i_mat
+        a_mat[d:, d:] += law.c_gauss * gamma
         state_dim = 2 * d
     else:
         b_mat = cfg.c_h * (gamma @ j_mat)
         a_mat = np.zeros((d, d))
-        if cfg.variant == CONTROL_VARIATE:
-            a_mat += law.c_gauss * lam
-        else:
-            if law.minibatch_active:
-                a_mat += law.c_minibatch * (gamma @ i_mat @ gamma.T)
-            if law.gaussian_active and cfg.has_noise:
-                a_mat += law.c_gauss * lam
+        a_mat += law.c_minibatch * (gamma @ i_mat @ gamma.T)
+        a_mat += law.c_gauss * lam
         state_dim = d
 
     a_mat = 0.5 * (a_mat + a_mat.T)
@@ -336,26 +312,26 @@ def avg_cov_rescaled(ou: OuParams, m: float) -> AvgCovRescaled:
     the violated inequality); the stated regime also has ``frak_t <= 1``,
     recorded as a flag.
     """
-    law = ou.law
-    if law.variant != PLAIN:
+    cfg = ou.cfg
+    if cfg.variant != PLAIN:
         raise RegimeError(
             "iterate-average prediction is defined for the plain variant"
-            f" only, not {law.variant!r}"
+            f" only, not {cfg.variant!r}"
         )
     if not (math.isfinite(m) and m > 0.0):
         raise DimensionError(f"epoch count m must be finite and > 0, got {m}")
-    if law.frak_b + law.frak_h > law.frak_t:
+    bh_exp, t_exp = cfg.frak_b + cfg.frak_h, cfg.temperature_exponent
+    if bh_exp > t_exp:
         raise RegimeError(
             "iterate-average regime violated: frak_b + frak_h ="
-            f" {law.frak_b + law.frak_h} exceeds frak_t = {law.frak_t}"
+            f" {bh_exp} exceeds frak_t = {t_exp}"
         )
-    cfg = ou.cfg
     c_b, c_h = cfg.c_b, cfg.c_h
     matrix = avg_cov_exact(ou, m / c_b)
 
     simple = None
     remainder = None
-    if law.frak_b + law.frak_h == 1.0 and not cfg.has_noise:
+    if bh_exp == 1.0 and not cfg.has_noise:
         simple = (1.0 / m) * linalg.sandwich(ou.j_mat, ou.i_mat)
         p_mat = ou.gamma @ ou.j_mat
         tail = np.linalg.solve(p_mat, np.linalg.solve(p_mat, stationary_cov(ou)))
@@ -368,7 +344,7 @@ def avg_cov_rescaled(ou: OuParams, m: float) -> AvgCovRescaled:
         matrix=matrix,
         simple=simple,
         remainder_bound=remainder,
-        in_stated_regime=law.frak_t <= 1.0,
+        in_stated_regime=t_exp <= 1.0,
     )
 
 
@@ -398,12 +374,12 @@ def mixing_time(ou: OuParams, n: int) -> MixingTime:
             "mixing time undefined: the drift has a transient direction"
             f" (min real eigenvalue {rate:.3e} <= 0)"
         )
-    law = ou.law
-    epoch_factor = ou.cfg.c_b * float(n) ** (law.frak_h + law.frak_b - 1.0)
+    cfg = ou.cfg
+    epoch_factor = cfg.c_b * float(n) ** (cfg.frak_h + cfg.frak_b - 1.0)
     return MixingTime(
         epochs_iact=4.0 * epoch_factor / rate,
         epochs_gap=2.0 * epoch_factor / rate,
-        iterations=2.0 * float(n) ** law.frak_h / rate,
+        iterations=2.0 * float(n) ** cfg.frak_h / rate,
         rate=rate,
     )
 
@@ -566,7 +542,6 @@ class PredictionReport:
     """Bundle of every prediction for one configuration at one sample size."""
 
     n: int
-    law: ScalingLaw
     ou: OuParams
     q_inf: np.ndarray
     mixing: MixingTime
@@ -579,7 +554,7 @@ class PredictionReport:
         return {
             "n": self.n,
             "config": self.ou.cfg.to_dict(),
-            "law": asdict(self.law),
+            "law": asdict(self.ou.law),
             "b_mat": self.ou.b_mat,
             "a_mat": self.ou.a_mat,
             "q_inf": self.q_inf,
@@ -615,7 +590,6 @@ def predict(
             average_errors[float(m)] = str(exc)
     return PredictionReport(
         n=n,
-        law=ou.law,
         ou=ou,
         q_inf=q_inf,
         mixing=mixing,

@@ -5,7 +5,9 @@ eigenvalues, Taylor-series matrix exponentials, brute-force quadrature and
 the asymptotic path-average forms, per-family log-likelihoods, enumerated
 batch spaces, the textbook drift estimate, the engine's step in expression
 form, the exact finite-n stationary law of linear-gradient chains (a Stein
-equation, Q = M Q Mᵀ + C), coordinate-descent fitting.
+equation, Q = M Q Mᵀ + C), coordinate-descent fitting, the scaling regime
+as a minimum over candidate slowdown exponents and the limit diffusion summed
+only over its surviving terms.
 Production code must agree with these within stated tolerances; none of
 these routines may call the routines they are checking.  ``step`` is the
 one exception: the engine's reference single transition, which no command
@@ -29,7 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from sgalab.engine import _build_context
-from sgalab.errors import ConfigError, DimensionError
+from sgalab.errors import ConfigError, DimensionError, RegimeError
 
 
 def random_spd(rng: np.random.Generator, d: int, ridge: float = 0.1) -> np.ndarray:
@@ -277,6 +279,63 @@ def per_record_hess(model, theta: np.ndarray, records: np.ndarray) -> np.ndarray
     else:
         raise ValueError(f"no Hessian formula for family {model.family!r}")
     return -v[:, None, None] * (x[:, :, None] * x[:, None, :])
+
+
+# ------------------------------------------------------------ scaling law
+
+
+def candidate_scaling_regime(cfg) -> tuple[float, float, bool, bool, bool]:
+    """``(w, slowdown, drift, gaussian, minibatch)``: the regime as a minimum over candidates.
+
+    With ``t`` the temperature exponent and ``w = min(frak_b + frak_h, t) / 2``
+    (``t / 2`` with control variates), the slowdown exponent is the smallest of
+    the drift's ``frak_h``, the injected noise's ``frak_h + t - 2w`` and the
+    minibatch noise's ``frak_b + 2 frak_h - 2w`` (with control variates the
+    minibatch noise is lower-order and the slowdown is ``frak_h``); a term
+    survives when its candidate is within 1e-12 of the minimum.  Raises
+    ``RegimeError`` unless ``slowdown > 0`` and ``0 < w < 1``.
+    """
+    h, b, t = cfg.frak_h, cfg.frak_b, cfg.temperature_exponent
+    if cfg.variant == "control_variate":
+        if math.isinf(t):
+            raise RegimeError("control variates need a finite temperature exponent")
+        w = 0.5 * t
+        slowdown, drift, gaussian, minibatch = h, True, True, False
+    else:
+        w = 0.5 * min(b + h, t)
+        cand_gauss = h + t - 2.0 * w if math.isfinite(t) else math.inf
+        cand_minibatch = b + 2.0 * h - 2.0 * w
+        slowdown = min(h, cand_gauss, cand_minibatch)
+        drift, gaussian, minibatch = (
+            c <= slowdown + 1e-12 for c in (h, cand_gauss, cand_minibatch)
+        )
+    if not slowdown > 0.0:
+        raise RegimeError(f"slowdown exponent {slowdown} violates slowdown > 0")
+    if not 0.0 < w < 1.0:
+        raise RegimeError(f"local scale exponent w = {w} violates 0 < w < 1")
+    return w, slowdown, drift, gaussian, minibatch
+
+
+def guarded_diffusion(cfg, law, i_mat, gamma, lam) -> np.ndarray:
+    """The symmetrised limit diffusion, each noise term added only where it survives.
+
+    Momentum carries ``I`` and ``Gamma`` in the lower-right block of the doubled
+    state; control variates carry the injected noise alone.
+    """
+    d = i_mat.shape[0]
+    if cfg.variant == "momentum":
+        a_mat = np.zeros((2 * d, 2 * d))
+        if law.minibatch_active:
+            a_mat[d:, d:] += law.c_minibatch * i_mat
+        if law.gaussian_active and cfg.has_noise:
+            a_mat[d:, d:] += law.c_gauss * gamma
+    else:
+        a_mat = np.zeros((d, d))
+        if law.minibatch_active and cfg.variant != "control_variate":
+            a_mat += law.c_minibatch * (gamma @ i_mat @ gamma.T)
+        if law.gaussian_active and cfg.has_noise:
+            a_mat += law.c_gauss * lam
+    return 0.5 * (a_mat + a_mat.T)
 
 
 # ---------------------------------------------------------- batch spaces

@@ -69,9 +69,7 @@ def test_scaling_law_minibatch_only():
     cfg = TuningConfig(frak_h=1.0, frak_b=0.0, frak_t=math.inf, c_h=3.0, c_b=2.0)
     law = scaling_law(cfg)
     assert law.local_exponent == 0.5
-    assert law.slowdown == 1.0
-    assert law.drift_active and law.minibatch_active and not law.gaussian_active
-    assert law.c_drift == 3.0
+    assert law.minibatch_active and not law.gaussian_active
     assert law.c_gauss == 0.0
     assert law.c_minibatch == pytest.approx(9.0 / 8.0)  # c_h^2 / (4 c_b)
     assert law.batch_correction == 1.0
@@ -82,8 +80,7 @@ def test_scaling_law_all_sources_active():
                        c_h=2.0, c_b=1.0, c_beta=5.0)
     law = scaling_law(cfg)
     assert law.local_exponent == 0.5
-    assert law.slowdown == 1.0
-    assert law.drift_active and law.gaussian_active and law.minibatch_active
+    assert law.gaussian_active and law.minibatch_active
     assert law.c_gauss == pytest.approx(0.4)
     assert law.c_minibatch == pytest.approx(1.0)
 
@@ -93,7 +90,7 @@ def test_scaling_law_cold_noise_dominates():
     cfg = TuningConfig(frak_h=1.0, frak_b=0.0, frak_t=0.5, c_h=1.0, c_beta=1.0)
     law = scaling_law(cfg)
     assert law.local_exponent == 0.25
-    assert law.gaussian_active and law.drift_active
+    assert law.gaussian_active
     assert not law.minibatch_active
     assert law.c_minibatch == 0.0
 
@@ -102,12 +99,11 @@ def test_scaling_law_balanced_exponents():
     cfg = TuningConfig(frak_h=0.5, frak_b=0.5, frak_t=math.inf, c_h=1.0, c_b=1.0)
     law = scaling_law(cfg)
     assert law.local_exponent == 0.5
-    assert law.slowdown == 0.5
-    assert law.drift_active and law.minibatch_active
+    assert law.minibatch_active
 
 
 def test_scaling_law_regime_errors():
-    with pytest.raises(RegimeError, match="slowdown"):
+    with pytest.raises(RegimeError, match="frak_h > 0"):
         scaling_law(TuningConfig(frak_h=0.0, frak_b=0.5, frak_t=math.inf))
     with pytest.raises(RegimeError, match="0 < w < 1"):
         scaling_law(TuningConfig(frak_h=1.0, frak_b=1.0, frak_t=math.inf))
@@ -137,7 +133,6 @@ def test_scaling_law_control_variate():
                        c_beta=0.5, variant=CONTROL_VARIATE)
     law = scaling_law(cfg)
     assert law.local_exponent == 0.5
-    assert law.slowdown == 1.0
     assert law.gaussian_active and not law.minibatch_active
     assert law.c_minibatch == 0.0
     assert law.c_gauss == pytest.approx(4.0)
@@ -145,6 +140,59 @@ def test_scaling_law_control_variate():
         scaling_law(
             TuningConfig(frak_h=1.0, frak_t=math.inf, variant=CONTROL_VARIATE)
         )
+
+
+def test_scaling_law_matches_the_candidate_minimum_on_a_grid():
+    # tenths make sums like 0.1 + 0.2 land an ulp off the grid's boundaries
+    tenths = [k / 10 for k in range(16)]
+    temperatures = [k / 10 for k in range(26)] + [math.inf]
+    checked = 0
+    for variant in ("plain", CONTROL_VARIATE):
+        for frak_h in tenths:
+            for frak_b in tenths[:13]:
+                for frak_t in temperatures:
+                    cfg = TuningConfig(frak_h=frak_h, frak_b=frak_b, frak_t=frak_t,
+                                       variant=variant)
+                    try:
+                        want = oracles.candidate_scaling_regime(cfg)
+                    except RegimeError as exc:
+                        with pytest.raises(RegimeError) as got:
+                            scaling_law(cfg)
+                        # the same inequality fails on both routes
+                        assert ("slowdown" in str(exc)) == ("frak_h > 0" in str(got.value))
+                        continue
+                    w, slowdown, drift, gaussian, minibatch = want
+                    law = scaling_law(cfg)
+                    key = (variant, frak_h, frak_b, frak_t)
+                    assert law.local_exponent == w, key
+                    assert law.gaussian_active == gaussian, key
+                    assert law.minibatch_active == minibatch, key
+                    assert drift, key
+                    assert abs(slowdown - frak_h) <= 4 * math.ulp(frak_b + 2 * frak_h), key
+                    checked += 1
+    assert checked == 8523
+
+
+def test_merged_diffusion_is_bitwise_the_guarded_sum():
+    j_mat = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 1.0]])
+    i_mat = np.array([[1.0, -0.4, 0.2], [-0.4, 1.2, -0.3], [0.2, -0.3, 0.9]])
+    gamma = np.array([[1.0, -0.1, 0.0], [-0.1, 0.8, 0.05], [0.0, 0.05, 1.1]])
+    lam = np.diag([1.0, 0.0, 2.0])
+    # the inactive terms, scaled by zero, carry -0.0 entries into the merged sum
+    assert np.signbit(0.0 * (gamma @ i_mat @ gamma.T)).any()
+    assert np.signbit(0.0 * gamma).any() and (lam == 0.0).any()
+    cases = (
+        dict(frak_t=1.0, c_beta=0.5, variant=CONTROL_VARIATE),  # control variates
+        dict(c_b=2.0, variant=MOMENTUM),  # noiseless momentum
+        dict(frak_t=0.5, c_beta=2.0),  # cold SGLD: frak_t < frak_b + frak_h
+        dict(frak_t=1.0, c_beta=2.0, variant=MOMENTUM),  # both terms, momentum
+        dict(frak_t=1.0, c_beta=2.0),  # both terms, plain
+    )
+    for case in cases:
+        cfg = TuningConfig(frak_h=1.0, c_h=1.5, gamma=gamma, lam=lam, **case)
+        ou = ou_params(cfg, j_mat, i_mat)
+        want = oracles.guarded_diffusion(cfg, ou.law, i_mat, gamma, lam)
+        assert np.array_equal(ou.a_mat.view(np.int64), want.view(np.int64)), case
 
 
 # ---------------------------------------------------------- limit matrices
@@ -548,7 +596,7 @@ def test_predict_bundle_round_trip():
     assert report.average_errors == {}
     assert np.allclose(report.q_inf, stationary_cov(report.ou), atol=1e-14)
     blob = report.to_json_dict()
-    assert json.loads(artifacts.json_text(blob))["law"]["frak_t"] == "inf"
+    assert json.loads(artifacts.json_text(blob))["config"]["frak_t"] == "inf"
     assert blob["n"] == 500
     assert "1.0" in blob["averages"] and "0.5" in blob["marginals"]
 
