@@ -68,6 +68,15 @@ does not parse or lacks a key its reader asks for, a trace that does not end
 in a line feed, or a trace whose line count is not its header plus the rows
 its manifest implies (``n_steps // thin``, or ``(diverged_at - 1) // thin``
 for a diverged run).  A missing file is an ``ArtifactMismatchError``.
+A trace that passes those checks is parsed, unless this process wrote it:
+``save_run`` keeps each trace's states beside the sha256 of the bytes it
+wrote, when every state is finite, and ``load_run`` returns the kept array
+as a read-only view instead of parsing only if the sha256 of the bytes it
+read is that digest, the shape is the manifest's and the array's own bytes
+are unchanged.  An edited, cut or stale file never matches.  ``load_run``
+lets a kept trace go once it has looked it up, and the kept set is emptied
+each time a simulate starts writing, so a process holds at most one
+simulate's traces, and none once compare has read them.
 
 The simulate command owns the numbered files.  Before writing it deletes
 every ACF file, whose trace it replaces, and the trace and run manifest of
@@ -80,6 +89,7 @@ missing one is a mismatch, never a smaller comparison.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -96,6 +106,13 @@ FLOAT_FMT = "%.17g"
 #: Table rows formatted per write: enough to amortise the ``%`` call, few
 #: enough that a long trace never builds its whole text in memory.
 _CHUNK_ROWS = 256
+
+#: The states ``save_run`` wrote since the last simulate started writing
+#: and ``load_run`` has not looked up yet, by absolute trace path:
+#: ``(sha256 of the trace's bytes, the record's states, sha256 of the
+#: states' bytes)``.  ``load_run`` returns them in place of a parse only
+#: while both digests still match.
+_KEPT: dict[str, tuple[bytes, np.ndarray, bytes]] = {}
 
 
 def json_text(obj) -> str:
@@ -261,30 +278,50 @@ def _trace_header(dim: int, state_dim: int) -> str:
     return ",".join(["step", "epoch"] + names)
 
 
-def _write_table(path: str, header: str, first: np.ndarray, values: np.ndarray) -> None:
-    """Write ``header``, then rows of the integer ``first[k]`` and ``values[k]``."""
+def _write_table(path: str, header: str, first: np.ndarray, values: np.ndarray) -> bytes:
+    """Write ``header``, then rows of the integer ``first[k]`` and ``values[k]``.
+
+    Returns the sha256 digest of the bytes written.
+    """
     row = ",".join(["%d"] + [FLOAT_FMT] * values.shape[1]) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+
+        def put(text: str) -> None:
+            data = text.encode("ascii")
+            digest.update(data)
+            fh.write(data)
+
+        put(header + "\n")
         for start in range(0, len(first), _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
             part = np.column_stack([first[start:stop], values[start:stop]])
-            fh.write(row * len(part) % tuple(part.ravel().tolist()))
+            put(row * len(part) % tuple(part.ravel().tolist()))
+    return digest.digest()
 
 
 def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> None:
     """Persist one replicate as a trace CSV plus a manifest JSON.
 
     The manifest's ``wall_time`` entry is the one field allowed to differ
-    between byte-identical re-runs.
+    between byte-identical re-runs.  A trace whose states are all finite
+    float64 values in one C-ordered block is kept in ``_KEPT``, without a
+    copy, for ``load_run``; ``nan`` text loses its sign and payload, so a
+    non-finite state is always parsed back.
     """
+    path = trace_path(out_dir, index)
+    key = os.path.abspath(path)
+    _KEPT.pop(key, None)
     steps = record.step_numbers()
-    _write_table(
-        trace_path(out_dir, index),
+    states = record.states
+    digest = _write_table(
+        path,
         _trace_header(record.dim, record.state_dim),
         steps,
-        np.column_stack([steps / record.steps_per_epoch, record.states]),
+        np.column_stack([steps / record.steps_per_epoch, states]),
     )
+    if states.dtype == np.float64 and states.flags.c_contiguous and np.isfinite(states).all():
+        _KEPT[key] = (digest, states, hashlib.sha256(states).digest())
     payload = {
         "run": record.manifest,
         "config_hash": config_hash,
@@ -301,7 +338,11 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
 
     The trace is refused, naming the file, unless it ends in a line feed and
     holds its header plus exactly the rows its manifest implies; only then,
-    and only if it has rows, is it parsed.
+    and only if it has rows, are its states read.  They are the states
+    ``save_run`` kept for this path, as a read-only view, when the file's
+    sha256 is the one written, the shape is the manifest's and the kept
+    array's bytes are unchanged; otherwise the file is parsed.  A kept
+    trace is looked up once: a second load parses.
     """
     payload = read_json(run_manifest_path(out_dir, index))
     run = payload["run"]
@@ -316,15 +357,18 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
         raise ArtifactMismatchError(f"missing artifact: {path}")
     with open(path, "rb") as fh:
         # counted in blocks: read whole, a long trace would add its size to peak memory
-        lines, last = 0, b""
+        lines, last, digest = 0, b"", hashlib.sha256()
         for block in iter(lambda: fh.read(1 << 16), b""):
             lines, last = lines + block.count(b"\n"), block[-1:]
+            digest.update(block)
         if last != b"\n":
             raise DataError(f"{path}: trace does not end in a line feed; cut short?")
         if lines != 1 + rows:
             raise DataError(f"{path}: {lines - 1} rows, but its manifest implies {rows}")
         states = np.empty((0, state_dim))
         if rows:
+            states = _kept_states(path, digest.digest(), (rows, state_dim))
+        if states is None:
             fh.seek(0)
             try:
                 table = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
@@ -342,6 +386,25 @@ def load_run(out_dir: str, index: int) -> tuple[RunRecord, str]:
     return record, payload["config_hash"]
 
 
+def _kept_states(path: str, digest: bytes, shape: tuple[int, int]) -> np.ndarray | None:
+    """A read-only view of the states kept for ``path``, or None unless they still match.
+
+    ``digest`` is the sha256 of the file's bytes as ``load_run`` read them.
+    The entry is let go either way: from here the returned record holds the
+    array, and keeping it too would hold every trace until the next simulate.
+    """
+    kept = _KEPT.pop(os.path.abspath(path), None)
+    if kept is None:
+        return None
+    written, states, state_digest = kept
+    if (written != digest or states.shape != shape
+            or hashlib.sha256(states).digest() != state_digest):
+        return None  # the file or the record's array changed since save_run
+    view = states.view()
+    view.flags.writeable = False
+    return view
+
+
 #: A per-replicate file name: group 1 is a trace's replicate index, group 2
 #: a run manifest's, and an ACF file matches with neither.
 _REPLICATE_FILE = re.compile(r"trace_(\d+)\.csv|manifest_(\d+)\.json|acf_\d+\.csv")
@@ -352,8 +415,10 @@ def remove_runs_from(out_dir: str, first: int) -> None:
 
     A simulation calls this before it writes, so that no file from an
     earlier, larger run is read as part of the new one, and no ACF file
-    outlives the trace it describes.
+    outlives the trace it describes.  It also forgets every state
+    ``save_run`` kept, so a process holds at most one simulate's traces.
     """
+    _KEPT.clear()
     for name in os.listdir(out_dir):
         match = _REPLICATE_FILE.fullmatch(name)
         if not match:

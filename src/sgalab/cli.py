@@ -384,6 +384,14 @@ def cmd_experiment(
 ) -> int:
     trees = experiment_trees(name, scale=scale, seed=seed, epochs_override=epochs_override)
     root = out_flag or name.replace("-", "_") + "_out"
+    # experiments share variant names, so a second one would replace the first's trees
+    summary_path = os.path.join(root, "summary.json")
+    if os.path.exists(summary_path):
+        earlier = artifacts.read_json(summary_path)["experiment"]
+        if earlier != name:
+            raise ConfigError(
+                f"{summary_path} holds experiment {earlier!r}; give {name} another --out"
+            )
     os.makedirs(root, exist_ok=True)
     summary: dict = {"experiment": name, "scale": scale, "seed": seed, "variants": {}}
     worst_exit = EXIT_OK

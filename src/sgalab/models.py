@@ -170,9 +170,10 @@ def gaussian_location_model(
     if np.any(w <= 0):
         raise DataError("location weights must be strictly positive")
     neg_diag = -np.diag(w)
+    w_row = w[None, :]  # at one record the product has equal shapes, with no broadcast
 
     def grad(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
-        return (records - theta[..., None, :]) * w
+        return (records - theta[..., None, :]) * w_row
 
     def hess_mean(theta: np.ndarray, records: np.ndarray) -> np.ndarray:
         return neg_diag.copy()

@@ -1411,6 +1411,163 @@ def test_trace_of_the_wrong_shape_is_refused_naming_the_file(tmp_path, edit):
         artifacts.load_run(str(tmp_path), 0)
 
 
+# ------------------------------------------------- traces kept in memory
+
+# A Poisson tree at a step size where 7 of its 8 chains diverge part way
+POISSON_DIVERGING = {
+    "model": {"family": "poisson", "n": 200, "d": 3, "data_seed": 4,
+              "covariate_scales": [3.0, 3.0]},
+    "tuning": {"c_h": 24.0},
+    "execution": {"epochs": 20.0, "replicates": 8},
+}
+MOMENTUM_TREE = dict(BASE_TREE, tuning=dict(BASE_TREE["tuning"], variant=MOMENTUM),
+                     prediction={"t_grid": [0.5]})
+
+
+def _count_parses(monkeypatch) -> list:
+    """Patch ``np.loadtxt`` to record each file it parses; the list it appends to."""
+    parsed, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda fh, *args, **kwargs: parsed.append(fh.name) or loadtxt(
+                            fh, *args, **kwargs))
+    return parsed
+
+
+def _compare_outputs(out):
+    return {name: _read_bytes(os.path.join(out, name)) for name in sorted(os.listdir(out))
+            if name == "comparison.json" or name.startswith("acf_")}
+
+
+@pytest.mark.parametrize("tree", [BASE_TREE, MOMENTUM_TREE, POISSON_DIVERGING],
+                         ids=["plain", "momentum", "diverged-replicates"])
+def test_in_process_compare_reads_kept_traces_and_matches_a_fresh_interpreter(
+        tmp_path, monkeypatch, tree):
+    cfg = _write(tmp_path, "run.json", json.dumps(tree))
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+    code = cli.main(["simulate", "--config", cfg, "--out", out, "--threads", "1", "--quiet"])
+    assert code == (cli.EXIT_DIVERGED if tree is POISSON_DIVERGING else 0)
+    parsed = _count_parses(monkeypatch)
+    assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert parsed == []
+    in_process = _compare_outputs(out)
+    assert "comparison.json" in in_process and any(name.startswith("acf_") for name in in_process)
+    for name in in_process:
+        os.remove(os.path.join(out, name))
+    proc = _fresh_process(["-m", "sgalab", "compare", "--config", cfg, "--out", out, "--quiet"])
+    assert proc.returncode == 0, proc.stderr
+    assert _compare_outputs(out) == in_process
+
+
+def test_each_simulate_forgets_the_traces_kept_before_it(tmp_path):
+    for name in ("a", "b"):
+        assert cli.cmd_simulate(BASE_TREE, str(tmp_path / name), threads=1, quiet=True) == 0
+    assert sorted(artifacts._KEPT) == [
+        os.path.abspath(artifacts.trace_path(str(tmp_path / "b"), r)) for r in range(2)]
+
+
+def _edit_first_digit(token: bytes) -> bytes:
+    """``token`` with its first nonzero digit changed: another number of the same length."""
+    at = next(i for i, c in enumerate(token) if chr(c) in "123456789")
+    return token[:at] + (b"3" if token[at:at + 1] == b"2" else b"2") + token[at + 1:]
+
+
+def test_in_process_compare_sees_a_trace_edited_after_simulate(tmp_path, monkeypatch):
+    cfg = _write(tmp_path, "run.json", json.dumps(BASE_TREE))
+    out = str(tmp_path / "out")
+    assert cli.main(["predict", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert cli.main(["simulate", "--config", cfg, "--out", out, "--threads", "1", "--quiet"]) == 0
+    path = artifacts.trace_path(out, 0)
+    written = artifacts._KEPT[os.path.abspath(path)][1].copy()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(True)
+    cells = lines[-1].split(b",")
+    cells[2] = _edit_first_digit(cells[2])  # theta_1 of the last state row
+    edited = b",".join(cells)
+    assert len(edited) == len(lines[-1]) and edited != lines[-1]
+    with open(path, "wb") as fh:
+        fh.write(b"".join(lines[:-1] + [edited]))
+    parsed = _count_parses(monkeypatch)
+    assert cli.main(["compare", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert parsed == [path]
+    in_process = _compare_outputs(out)
+    proc = _fresh_process(["-m", "sgalab", "compare", "--config", cfg, "--out", out, "--quiet"])
+    assert proc.returncode == 0, proc.stderr
+    assert _compare_outputs(out) == in_process
+    loaded, _ = artifacts.load_run(out, 0)
+    assert loaded.states[-1, 0] == float(cells[2]) != written[-1, 0]
+    assert np.array_equal(loaded.states[:-1], written[:-1])
+
+
+@pytest.mark.parametrize("keep", [
+    lambda data: len(b"".join(data.splitlines(True)[:21])),  # whole lines
+    lambda data: len(data) - 4,  # the last value cut mid-digit
+], ids=["rows", "last-value"])
+def test_kept_states_never_stand_in_for_a_cut_trace(tmp_path, capsys, monkeypatch, keep):
+    out = str(tmp_path)
+    assert cli.cmd_predict(BASE_TREE, out, quiet=True) == 0
+    assert cli.cmd_simulate(BASE_TREE, out, threads=1, quiet=True) == 0
+    path = artifacts.trace_path(out, 0)
+    whole = _read_bytes(path)
+    _cut_bytes(path, keep)
+    assert cli.main(["compare", "--config", _write(tmp_path, "run.json", json.dumps(BASE_TREE)),
+                     "--out", out, "--quiet"]) == 1
+    assert path in capsys.readouterr().err
+    # the written bytes back in place: the kept states are good again
+    with open(path, "wb") as fh:
+        fh.write(whole)
+    parsed = _count_parses(monkeypatch)
+    assert cli.cmd_compare(BASE_TREE, out, quiet=True) == 0
+    assert parsed == []
+
+
+def _gaussian_record(n_steps=40):
+    model, data, _ = models.generate_gaussian(50, 2, seed=3)
+    cfg = TuningConfig(frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=1.0, frak_t=1.0, c_beta=1.0, seed=7)
+    return engine.run(model, data, cfg, n_steps=n_steps, theta_hat=np.zeros(2),
+                      recording=engine.RecordingPlan(thin=2))
+
+
+def test_writing_into_a_saved_record_does_not_reach_load_run(tmp_path, monkeypatch):
+    out = str(tmp_path)
+    path = artifacts.trace_path(out, 0)
+    record = _gaussian_record()
+    parsed = _count_parses(monkeypatch)
+    artifacts.save_run(out, 0, record, "f" * 64)
+    first, _ = artifacts.load_run(out, 0)
+    # the kept array itself, read-only: no parse and no copy
+    assert parsed == [] and np.shares_memory(first.states, record.states)
+    with pytest.raises(ValueError, match="read-only"):
+        first.states[0, 0] = 1.0
+    # looked up once: the next load parses
+    again, _ = artifacts.load_run(out, 0)
+    assert parsed == [path] and np.array_equal(again.states, record.states)
+    # saved again, then written into before the load
+    artifacts.save_run(out, 0, record, "f" * 64)
+    written = record.states.copy()
+    record.states[3, 1] = 123.0
+    loaded, _ = artifacts.load_run(out, 0)
+    assert parsed == [path, path]
+    assert np.array_equal(loaded.states, written)
+
+
+def test_non_finite_states_are_parsed_back(tmp_path, monkeypatch):
+    # text has one nan, so a negative nan or a payload reads back as nan
+    out = str(tmp_path)
+    record = _gaussian_record()
+    negative_nan = np.frombuffer(np.uint64(0xFFF8_0000_0000_0001).tobytes(), np.float64)[0]
+    record.states[:3] = [[negative_nan, 1.0], [np.inf, -np.inf], [-0.0, 5e-324]]
+    artifacts.save_run(out, 0, record, "f" * 64)
+    path = artifacts.trace_path(out, 0)
+    fresh = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2:]
+    parsed = _count_parses(monkeypatch)
+    loaded, _ = artifacts.load_run(out, 0)
+    assert parsed == [path]
+    assert fresh.view(np.uint64).tolist() == loaded.states.view(np.uint64).tolist()
+    assert np.signbit(record.states[0, 0]) and not np.signbit(loaded.states[0, 0])
+    np.testing.assert_array_equal(loaded.states[1:], record.states[1:])
+
+
 # -------------------------------------------------------------- experiment
 
 
@@ -1500,6 +1657,29 @@ def test_experiment_exits_with_the_code_of_its_failed_variant(tmp_path, monkeypa
     assert variants["jhat_sgd"]["error"].startswith("RegimeError: invalid regime")
     assert variants["sgd"]["diverged"] is True and "error" not in variants["sgd"]
     assert "error" not in variants["jhat_sgld"]
+
+
+def _tree_bytes(root):
+    return {os.path.relpath(os.path.join(top, name), root): _read_bytes(os.path.join(top, name))
+            for top, _, names in os.walk(root) for name in names}
+
+
+def test_experiment_refuses_a_root_holding_another_experiment(tmp_path, capsys):
+    # exp1 and exp3-synthetic share the variants sgd and jhat_sgd
+    out = str(tmp_path / "exp")
+    exp3 = ["experiment", "exp3-synthetic", "--out", out, "--scale", "0.1", "--epochs", "2",
+            "--seed", "1", "--threads", "1", "--quiet"]
+    assert cli.main(exp3) == 0
+    before = _tree_bytes(out)
+    capsys.readouterr()
+    assert cli.main(["experiment", "exp1", "--out", out, "--scale", "0.06", "--epochs", "2",
+                     "--threads", "1", "--quiet"]) == ConfigError.exit_code == 1
+    err = capsys.readouterr().err
+    assert os.path.join(out, "summary.json") in err and "'exp3-synthetic'" in err
+    assert _tree_bytes(out) == before
+    # the same experiment again into its own root
+    assert cli.main(exp3) == 0
+    assert _read_json(os.path.join(out, "summary.json"))["experiment"] == "exp3-synthetic"
 
 
 # ------------------------------------------------------------------- misc
