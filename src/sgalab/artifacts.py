@@ -30,9 +30,9 @@ Layout of an output directory::
                          metrics, each compared matrix once
                          (``empirical_cov``, ``predicted_cov``, at the
                          top level and in each ``averages`` block)
-    timings.json         wall-clock seconds of set-up and of simulation,
-                         executed steps and steps/s (excluded from
-                         reproducibility)
+    timings.json         wall-clock seconds of set-up, of simulation and of
+                         writing the traces, executed steps and the
+                         engine's steps/s (excluded from reproducibility)
 
 Trace and ACF files share one table format: a header line of
 comma-separated column names, then one line per row holding the integer
@@ -40,6 +40,14 @@ first column (``step`` or ``lag``) printed with ``%d`` and every other value
 printed with ``%.17g`` (``FLOAT_FMT``), comma-separated, each line ended by
 a single line feed.  ``%.17g`` round-trips every double, so ``load_run`` reads back the
 exact states; non-finite values appear as ``nan``, ``inf`` and ``-inf``.
+The rows are formatted in blocks of about ``_BLOCK_VALUES`` values.  A block
+of ``_KERNEL_MIN_VALUES`` or more goes through a numpy kernel
+(``_kernel_text``) that prints the same bytes as ``%``: each value is scaled
+to 17 integer digits by an exact double-double product, its digits are
+looked up four at a time, and its text is laid out by C's ``%g`` rule.  A
+value the kernel cannot certify (zero, non-finite, beyond 1e-290 .. 1e290,
+or next to a rounding tie) is printed with ``%`` itself, and a smaller block,
+such as a whole short trace, goes through ``%`` directly.
 
 JSON files share one text format: dict keys converted with ``str`` and
 sorted; a two-space indent, items separated by a comma and a line feed plus
@@ -89,12 +97,14 @@ missing one is a mismatch, never a smaller comparison.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
 import re
 from json.encoder import encode_basestring_ascii as _quote
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,9 +113,16 @@ from .errors import ArtifactMismatchError, DataError
 
 FLOAT_FMT = "%.17g"
 
-#: Table rows formatted per write: enough to amortise the ``%`` call, few
-#: enough that a long trace never builds its whole text in memory.
-_CHUNK_ROWS = 256
+#: Table values formatted per block: enough to amortise the kernel's numpy
+#: calls, few enough that a block's work arrays (about 300 bytes a value,
+#: 2.4 MB a block) barely move peak memory.
+_BLOCK_VALUES = 8192
+
+#: A block of fewer values is printed with ``%``.  The kernel's fixed cost
+#: (some 40 numpy calls, 60-150 us) pays off from about 300 values (measured
+#: on a 2-core Xeon at widths 4 to 27); a 20-row trace of 12 columns, 240
+#: values, is faster with ``%``.
+_KERNEL_MIN_VALUES = 320
 
 #: The states ``save_run`` wrote since the last simulate started writing
 #: and ``load_run`` has not looked up yet, by absolute trace path:
@@ -278,26 +295,214 @@ def _trace_header(dim: int, state_dim: int) -> str:
     return ",".join(["step", "epoch"] + names)
 
 
-def _write_table(path: str, header: str, first: np.ndarray, values: np.ndarray) -> bytes:
+def _write_table(path: str, header: str, first: np.ndarray, values: np.ndarray,
+                 per_epoch: float | None = None) -> bytes:
     """Write ``header``, then rows of the integer ``first[k]`` and ``values[k]``.
 
-    Returns the sha256 digest of the bytes written.
+    With ``per_epoch``, the column ``first / per_epoch`` goes between them.
+    The rows are formatted a block at a time, so no copy of the whole table
+    is made: a block of ``_KERNEL_MIN_VALUES`` or more by ``_kernel_text``,
+    a smaller one by ``_percent_text``.  Returns the sha256 digest of the
+    bytes written.
     """
-    row = ",".join(["%d"] + [FLOAT_FMT] * values.shape[1]) + "\n"
+    lead = 1 if per_epoch is None else 2
+    width = lead + values.shape[1]
+    step = max(1, _BLOCK_VALUES // width)
+    block = np.empty((min(step, len(first)), width))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
 
-        def put(text: str) -> None:
-            data = text.encode("ascii")
+        def put(data: bytes) -> None:
             digest.update(data)
             fh.write(data)
 
-        put(header + "\n")
-        for start in range(0, len(first), _CHUNK_ROWS):
-            stop = start + _CHUNK_ROWS
-            part = np.column_stack([first[start:stop], values[start:stop]])
-            put(row * len(part) % tuple(part.ravel().tolist()))
+        put((header + "\n").encode("ascii"))
+        for start in range(0, len(first), step):
+            stop = min(start + step, len(first))
+            part = block[: stop - start]
+            part[:, 0] = first[start:stop]
+            if per_epoch is not None:
+                np.divide(part[:, 0], per_epoch, out=part[:, 1])
+            part[:, lead:] = values[start:stop]
+            put(_kernel_text(part) if part.size >= _KERNEL_MIN_VALUES else _percent_text(part))
     return digest.digest()
+
+
+def _percent_text(block: np.ndarray) -> bytes:
+    """The table lines of ``block``, column 0 printed with ``%d`` and the others with ``FLOAT_FMT``."""
+    rows, width = block.shape
+    row = ",".join(["%d"] + [FLOAT_FMT] * (width - 1)) + "\n"
+    return (row * rows % tuple(block.ravel().tolist())).encode("ascii")
+
+
+class _KernelTables(NamedTuple):
+    """Read-only tables of ``_kernel_text``; those of one row per exponent X start at X = -291."""
+
+    power_hi: np.ndarray  # 10**(16 - X) rounded to a double
+    power_lo: np.ndarray  # the rest of 10**(16 - X), rounded
+    power_head: np.ndarray  # power_hi's top 26 bits
+    power_tail: np.ndarray  # power_hi - power_head
+    forms: np.ndarray  # the form of X with one significant digit
+    exponents: np.ndarray  # (582, 4) uint8: "e" notation's sign and three digits of |X|
+    quads: np.ndarray  # (10000,) uint32: the four ASCII digits of each 4-digit chunk
+    zeros: np.ndarray  # (10000,): trailing zeros of each 4-digit chunk, 4 for 0000
+    keep: np.ndarray  # (_EMPTY + 1, _SLOT) uint8: 0xFF where a form prints a source byte as is
+    shift: np.ndarray  # (_EMPTY + 1, _SLOT): 0xFF where it prints the one before it
+    const: np.ndarray  # (_EMPTY + 1, _SLOT): the constant bytes it prints
+
+
+#: A value's slot: the sign or NUL, "0." and up to three zeros before the
+#: digits of 1e-4 <= |x| < 1, the 17 digits with room for a point, "e" and the
+#: exponent's sign and three digits, and the separator.  Every byte not
+#: printed is NUL.
+_SIGN, _BODY, _E, _EXP, _SEP, _SLOT = 0, 6, 24, 25, 29, 30
+#: The exponents C's ``%g`` writes in fixed notation at precision 17.
+_FIXED = range(-4, 17)
+#: Forms: 17 for each fixed-notation exponent and for each exponent width 2
+#: and 3, one per number of significant digits; then the all-NUL form of a
+#: value left to ``%``.
+_SCIENTIFIC = len(_FIXED) * 17
+_EMPTY = _SCIENTIFIC + 2 * 17
+#: The kernel prints 1e-290 <= |x| < 1e290; a power of ten is tabled for each
+#: exponent estimate of such a value, which may be one off.
+_TINY, _HUGE, _X_LOW, _X_HIGH = 1e-290, 1e290, -291, 290
+#: How near to a half the fraction of the scaled value may come before the
+#: value is left to ``%``: the double-double product is good to a few 1e-15
+#: (2e-15 at most over 3000 values spread across the range).
+_TIE_GUARD = 1e-9
+
+
+def _form_masks(exp10: int, n: int) -> tuple[bytes, bytes, bytes]:
+    """``keep``, ``shift`` and ``const`` of the ``%.17g`` text of n digits at exponent ``exp10``.
+
+    The digits sit at ``_BODY``; a digit printed after the point comes from
+    the slot byte before it, one place to the right.
+    """
+    keep, shift, const = bytearray(_SLOT), bytearray(_SLOT), bytearray(_SLOT)
+    keep[_SIGN] = keep[_SEP] = 0xFF
+    point = 0  # digits after this one follow a point
+    if exp10 not in _FIXED:
+        places = 3 if abs(exp10) >= 100 else 2
+        const[_E] = ord("e")
+        keep[_EXP] = 0xFF  # the exponent's sign
+        keep[_SEP - places : _SEP] = b"\xff" * places
+    elif exp10 < 0:
+        const[_SIGN + 1 : _BODY - 4 - exp10] = b"0." + b"0" * (-exp10 - 1)
+        point = 17  # "0." and the zeros carry the point
+    else:
+        point, n = exp10, max(n, exp10 + 1)
+    for p in range(n):
+        if p <= point:
+            keep[_BODY + p] = 0xFF
+        else:
+            shift[_BODY + p + 1] = 0xFF
+    if point < n - 1:
+        const[_BODY + point + 1] = ord(".")
+    return bytes(keep), bytes(shift), bytes(const)
+
+
+@functools.cache
+def _kernel_tables() -> _KernelTables:
+    """The kernel's tables, built from exact integer arithmetic on first use."""
+    powers, forms, exponents = [], [], []
+    for exp10 in range(_X_LOW, _X_HIGH + 1):
+        k = 16 - exp10
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        hi = num / den  # int / int is correctly rounded
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        m, e = math.frexp(hi)
+        head = math.ldexp(math.floor(math.ldexp(m, 26)), e - 26)
+        powers.append((hi, lo, head, hi - head))
+        if exp10 in _FIXED:
+            forms.append(_FIXED.index(exp10) * 17)
+        else:
+            forms.append(_SCIENTIFIC + 17 * (abs(exp10) >= 100))
+        exponents.append(f"{'-' if exp10 < 0 else '+'}{abs(exp10):03d}")
+    masks = [_form_masks(exp10, n) for exp10 in [*_FIXED, 99, 100] for n in range(1, 18)]
+    masks.append((bytes(_SLOT),) * 3)
+    chunk = np.arange(10000)
+    places = 10 ** np.arange(3, -1, -1)  # each chunk's digits, most significant first
+    tables = _KernelTables(
+        *np.array(powers).T.copy(), np.array(forms),
+        np.frombuffer("".join(exponents).encode("ascii"), np.uint8).reshape(-1, 4),
+        (chunk[:, None] // places % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel(),
+        sum(chunk % (10 * place) == 0 for place in places),
+        *(np.frombuffer(b"".join(rows), np.uint8).reshape(-1, _SLOT) for rows in zip(*masks)),
+    )
+    for array in tables:
+        array.flags.writeable = False
+    return tables
+
+
+def _kernel_text(block: np.ndarray) -> bytes:
+    """``_percent_text`` of a float64 ``block``, byte for byte, from numpy arrays.
+
+    Each value with 1e-290 <= |x| < 1e290 is scaled to 17 integer digits:
+    with X = floor(log10|x|), y = |x| * 10**(16 - X) is formed as a
+    double-double (Dekker's exact split product with a tabled hi + lo
+    power), and its digits D = rint(y) are used when 1e16 <= y, D < 1e17 and
+    y's fraction is not within ``_TIE_GUARD`` of a half.  D's digits come
+    from a table of 4-digit chunks; trailing zeros are dropped and the text
+    laid out by C's ``%g`` rule (fixed for -4 <= X < 17) in a fixed-width
+    slot, with NUL in every byte not printed, which is deleted at the end.
+    A value the kernel cannot certify (0, nan, inf, out of range, near a
+    tie, X misestimated, or D reaching 1e17), and a first-column value that
+    is not an integer below 1e16, is printed with ``%`` into its slot.
+    """
+    tables = _kernel_tables()
+    rows, width = block.shape
+    x = block.ravel()
+    count = x.size
+    a = np.abs(x)
+    ok = (a >= _TINY) & (a < _HUGE)
+    ok[::width] &= (a[::width] < 1e16) & (np.trunc(x[::width]) == x[::width])
+    a[~ok] = 1.0
+    row = np.floor(np.log10(a)).astype(np.intp) - _X_LOW  # X + 291
+    p_head, p_tail = tables.power_head.take(row), tables.power_tail.take(row)
+    split = a * 134217729.0  # 2**27 + 1
+    a_head = split - (split - a)
+    a_tail = a - a_head
+    hi = a * tables.power_hi.take(row)
+    lo = (((a_head * p_head - hi) + a_head * p_tail) + a_tail * p_head) + a_tail * p_tail
+    lo += a * tables.power_lo.take(row)
+    carry = np.rint(lo)
+    lo -= carry  # now y - D
+    digits = hi.astype(np.int64) + carry.astype(np.int64)
+    ok &= (digits < 10**17) & ((digits > 10**16) | ((digits == 10**16) & (lo >= 0)))
+    ok &= np.abs(np.abs(lo) - 0.5) > _TIE_GUARD
+
+    lead = digits // 10**16
+    digits -= lead * 10**16
+    chunks = np.empty((count, 4), np.intp)  # D's 16 digits after the lead, four at a time
+    chunks[:, 1] = digits // 10**8
+    chunks[:, 3] = digits - chunks[:, 1] * 10**8
+    chunks[:, 0::2] = chunks[:, 1::2] // 10**4
+    chunks[:, 1::2] -= chunks[:, 0::2] * 10**4
+    zeros = tables.zeros.take(chunks)
+    stripped = zeros[:, 0]
+    for j in range(1, 4):
+        stripped = np.where(chunks[:, j] == 0, stripped + 4, zeros[:, j])
+    form = tables.forms.take(row) + 16 - stripped
+    form[~ok] = _EMPTY
+
+    buffer = np.empty(count * _SLOT + 1, np.uint8)
+    source = buffer[1:].reshape(count, _SLOT)
+    source[:, _SIGN] = np.signbit(x) * np.uint8(ord("-"))
+    source[:, _BODY] = lead + ord("0")
+    source[:, _BODY + 1 : _BODY + 17] = tables.quads.take(chunks).view(np.uint8)
+    source[:, _EXP : _SEP] = tables.exponents.take(row, axis=0)
+    source[:, _SEP].reshape(rows, width)[:] = np.frombuffer(b"," * (width - 1) + b"\n", np.uint8)
+    text = source & tables.keep.take(form, axis=0)
+    text |= buffer[:-1].reshape(count, _SLOT) & tables.shift.take(form, axis=0)
+    text |= tables.const.take(form, axis=0)
+    for i in np.flatnonzero(~ok).tolist():
+        column = i % width
+        line = ("%d" if column == 0 else FLOAT_FMT) % x[i] + ("\n" if column == width - 1 else ",")
+        if len(line) > _SLOT:  # a first-column integer too long for a slot
+            return _percent_text(block)
+        text[i, : len(line)] = np.frombuffer(line.encode("ascii"), np.uint8)
+    return text.tobytes().translate(None, b"\0")
 
 
 def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> None:
@@ -312,14 +517,9 @@ def save_run(out_dir: str, index: int, record: RunRecord, config_hash: str) -> N
     path = trace_path(out_dir, index)
     key = os.path.abspath(path)
     _KEPT.pop(key, None)
-    steps = record.step_numbers()
     states = record.states
-    digest = _write_table(
-        path,
-        _trace_header(record.dim, record.state_dim),
-        steps,
-        np.column_stack([steps / record.steps_per_epoch, states]),
-    )
+    digest = _write_table(path, _trace_header(record.dim, record.state_dim),
+                          record.step_numbers(), states, record.steps_per_epoch)
     if states.dtype == np.float64 and states.flags.c_contiguous and np.isfinite(states).all():
         _KEPT[key] = (digest, states, hashlib.sha256(states).digest())
     payload = {

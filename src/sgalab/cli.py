@@ -190,25 +190,28 @@ def cmd_simulate(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_simulate_chunk, [setup.tree] * workers, bounds[:-1], counts)
             records = [record for part in parts for record in part]
+    t_write = time.perf_counter()
     for r, record in enumerate(records):
         artifacts.save_run(out, r, record, setup.hash)
-    elapsed = time.perf_counter() - t0
+    write_seconds = time.perf_counter() - t_write
+    simulate_seconds = t_write - t0
     diverged_at = [record.diverged_at for record in records]
     steps = sum(setup.n_steps if at is None else at for at in diverged_at)
     artifacts.write_json(
         os.path.join(out, "timings.json"),
         {
             "setup_seconds": setup_seconds,
-            "simulate_seconds": elapsed,
+            "simulate_seconds": simulate_seconds,
+            "write_seconds": write_seconds,
             "replicates": replicates,
             "steps": steps,
-            "steps_per_s": steps / elapsed,
+            "steps_per_s": steps / simulate_seconds,
         },
     )
     if not quiet:
         print(
             f"simulate: {replicates} replicate(s), {setup.n_steps} steps each,"
-            f" {elapsed:.1f} s -> {out}/trace_*.csv"
+            f" {simulate_seconds + write_seconds:.1f} s -> {out}/trace_*.csv"
         )
         for r, at in enumerate(diverged_at):
             if at is not None:
@@ -318,6 +321,8 @@ def cmd_compare(tree: dict, out_flag: str | None = None, quiet: bool = False) ->
         print(f"  health: {len(alive)} replicate(s) used, {len(diverged)} diverged{rate}")
         if "setup_seconds" in timings:
             print(f"  {'':8}set-up {timings['setup_seconds']:.3g} s before simulating")
+        if "write_seconds" in timings:
+            print(f"  {'':8}traces written in {timings['write_seconds']:.3g} s after simulating")
         print(f"  wrote {out}/comparison.json")
     return EXIT_OK
 

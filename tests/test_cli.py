@@ -3,9 +3,12 @@
 import collections
 import concurrent.futures
 import dataclasses
+import decimal
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -386,10 +389,15 @@ def test_simulate_times_its_set_up_and_compare_prints_it(tmp_path, capsys):
     assert cli.main(["simulate", *common, "--threads", "1", "--quiet"]) == 0
     timings = _read_json(str(tmp_path / "out" / "timings.json"))
     assert timings["setup_seconds"] >= 0.0
+    # steps/s is the engine's rate: the trace writing is timed apart
+    assert timings["write_seconds"] > 0.0
+    assert timings["steps_per_s"] == timings["steps"] / timings["simulate_seconds"]
     assert cli.main(["compare", *common]) == 0
     lines = capsys.readouterr().out.splitlines()
     health = next(i for i, line in enumerate(lines) if line.startswith("  health: "))
     assert lines[health + 1] == f"          set-up {timings['setup_seconds']:.3g} s before simulating"
+    assert lines[health + 2] == (
+        f"          traces written in {timings['write_seconds']:.3g} s after simulating")
 
 
 def test_compare_summary_prints_iterate_average_norms(tmp_path, capsys):
@@ -1182,14 +1190,20 @@ AWKWARD = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308,
            -1.7976931348623157e308, 0.1]
 
 
-def _table_rows(kind: str, width: int) -> np.ndarray:
+def _table_rows(kind: str, width: int, lead: int) -> np.ndarray:
+    """Value rows of a table with ``lead`` integer or epoch columns before ``width`` values."""
     if kind == "empty":
         return np.empty((0, width))
     if kind == "one-row":
         return np.array([AWKWARD[:width]])
-    # more rows than several write chunks, magnitudes across the double range
+    if kind == "several-chunks":
+        # several write blocks, magnitudes across the double range
+        rows = 3 * (artifacts._BLOCK_VALUES // width) + 17
+    else:  # one block just below or just at the size from which the kernel prints it
+        cut = artifacts._KERNEL_MIN_VALUES
+        rows = (cut - 1) // (width + lead) if kind == "below-cut" else -(-cut // (width + lead))
     rng = np.random.default_rng(4)
-    shape = (3 * 256 + 17, width)
+    shape = (rows, width)
     rows = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
     rows[:len(AWKWARD)] = np.resize(AWKWARD, (len(AWKWARD), width))
     return rows
@@ -1200,7 +1214,7 @@ def _read_bytes(path: str) -> bytes:
         return fh.read()
 
 
-@pytest.mark.parametrize("kind", ["empty", "one-row", "several-chunks"])
+@pytest.mark.parametrize("kind", ["empty", "one-row", "below-cut", "above-cut", "several-chunks"])
 @pytest.mark.parametrize("momentum", [False, True], ids=["plain", "momentum"])
 def test_trace_and_acf_bytes_match_savetxt(tmp_path, kind, momentum):
     model, data, _ = models.generate_gaussian(50, 2, seed=3)
@@ -1208,7 +1222,7 @@ def test_trace_and_acf_bytes_match_savetxt(tmp_path, kind, momentum):
     cfg = TuningConfig(frak_h=1.0, c_h=2.0, frak_b=0.0, c_b=1.0, seed=5, **variant)
     base = engine.run(model, data, cfg, n_steps=6, theta_hat=np.zeros(2),
                       recording=engine.RecordingPlan(thin=3))
-    record = dataclasses.replace(base, states=_table_rows(kind, base.state_dim))
+    record = dataclasses.replace(base, states=_table_rows(kind, base.state_dim, 2))
     out = str(tmp_path)
     artifacts.save_run(out, 0, record, "f" * 64)
     steps = record.step_numbers()
@@ -1219,11 +1233,110 @@ def test_trace_and_acf_bytes_match_savetxt(tmp_path, kind, momentum):
     )
     assert _read_bytes(artifacts.trace_path(out, 0)) == _read_bytes(str(tmp_path / "want_trace.csv"))
 
-    rhos = _table_rows(kind, 3)
+    rhos = _table_rows(kind, 3, 1)
     artifacts.save_acf(out, 0, rhos)
     oracles.savetxt_table(str(tmp_path / "want_acf.csv"), "lag,coord_0,coord_1,coord_2",
                           np.arange(len(rhos)), rhos)
     assert _read_bytes(artifacts.acf_path(out, 0)) == _read_bytes(str(tmp_path / "want_acf.csv"))
+
+
+def _near_halves() -> list[float]:
+    """Doubles x whose scaled |x| * 10**(16 - X) lies within 4e-15 of a half-integer.
+
+    For X = -9, -10 the scaled value is m * 5**k / 2**s, and for X = 39, 40
+    it is m * 2**t / 5**-k (k = 16 - X, x = m * 2**e); each x is solved for
+    a residue of m next to the half.  At these X the tabled power of ten or
+    its product with x is inexact.
+    """
+    found = []
+    for exp10, e in [(exp10, e) for exp10 in (-9, -10) for e in range(-90, -70)]:
+        s = exp10 - 16 - e
+        inv = pow(5 ** (16 - exp10), -1, 2**s)
+        for j in range(-40, 41):
+            m = (2 ** (s - 1) + j) * inv % 2**s
+            m += -(-(2**52 - m) // 2**s) * 2**s if m < 2**52 else 0
+            found.append((exp10, math.ldexp(m, e) if m < 2**53 else 0.0))
+    for exp10, e in [(exp10, e) for exp10 in (39, 40) for e in range(70, 90)]:
+        five = 5 ** (exp10 - 16)
+        inv = pow(2 ** (e - exp10 + 16), -1, five)
+        for j in range(-40, 41):
+            m = ((five - 1) // 2 + j) * inv % five
+            found.append((exp10, math.ldexp(m, e) if 2**52 <= m < 2**53 else 0.0))
+    return [x for exp10, x in found if x and math.floor(math.log10(x)) == exp10]
+
+
+def _exact_ties(rng) -> list[float]:
+    """Doubles m * 2**-j whose exact decimal expansion has 18 significant digits, the last a 5."""
+    odd = rng.integers(1, 2**53, 4000) | 1
+    dyadic = np.ldexp(odd.astype(np.float64), -rng.integers(1, 30, 4000))
+    ties = [x for x in dyadic.tolist() if len(decimal.Decimal(x).as_tuple().digits) == 18]
+    assert len(ties) > 50
+    return ties
+
+
+def _kernel_inputs(rng) -> np.ndarray:
+    """Every class of value but random bits that the table kernel must print as ``%.17g`` does."""
+    normal = rng.standard_normal((300, 100)) * 10.0 ** np.linspace(-320, 300, 300)[:, None]
+    tens = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    edges = np.array([1e-5, 1e-4, 1e16, 1e17])
+    edges = np.concatenate([edges * np.array([1 - 1e-12, 1 + 1e-12])[:, None], edges[None]])
+    # the doubles nearest 10**k and just below them; 13 of the former lie so
+    # little below 10**k that 17 digits round up to "1e..."
+    powers = [float(f"1e{k}") for k in range(-300, 301)]
+    assert sum(decimal.Decimal(x) < decimal.Decimal(10) ** k and ("%.17g" % x).startswith("1e")
+               for k, x in zip(range(-300, 301), powers)) == 13
+    special = [0.0, -0.0, struct.unpack("<d", struct.pack("<Q", 0xFFF8_0000_0000_1234))[0],
+               np.inf, -np.inf, 5e-324, -1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               1e-300, 1.7976931348623157e308]
+    signs = np.array([1.0, -1.0])
+    parts = [
+        normal.ravel(), signs[:, None] * tens,
+        np.nextafter(tens, np.inf), np.nextafter(tens, -np.inf), edges.ravel() * signs[:, None],
+        np.outer(signs, powers), np.outer(signs, np.nextafter(powers, 0)),
+        np.outer(signs, _exact_ties(rng)), np.outer(signs, _near_halves()), special,
+    ]
+    return np.concatenate([np.ravel(part) for part in parts])
+
+
+def _percent_lines(block: np.ndarray) -> bytes:
+    row = ",".join(["%d"] + ["%.17g"] * (block.shape[1] - 1)) + "\n"
+    return "".join(row % tuple(line) for line in block.tolist()).encode("ascii")
+
+
+def test_table_kernel_prints_every_value_as_percent_does():
+    rng = np.random.default_rng(37)
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False).view(np.float64)
+    bits = bits[np.isfinite(bits)]
+    others = _kernel_inputs(rng)
+    for part, width in enumerate([1, 2, 12, 27]):
+        # a quarter of the random bit patterns at each width
+        values = np.concatenate([bits[part::4], others])
+        rows = -(-len(values) // width)
+        first = rng.integers(0, 2**53, rows, endpoint=True).astype(np.float64)
+        # the last: "%d" of it is longer than a slot, so its block goes through "%"
+        first[:5], first[-1] = [0, 2**53, 2**53 - 1, -5, 2.5], 1e30
+        table = np.column_stack([first, np.resize(values, (rows, width))])
+        step = artifacts._BLOCK_VALUES // (width + 1)
+        for start in range(0, rows, step):
+            block = table[start : start + step]
+            got = artifacts._kernel_text(block).split(b"\n")
+            want = _percent_lines(block).split(b"\n")
+            if got != want:
+                line = next(i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
+                raise AssertionError(f"width {width}, row {start + line}:"
+                                     f" {got[line]!r} != {want[line]!r}")
+
+
+def test_table_kernel_leaves_values_next_to_a_rounding_tie_to_percent(monkeypatch):
+    # the scaled value of each is within 4e-15 of a half-integer, where the
+    # double-double product cannot certify the rounding: "%" must print it
+    near = _exact_ties(np.random.default_rng(5)) + _near_halves()
+    plain = [0.1, 1.5, 2.0 / 3.0, 1e-7 / 3.0, 1e40 / 3.0]
+    block = np.column_stack([np.arange(1, len(near) + len(plain) + 1), near + plain])
+    monkeypatch.setattr(artifacts, "FLOAT_FMT", "<%.17g>")
+    printed = [line.split(b",")[1] for line in artifacts._kernel_text(block).splitlines()]
+    assert all(text.startswith(b"<") for text in printed[: len(near)])
+    assert not any(text.startswith(b"<") for text in printed[len(near) :])
 
 
 def test_non_finite_numbers_map_to_strings_on_every_route(tmp_path):
